@@ -51,6 +51,13 @@
 #                           and the results are byte-identical to the
 #                           in-process repro.api path; the server's
 #                           metrics.prom lands in $(SERVICE_SMOKE_DIR)
+#   make perf             - the repository benchmark (perfbench/,
+#                           BENCHMARK.json), traced layer by layer at seed 0
+#                           for each of $(PERF_WORKLOADS); saves each run's
+#                           output as $(PERF_DIR)/<workload>.0.out, which
+#                           perfbench/diff.py compares between two such
+#                           directories, and fails when a run reports
+#                           "correct": false
 #   make docs             - regenerate docs/cli.md from the live argparse
 #                           tree (scripts/gen_cli_docs.py); CI's docs-drift
 #                           job fails when the committed file differs
@@ -71,9 +78,11 @@ STORE_BASELINE = benchmarks/baselines/store_quick.json
 IR_BENCH_DIR ?= results
 IR_BASELINE = benchmarks/baselines/ir_quick.json
 SERVICE_SMOKE_DIR ?= .service_smoke
+PERF_DIR ?= results/perf
+PERF_WORKLOADS ?= table2-quick keysweep-b17 fuzz-mix
 
 .PHONY: verify bench test-all coverage matrix fuzz farm opt-bench \
-  store-bench ir-bench service-smoke refresh-baseline \
+  store-bench ir-bench service-smoke perf refresh-baseline \
   refresh-store-baseline refresh-ir-baseline docs lint
 
 verify:
@@ -135,6 +144,18 @@ service-smoke:
 	rm -rf $(SERVICE_SMOKE_DIR)
 	PYTHONPATH=src $(PYTHON) scripts/service_smoke.py \
 	  --workdir $(SERVICE_SMOKE_DIR) --jobs $${REPRO_JOBS:-1}
+
+# The last line of a run's output is its JSON verdict.
+perf:
+	mkdir -p $(PERF_DIR)
+	for w in $(PERF_WORKLOADS); do \
+	  $(PYTHON) perfbench/run.py --workload $$w --seed 0 --seconds 20 \
+	    --trace 1 > $(PERF_DIR)/$$w.0.out || exit 1; \
+	  cat $(PERF_DIR)/$$w.0.out; \
+	  tail -n 1 $(PERF_DIR)/$$w.0.out | $(PYTHON) -c \
+	    'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' \
+	    || { echo "perf: $$w reported incorrect outcomes"; exit 1; }; \
+	done
 
 # The regression gate compares against this artifact's meta block, so it
 # must come from a cache-less run (--no-resume) to carry fresh timings.

@@ -319,6 +319,9 @@ class SatAttack:
                     fixed[index] = key_candidates[0][index]
 
         watch.stop()
+        # Snapshot: the live session keeps mutating its stats object
+        # when the caller continues using it after run().
+        solver_stats = replace(self.solver.stats)
         if obs.active():
             # Map stopwatch laps onto the span phase catalogue
             # (docs/observability.md); a single dict merge per attack,
@@ -330,6 +333,9 @@ class SatAttack:
             obs.incr("dips", iteration)
             obs.incr("oracle_queries", iteration)
             obs.incr("key_candidates", len(key_candidates))
+            obs.incr("solver_conflicts", solver_stats.conflicts)
+            obs.incr("solver_decisions", solver_stats.decisions)
+            obs.incr("solver_propagations", solver_stats.propagations)
         return SatAttackResult(
             converged=converged,
             iterations=iteration,
@@ -339,7 +345,5 @@ class SatAttack:
             fixed_key_bits=fixed,
             runtime_s=watch.total,
             stopwatch=watch,
-            # Snapshot: the live session keeps mutating its stats object
-            # when the caller continues using it after run().
-            solver_stats=replace(self.solver.stats),
+            solver_stats=solver_stats,
         )

@@ -15,6 +15,13 @@ the paper used.  It implements the standard modern architecture:
 Literal encoding (internal): variable ``v`` (1-based) maps to codes
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``code ^ 1`` negates.
 Public APIs use DIMACS-signed literals.
+
+Data layout, chosen for the interpreter's cost model: a clause *is* its
+list of literal codes, with the watched literals at positions 0 and 1;
+watch lists and reasons hold those lists directly, and each clause sits
+in exactly the watch lists of its two watched literals.  Truth values
+are indexed by literal code (``_lit_value``: 1 true, 0 false, -1
+unassigned), so the hot loops test a literal with one list read.
 """
 
 from __future__ import annotations
@@ -30,19 +37,17 @@ _UNASSIGNED = -1
 
 
 class _Clause:
-    """Internal clause representation; lits are internal codes.
+    """Bookkeeping for one learned clause; ``lits`` is the clause itself.
 
     ``lbd`` (literal block distance, the number of distinct decision
     levels in the clause when it was learned) ranks learned clauses for
     database reduction: low-LBD "glue" clauses are kept forever.
     """
 
-    __slots__ = ("lits", "learnt", "deleted", "lbd")
+    __slots__ = ("lits", "lbd")
 
-    def __init__(self, lits: list[int], learnt: bool, lbd: int = 0):
+    def __init__(self, lits: list[int], lbd: int):
         self.lits = lits
-        self.learnt = learnt
-        self.deleted = False
         self.lbd = lbd
 
 
@@ -97,16 +102,18 @@ class CdclSolver:
         reduce_base: int = 4000,
     ):
         self.n_vars = 0
-        self._clauses: list[_Clause] = []
         self._learnts: list[_Clause] = []
-        self._watches: list[list[_Clause]] = [[], []]  # index by lit code
-        self._assign: list[int] = [_UNASSIGNED]
+        self._watches: list[list[list[int]]] = [[], []]  # index by lit code
+        self._lit_value: list[int] = [_UNASSIGNED, _UNASSIGNED]  # by lit code
+        # Per variable; level and reason are stale while unassigned.
         self._level: list[int] = [0]
-        self._reason: list[_Clause | None] = [None]
+        self._reason: list[list[int] | None] = [None]
+        # Saved polarity: the literal last set true (initially the negative).
         self._phase: list[int] = [0]
         self._activity: list[float] = [0.0]
         self._heap: list[tuple[float, int]] = []
         self._in_heap: list[bool] = [False]
+        self._seen = bytearray(1)  # conflict-analysis marks, all 0 between uses
         self._var_inc = 1.0
         self._var_decay = 1.0 / var_decay
         self._restart_base = restart_base
@@ -115,38 +122,26 @@ class CdclSolver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._ok = True  # False once a top-level conflict is derived
-        self._decision_vars: set[int] | None = None
         self.stats = SolverStats()
         if cnf is not None:
             self.add_cnf(cnf)
-
-    def set_decision_vars(self, variables: Iterable[int] | None) -> None:
-        """Restrict branching to the given variables (None = all).
-
-        Sound and complete for Tseitin encodings of circuits when the set
-        contains every primary-input variable: unit propagation determines
-        all internal gate variables once the inputs are assigned.  This is
-        the standard "input branching" optimisation for SAT attacks; a
-        linear-scan fallback over all variables keeps the solver complete
-        even if the caller passes an insufficient set.
-        """
-        self._decision_vars = set(variables) if variables is not None else None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         self.n_vars += 1
-        self._assign.append(_UNASSIGNED)
+        var = self.n_vars
+        self._lit_value += (_UNASSIGNED, _UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
-        self._phase.append(0)
+        self._phase.append((var << 1) | 1)
         self._activity.append(0.0)
-        self._in_heap.append(False)
-        self._watches.append([])
-        self._watches.append([])
-        self._push_heap(self.n_vars)
-        return self.n_vars
+        self._in_heap.append(True)
+        self._seen.append(0)
+        self._watches += ([], [])
+        heappush(self._heap, (-0.0, var))
+        return var
 
     def _ensure_vars(self, max_var: int) -> None:
         while self.n_vars < max_var:
@@ -168,22 +163,25 @@ class CdclSolver:
         if self._trail_lim:
             self._backtrack(0)
 
+        # At level 0 every assigned literal is a top-level fact.
+        lit_value = self._lit_value
         codes: list[int] = []
         seen: set[int] = set()
         for lit in lits:
             var = abs(lit)
             if var == 0:
                 raise ValueError("literal 0 is not allowed")
-            self._ensure_vars(var)
-            code = (var << 1) | (1 if lit < 0 else 0)
+            if var > self.n_vars:
+                self._ensure_vars(var)
+            code = (var << 1) | (lit < 0)
             if code ^ 1 in seen:
                 return True  # tautology
             if code in seen:
                 continue
-            value = self._value(code)
-            if value == 1 and self._level[var] == 0:
+            value = lit_value[code]
+            if value == 1:
                 return True  # already satisfied at top level
-            if value == 0 and self._level[var] == 0:
+            if value == 0:
                 continue  # falsified at top level; drop the literal
             seen.add(code)
             codes.append(code)
@@ -192,159 +190,162 @@ class CdclSolver:
             self._ok = False
             return False
         if len(codes) == 1:
-            if not self._enqueue(codes[0], None):
-                self._ok = False
-                return False
+            self._enqueue(codes[0], None)
             self._ok = self._propagate() is None
             return self._ok
-        clause = _Clause(codes, learnt=False)
-        self._clauses.append(clause)
-        self._watches[codes[0]].append(clause)
-        self._watches[codes[1]].append(clause)
+        self._watches[codes[0]].append(codes)
+        self._watches[codes[1]].append(codes)
         return True
 
     # ------------------------------------------------------------------
     # values / trail
     # ------------------------------------------------------------------
-    def _value(self, code: int) -> int:
-        a = self._assign[code >> 1]
-        if a == _UNASSIGNED:
-            return _UNASSIGNED
-        return a ^ (code & 1)
-
-    def _enqueue(self, code: int, reason: _Clause | None) -> bool:
-        value = self._value(code)
-        if value != _UNASSIGNED:
-            return value == 1
+    def _enqueue(self, code: int, reason: list[int] | None) -> None:
+        """Make the unassigned literal ``code`` true at the current level."""
         var = code >> 1
-        self._assign[var] = 1 - (code & 1)
+        self._lit_value[code] = 1
+        self._lit_value[code ^ 1] = 0
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._phase[var] = self._assign[var]
+        self._phase[var] = code
         self._trail.append(code)
-        return True
 
     def _backtrack(self, target_level: int) -> None:
-        if len(self._trail_lim) <= target_level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= target_level:
             return
-        boundary = self._trail_lim[target_level]
-        for code in reversed(self._trail[boundary:]):
+        trail = self._trail
+        lit_value = self._lit_value
+        in_heap = self._in_heap
+        activity = self._activity
+        heap = self._heap
+        boundary = trail_lim[target_level]
+        for code in reversed(trail[boundary:]):
+            lit_value[code] = _UNASSIGNED
+            lit_value[code ^ 1] = _UNASSIGNED
             var = code >> 1
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            if not self._in_heap[var]:
-                self._push_heap(var)
-        del self._trail[boundary:]
-        del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
+            if not in_heap[var]:
+                heappush(heap, (-activity[var], var))
+                in_heap[var] = True
+        del trail[boundary:]
+        del trail_lim[target_level:]
+        self._qhead = len(trail)
 
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
-    def _propagate(self) -> _Clause | None:
-        # Hot path: attribute lookups hoisted, literal values inlined.
+    def _propagate(self) -> list[int] | None:
+        """Unit-propagate the trail; returns a conflicting clause or None."""
+        # Hot path: attribute lookups hoisted, watch lists compacted in
+        # place (watch order and clause literal order steer the search).
         trail = self._trail
         watches = self._watches
-        assign = self._assign
+        lit_value = self._lit_value
         level = self._level
         reason = self._reason
         phase = self._phase
         trail_append = trail.append
         current_level = len(self._trail_lim)
-        props = 0
-        while self._qhead < len(trail):
-            p_true = trail[self._qhead]
-            self._qhead += 1
-            props += 1
-            falsified = p_true ^ 1
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             watch_list = watches[falsified]
-            kept: list[_Clause] = []
-            kept_append = kept.append
-            i = 0
-            n = len(watch_list)
-            conflict: _Clause | None = None
-            while i < n:
-                clause = watch_list[i]
-                i += 1
-                if clause.deleted:
-                    continue
-                lits = clause.lits
-                # Normalise: watched literals sit at positions 0 and 1.
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
+            j = 0  # watchers kept so far, compacted to the front
+            visiting = iter(watch_list)
+            for lits in visiting:
+                # Normalise: the falsified watch moves to position 1.
                 other = lits[0]
-                a = assign[other >> 1]
-                if a >= 0 and (a ^ (other & 1)) == 1:
-                    kept_append(clause)
+                if other == falsified:
+                    other = lits[1]
+                    lits[0] = other
+                    lits[1] = falsified
+                value = lit_value[other]
+                if value == 1:
+                    watch_list[j] = lits
+                    j += 1
                     continue
-                # Look for a replacement watch.
-                replaced = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    ak = assign[lk >> 1]
-                    if ak < 0 or (ak ^ (lk & 1)) == 1:
-                        lits[1], lits[k] = lk, lits[1]
-                        watches[lk].append(clause)
-                        replaced = True
+                # Look for a replacement watch: true or unassigned.
+                k = 2
+                for lk in lits[2:]:
+                    if lit_value[lk] != 0:
+                        lits[1] = lk
+                        lits[k] = falsified
+                        watches[lk].append(lits)
                         break
-                if replaced:
-                    continue
-                # No replacement: clause is unit or conflicting.
-                kept_append(clause)
-                if a < 0:
-                    # Enqueue `other` with this clause as reason.
-                    var = other >> 1
-                    value_bit = 1 - (other & 1)
-                    assign[var] = value_bit
-                    level[var] = current_level
-                    reason[var] = clause
-                    phase[var] = value_bit
-                    trail_append(other)
+                    k += 1
                 else:
-                    conflict = clause
-                    # Keep remaining watchers untouched.
-                    kept.extend(c for c in watch_list[i:] if not c.deleted)
-                    break
-            watches[falsified] = kept
-            if conflict is not None:
-                self._qhead = len(trail)
-                self.stats.propagations += props
-                return conflict
-        self.stats.propagations += props
+                    # No replacement: clause is unit or conflicting.
+                    watch_list[j] = lits
+                    j += 1
+                    if value != 0:  # unassigned: enqueue `other`
+                        var = other >> 1
+                        lit_value[other] = 1
+                        lit_value[other ^ 1] = 0
+                        level[var] = current_level
+                        reason[var] = lits
+                        phase[var] = other
+                        trail_append(other)
+                    else:
+                        # The unvisited watchers follow the kept ones.
+                        watch_list[j:] = list(visiting)
+                        self.stats.propagations += qhead - start
+                        self._qhead = len(trail)
+                        return lits
+            del watch_list[j:]
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
     # conflict analysis
     # ------------------------------------------------------------------
-    def _analyze(self, conflict: _Clause) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP analysis; returns (learnt clause codes, backjump level).
 
-        ``learnt[0]`` is the asserting literal.
+        ``learnt[0]`` is the asserting literal.  Every variable marked in
+        the conflict graph gets its VSIDS bump here.
         """
+        trail = self._trail
+        level = self._level
+        reason = self._reason
+        seen = self._seen
+        activity = self._activity
+        heap = self._heap
+        in_heap = self._in_heap
+        var_inc = self._var_inc
         current_level = len(self._trail_lim)
-        seen = bytearray(self.n_vars + 1)
         learnt: list[int] = [0]
         counter = 0
         p = -1
-        reason_lits = conflict.lits
-        index = len(self._trail) - 1
+        reason_lits = conflict
+        index = len(trail) - 1
 
         while True:
             for q in reason_lits:
                 if q == p:
                     continue
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
+                if not seen[var]:
+                    var_level = level[var]
+                    if var_level > 0:
+                        seen[var] = 1
+                        act = activity[var] + var_inc
+                        activity[var] = act
+                        if act > 1e100:
+                            activity[:] = [a * 1e-100 for a in activity]
+                            var_inc *= 1e-100
+                            act = activity[var]
+                        heappush(heap, (-act, var))
+                        in_heap[var] = True
+                        if var_level >= current_level:
+                            counter += 1
+                        else:
+                            learnt.append(q)
             # Walk the trail back to the next marked variable.
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self._trail[index]
+            p = trail[index]
             index -= 1
             var = p >> 1
             seen[var] = 0
@@ -352,29 +353,40 @@ class CdclSolver:
             if counter == 0:
                 learnt[0] = p ^ 1
                 break
-            reason = self._reason[var]
-            assert reason is not None, "non-decision must have a reason"
-            reason_lits = reason.lits
+            reason_lits = reason[var]
+            assert reason_lits is not None, "non-decision must have a reason"
+        self._var_inc = var_inc
 
-        # Mark remaining literals for the minimisation pass.
-        for q in learnt[1:]:
-            seen[q >> 1] = 1
+        # Cheap minimisation: drop a literal whose reason's other literals
+        # are all marked (in the clause) or fixed at level 0.
         minimised = [learnt[0]]
         for q in learnt[1:]:
-            if not self._redundant(q, seen):
+            q_var = q >> 1
+            reason_lits = reason[q_var]
+            if reason_lits is None:
                 minimised.append(q)
-        learnt = minimised
+                continue
+            for r in reason_lits:
+                var = r >> 1
+                if var != q_var and not seen[var] and level[var] > 0:
+                    minimised.append(q)
+                    break
+        for q in learnt[1:]:
+            seen[q >> 1] = 0
 
-        # Compute backjump level and place its literal at position 1.
+        # Backjump to the highest level in the clause (first one found),
+        # whose literal moves to position 1.
         back_level = 0
-        if len(learnt) > 1:
+        if len(minimised) > 1:
             max_idx = 1
-            for idx in range(1, len(learnt)):
-                if self._level[learnt[idx] >> 1] > self._level[learnt[max_idx] >> 1]:
+            back_level = level[minimised[1] >> 1]
+            for idx in range(2, len(minimised)):
+                var_level = level[minimised[idx] >> 1]
+                if var_level > back_level:
+                    back_level = var_level
                     max_idx = idx
-            learnt[1], learnt[max_idx] = learnt[max_idx], learnt[1]
-            back_level = self._level[learnt[1] >> 1]
-        return learnt, back_level
+            minimised[1], minimised[max_idx] = minimised[max_idx], minimised[1]
+        return minimised, back_level
 
     def _analyze_final(self, failed_code: int) -> list[int]:
         """Assumption core of a failed assumption (MiniSat's analyzeFinal).
@@ -404,83 +416,47 @@ class CdclSolver:
                     # the opposite assumption is the whole core.)
                     core_codes.append(p)
                 else:
-                    for q in reason.lits:
+                    for q in reason:
                         if level[q >> 1] > 0:
                             seen[q >> 1] = 1
         return [
             -(code >> 1) if code & 1 else (code >> 1) for code in core_codes
         ]
 
-    def _redundant(self, code: int, seen: bytearray) -> bool:
-        """Cheap (non-recursive) literal redundancy test."""
-        reason = self._reason[code >> 1]
-        if reason is None:
-            return False
-        for q in reason.lits:
-            var = q >> 1
-            if var == code >> 1:
-                continue
-            if not seen[var] and self._level[var] > 0:
-                return False
-        return True
-
     def _record_learnt(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
-            ok = self._enqueue(learnt[0], None)
-            assert ok, "asserting unit must be enqueueable after backjump"
+            self._enqueue(learnt[0], None)
             return
+        # The asserting literal is unassigned; its stale level is the
+        # conflict level, which the LBD counts.
         level = self._level
         lbd = len({level[code >> 1] for code in learnt})
-        clause = _Clause(learnt, learnt=True, lbd=lbd)
-        self._learnts.append(clause)
+        self._learnts.append(_Clause(learnt, lbd))
         self.stats.learned += 1
-        self._watches[learnt[0]].append(clause)
-        self._watches[learnt[1]].append(clause)
-        ok = self._enqueue(learnt[0], clause)
-        assert ok, "asserting literal must be enqueueable after backjump"
+        self._watches[learnt[0]].append(learnt)
+        self._watches[learnt[1]].append(learnt)
+        self._enqueue(learnt[0], learnt)
 
     # ------------------------------------------------------------------
     # decision heuristics
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.n_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        if not self._in_heap[var]:
-            self._push_heap(var)
-        else:
-            heappush(self._heap, (-self._activity[var], var))
-
-    def _decay_activities(self) -> None:
-        self._var_inc *= self._var_decay
-
-    def _push_heap(self, var: int) -> None:
-        heappush(self._heap, (-self._activity[var], var))
-        self._in_heap[var] = True
-
     def _pick_branch_var(self) -> int | None:
-        decision_vars = self._decision_vars
-        while self._heap:
-            neg_act, var = heappop(self._heap)
-            if decision_vars is not None and var not in decision_vars:
-                self._in_heap[var] = False
-                continue
-            if self._assign[var] == _UNASSIGNED and -neg_act == self._activity[var]:
-                self._in_heap[var] = False
+        heap = self._heap
+        lit_value = self._lit_value
+        activity = self._activity
+        in_heap = self._in_heap
+        while heap:
+            neg_act, var = heappop(heap)
+            if lit_value[var << 1] != _UNASSIGNED:
+                in_heap[var] = False
+            elif -neg_act == activity[var]:
+                in_heap[var] = False
                 return var
-            if self._assign[var] == _UNASSIGNED and -neg_act != self._activity[var]:
-                continue  # stale entry; a fresher one exists
-            if self._assign[var] != _UNASSIGNED:
-                self._in_heap[var] = False
-        # Heap exhausted: linear scan, preferring allowed decision vars.
-        if decision_vars is not None:
-            for var in decision_vars:
-                if self._assign[var] == _UNASSIGNED:
-                    return var
+            # else: a stale entry of an unassigned variable.  It stays
+            # marked in the heap, so it re-enters only when bumped.
+        # Heap exhausted: linear scan.
         for var in range(1, self.n_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
+            if lit_value[var << 1] == _UNASSIGNED:
                 return var
         return None
 
@@ -492,27 +468,27 @@ class CdclSolver:
 
         Ranking is by literal block distance, then clause size (glue-style
         heuristics): binary and LBD<=2 clauses are kept unconditionally,
-        as are clauses currently locked as a propagation reason.
+        as are clauses currently locked as a propagation reason.  Dropped
+        clauses leave their watch lists at once; the other watchers keep
+        their order.
         """
-        locked = set()
-        for var in range(1, self.n_vars + 1):
-            reason = self._reason[var]
-            if reason is not None and reason.learnt:
-                locked.add(id(reason))
-        candidates = [c for c in self._learnts if not c.deleted]
-        ranked = sorted(candidates, key=lambda c: (c.lbd, len(c.lits)))
-        removed = 0
+        reason = self._reason
+        locked = {id(reason[code >> 1]) for code in self._trail}
+        ranked = sorted(self._learnts, key=lambda c: (c.lbd, len(c.lits)))
+        dead: set[int] = set()
+        watched: set[int] = set()
         for clause in ranked[len(ranked) // 2 :]:
-            if (
-                clause.lbd <= 2
-                or len(clause.lits) <= 2
-                or id(clause) in locked
-            ):
+            lits = clause.lits
+            if clause.lbd <= 2 or len(lits) <= 2 or id(lits) in locked:
                 continue
-            clause.deleted = True
-            removed += 1
-        self._learnts = [c for c in candidates if not c.deleted]
-        self.stats.deleted += removed
+            dead.add(id(lits))
+            watched.add(lits[0])
+            watched.add(lits[1])
+        watches = self._watches
+        for code in watched:
+            watches[code] = [c for c in watches[code] if id(c) not in dead]
+        self._learnts = [c for c in self._learnts if id(c.lits) not in dead]
+        self.stats.deleted += len(dead)
 
     # ------------------------------------------------------------------
     # main search
@@ -529,21 +505,26 @@ class CdclSolver:
         exhausted before an answer was reached.
         """
         started = time.perf_counter()
-        self.stats.solve_calls += 1
+        stats = self.stats
+        stats.solve_calls += 1
         if not self._ok:
-            return SolveResult(satisfiable=False, stats=self.stats, core=[])
+            return SolveResult(satisfiable=False, stats=stats, core=[])
 
         assumption_codes: list[int] = []
         for lit in assumptions:
             var = abs(lit)
             self._ensure_vars(var)
-            assumption_codes.append((var << 1) | (1 if lit < 0 else 0))
+            assumption_codes.append((var << 1) | (lit < 0))
 
         self._backtrack(0)
         if self._propagate() is not None:
             self._ok = False
-            return SolveResult(satisfiable=False, stats=self.stats, core=[])
+            return SolveResult(satisfiable=False, stats=stats, core=[])
 
+        lit_value = self._lit_value
+        trail = self._trail
+        trail_lim = self._trail_lim
+        phase = self._phase
         conflicts_here = 0
         luby_index = 1
         restart_base = self._restart_base
@@ -554,15 +535,13 @@ class CdclSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_here += 1
                 conflicts_since_restart += 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self._ok = False
                     self._finish_timer(started)
-                    return SolveResult(
-                        satisfiable=False, stats=self.stats, core=[]
-                    )
+                    return SolveResult(satisfiable=False, stats=stats, core=[])
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 self._record_learnt(learnt)
@@ -570,19 +549,19 @@ class CdclSolver:
                 if max_conflicts is not None and conflicts_here >= max_conflicts:
                     self._backtrack(0)
                     self._finish_timer(started)
-                    return SolveResult(satisfiable=None, stats=self.stats)
+                    return SolveResult(satisfiable=None, stats=stats)
                 if timeout_s is not None and (
                     conflicts_here % 64 == 0
                     and time.perf_counter() - started > timeout_s
                 ):
                     self._backtrack(0)
                     self._finish_timer(started)
-                    return SolveResult(satisfiable=None, stats=self.stats)
+                    return SolveResult(satisfiable=None, stats=stats)
                 if len(self._learnts) > reduce_budget:
                     self._reduce_db()
                     reduce_budget += 1000
                 if conflicts_since_restart >= restart_budget:
-                    self.stats.restarts += 1
+                    stats.restarts += 1
                     luby_index += 1
                     restart_budget = restart_base * _luby(luby_index)
                     conflicts_since_restart = 0
@@ -590,49 +569,33 @@ class CdclSolver:
                 continue
 
             # Assumption handling: decide the first unassigned assumption.
-            decided_assumption = False
-            failed_core: list[int] | None = None
             for code in assumption_codes:
-                value = self._value(code)
+                value = lit_value[code]
                 if value == 0:
                     failed_core = self._analyze_final(code)
-                    break
+                    self._backtrack(0)
+                    self._finish_timer(started)
+                    return SolveResult(
+                        satisfiable=False, stats=stats, core=failed_core
+                    )
                 if value == _UNASSIGNED:
-                    self._trail_lim.append(len(self._trail))
+                    trail_lim.append(len(trail))
                     self._enqueue(code, None)
-                    decided_assumption = True
                     break
-            if failed_core is not None:
-                self._backtrack(0)
-                self._finish_timer(started)
-                return SolveResult(
-                    satisfiable=False, stats=self.stats, core=failed_core
-                )
-            if decided_assumption:
-                continue
-
-            var = self._pick_branch_var()
-            if var is None:
-                model = [0] * (self.n_vars + 1)
-                for v in range(1, self.n_vars + 1):
-                    model[v] = self._assign[v] if self._assign[v] != _UNASSIGNED else 0
-                self._backtrack(0)
-                self._finish_timer(started)
-                return SolveResult(satisfiable=True, model=model, stats=self.stats)
-            self.stats.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            code = (var << 1) | (1 - self._phase[var])
-            self._enqueue(code, None)
+            else:
+                # Every assumption holds: branch on the saved polarity.
+                var = self._pick_branch_var()
+                if var is None:
+                    model = [1 if value == 1 else 0 for value in lit_value[::2]]
+                    self._backtrack(0)
+                    self._finish_timer(started)
+                    return SolveResult(satisfiable=True, model=model, stats=stats)
+                stats.decisions += 1
+                trail_lim.append(len(trail))
+                self._enqueue(phase[var], None)
 
     def _finish_timer(self, started: float) -> None:
         self.stats.solve_time += time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    # convenience
-    # ------------------------------------------------------------------
-    def solve_cnf(self, cnf: Cnf, **kwargs) -> SolveResult:
-        self.add_cnf(cnf)
-        return self.solve(**kwargs)
 
 
 def _luby(i: int) -> int:

@@ -10,6 +10,7 @@ from repro.locking.rll import lock_combinational_rll
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
+from repro.observability import begin_job_span, end_job_span
 from repro.sim.logicsim import CombinationalSimulator
 
 
@@ -97,6 +98,19 @@ class TestSatAttackOnRll:
         assert result.converged
         for candidate in result.key_candidates:
             assert candidate[0] == lock.secret_key[0]
+
+    def test_span_counts_match_solver_stats(self):
+        core, lock, oracle_fn, _ = make_rll_case(15)
+        span = begin_job_span("test", "solver-counters")
+        try:
+            result = SatAttack(lock.locked, lock.key_inputs, oracle_fn).run()
+        finally:
+            counts = end_job_span(span)["counts"]
+        stats = result.solver_stats
+        assert stats.propagations > 0
+        assert counts["solver_conflicts"] == stats.conflicts
+        assert counts["solver_decisions"] == stats.decisions
+        assert counts["solver_propagations"] == stats.propagations
 
     def test_max_iterations_budget(self):
         core, lock, oracle_fn, _ = make_rll_case(14)

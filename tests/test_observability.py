@@ -374,6 +374,7 @@ class TestRealAttackSpan:
         assert span["counts"]["rounds"] >= 1
         prom = (tmp_path / "m" / "metrics.prom").read_text()
         assert 'repro_dips_total{experiment="attack"}' in prom
+        assert 'repro_solver_propagations_total{experiment="attack"}' in prom
         events = [
             json.loads(line)["event"]
             for line in (tmp_path / "log.jsonl").read_text().splitlines()

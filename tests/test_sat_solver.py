@@ -104,6 +104,57 @@ def pigeonhole_cnf(holes: int) -> Cnf:
     return cnf
 
 
+def multiplier_miter(bits: int) -> Cnf:
+    """``x*y != y*x`` over two ripple-carry array multipliers (UNSAT)."""
+    cnf = Cnf()
+
+    def and_gate(a, b):
+        out = cnf.new_var()
+        cnf.add_clause([-out, a])
+        cnf.add_clause([-out, b])
+        cnf.add_clause([out, -a, -b])
+        return out
+
+    def or_gate(a, b):
+        out = cnf.new_var()
+        cnf.add_clause([out, -a])
+        cnf.add_clause([out, -b])
+        cnf.add_clause([-out, a, b])
+        return out
+
+    def xor_gate(a, b):
+        out = cnf.new_var()
+        cnf.add_clause([-out, a, b])
+        cnf.add_clause([-out, -a, -b])
+        cnf.add_clause([out, -a, b])
+        cnf.add_clause([out, a, -b])
+        return out
+
+    def multiply(x, y):
+        rows = [[and_gate(xi, yj) for xi in x] for yj in y]
+        acc = rows[0] + [None] * bits
+        for j in range(1, bits):
+            carry = None
+            for i, b in enumerate(rows[j]):
+                a = acc[i + j]
+                if a is None:  # top bit of the row: half adder
+                    acc[i + j], carry = xor_gate(b, carry), and_gate(b, carry)
+                elif carry is None:  # bottom bit of the row: half adder
+                    acc[i + j], carry = xor_gate(a, b), and_gate(a, b)
+                else:
+                    half = xor_gate(a, b)
+                    acc[i + j], carry = (
+                        xor_gate(half, carry),
+                        or_gate(and_gate(a, b), and_gate(half, carry)),
+                    )
+            acc[j + bits] = carry
+        return acc
+
+    x, y = cnf.new_vars(bits), cnf.new_vars(bits)
+    cnf.add_clause([xor_gate(a, b) for a, b in zip(multiply(x, y), multiply(y, x))])
+    return cnf
+
+
 class TestHardInstances:
     @pytest.mark.parametrize("holes", [2, 3, 4, 5])
     def test_pigeonhole_unsat(self, holes):
@@ -209,6 +260,70 @@ class TestEnumeration:
         solver.add_clause([a, b])
         models = list(enumerate_models(solver, [a, b], assumptions=[-a]))
         assert models == [[0, 1]]
+
+
+class TestSearchIdentity:
+    """Exact search counters of three pinned instances.
+
+    Every decision depends on watch-list order, clause literal order,
+    VSIDS float arithmetic and the lazy heap's stale entries, so a
+    change that keeps the search keeps these numbers exactly.  A change
+    that means to alter the search records new ones.
+    """
+
+    @staticmethod
+    def counters(stats):
+        return (
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+            stats.learned,
+            stats.deleted,
+            stats.restarts,
+        )
+
+    def test_pigeonhole_through_rescale_and_reduction(self):
+        # var_decay=0.5 crosses the 1e100 activity rescale twice and
+        # reduce_base=50 runs the learned-clause reduction.
+        solver = CdclSolver(pigeonhole_cnf(6), var_decay=0.5, reduce_base=50)
+        assert solver.solve().satisfiable is False
+        assert self.counters(solver.stats) == (994, 1204, 11952, 988, 26, 5)
+
+    def test_multiplier_miter_through_rescale_with_stale_heap(self):
+        # 504 variables cross one activity rescale, after which
+        # variables whose heap entries all went stale stay out
+        # of the heap until bumped again, so a heap rebuilt at the
+        # rescale, one that re-admits such variables on backtrack, or a
+        # rescale at another point changes these numbers where the
+        # pigeonhole instance does not.
+        solver = CdclSolver(multiplier_miter(7), var_decay=0.8)
+        assert solver.solve(max_conflicts=1300).satisfiable is None
+        assert self.counters(solver.stats) == (1300, 1887, 136236, 1299, 0, 6)
+
+    @pytest.mark.requires_numpy
+    def test_table2_s5378_cell(self):
+        # One incremental session: assumptions, clause groups and
+        # seed-candidate enumeration.
+        from repro.api import resolve_profile
+        from repro.core.dynunlock import DynUnlockConfig, dynunlock
+        from repro.opt.pipeline import DEFAULT_LEVEL
+        from repro.reports.cells import build_table2_lock
+
+        profile = resolve_profile("quick")
+        netlist, lock, _ = build_table2_lock(profile, "s5378", 0)
+        result = dynunlock(
+            netlist,
+            lock.public_view(),
+            lock.make_oracle(),
+            DynUnlockConfig(
+                timeout_s=profile.timeout_s,
+                candidate_limit=profile.candidate_limit,
+                opt_level=DEFAULT_LEVEL,
+            ),
+        )
+        assert result.n_seed_candidates == 64
+        stats = result.sat_result.solver_stats
+        assert self.counters(stats) == (982, 8158, 80990, 965, 0, 5)
 
 
 class TestLuby:
