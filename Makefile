@@ -28,22 +28,12 @@
 #                           fails when the default json backend's
 #                           put+get path regresses >25% against
 #                           benchmarks/baselines/store_quick.json
-#   make ir-bench         - pure vs array-IR kernel benchmark on the quick
-#                           Table II locked models (both arms through the
-#                           same entry points, plus full-attack identity
-#                           at opt levels 0/1/2); writes BENCH_ir.json to
-#                           $(IR_BENCH_DIR), fails when the array arm is
-#                           not >=1.15x faster or any outcome differs,
-#                           and diffs array_total_s against
-#                           benchmarks/baselines/ir_quick.json
 #   make refresh-baseline - regenerate the Table II timing baseline from a
 #                           clean (cache-less) quick run and install it at
 #                           benchmarks/baselines/table2_quick.json; review
 #                           the diff and commit it to bless the new budget
 #   make refresh-store-baseline - same blessing dance for the store bench
 #                           baseline (benchmarks/baselines/store_quick.json)
-#   make refresh-ir-baseline - and for the IR kernel bench baseline
-#                           (benchmarks/baselines/ir_quick.json)
 #   make service-smoke    - end-to-end attack-as-a-service check: boots a
 #                           ReproService on a free port, drives a small
 #                           grid through the batching client twice, and
@@ -75,15 +65,13 @@ BASELINE_DIR = .bench_refresh
 OPT_BENCH_DIR ?= results
 STORE_BENCH_DIR ?= results
 STORE_BASELINE = benchmarks/baselines/store_quick.json
-IR_BENCH_DIR ?= results
-IR_BASELINE = benchmarks/baselines/ir_quick.json
 SERVICE_SMOKE_DIR ?= .service_smoke
 PERF_DIR ?= results/perf
 PERF_WORKLOADS ?= table2-quick keysweep-b17 fuzz-mix
 
 .PHONY: verify bench test-all coverage matrix fuzz farm opt-bench \
-  store-bench ir-bench service-smoke perf refresh-baseline \
-  refresh-store-baseline refresh-ir-baseline docs lint
+  store-bench service-smoke perf refresh-baseline \
+  refresh-store-baseline docs lint
 
 verify:
 	$(PYTEST) -x -q
@@ -130,15 +118,6 @@ store-bench:
 	  $(STORE_BASELINE) $(STORE_BENCH_DIR)/BENCH_store.json \
 	  --threshold 0.25 --metric default_total_s
 
-# Both arms run in one process; the speedup/identity gates live in the
-# CLI itself, the baseline diff guards against absolute array-arm drift.
-ir-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli ir-bench --profile quick \
-	  --emit-json $(IR_BENCH_DIR)
-	$(PYTHON) scripts/check_bench_regression.py \
-	  $(IR_BASELINE) $(IR_BENCH_DIR)/BENCH_ir.json \
-	  --threshold 0.35 --metric array_total_s
-
 # Fresh workdir each run: the dedupe arithmetic assumes an empty store.
 service-smoke:
 	rm -rf $(SERVICE_SMOKE_DIR)
@@ -173,14 +152,6 @@ refresh-store-baseline:
 	cp $(BASELINE_DIR)/BENCH_store.json $(STORE_BASELINE)
 	rm -rf $(BASELINE_DIR)
 	@echo "store baseline updated: review 'git diff benchmarks/baselines' and commit"
-
-refresh-ir-baseline:
-	rm -rf $(BASELINE_DIR)
-	PYTHONPATH=src $(PYTHON) -m repro.cli ir-bench --profile quick \
-	  --emit-json $(BASELINE_DIR)
-	cp $(BASELINE_DIR)/BENCH_ir.json $(IR_BASELINE)
-	rm -rf $(BASELINE_DIR)
-	@echo "IR baseline updated: review 'git diff benchmarks/baselines' and commit"
 
 docs:
 	PYTHONPATH=src $(PYTHON) scripts/gen_cli_docs.py docs/cli.md

@@ -11,7 +11,6 @@ Subcommands mirror the library's main entry points::
     dynunlock matrix                      # attack x defense resilience grid
     dynunlock opt s5378                   # netlist-optimization statistics
     dynunlock opt-bench --emit-json out   # opt vs raw attack-pipeline bench
-    dynunlock ir-bench --emit-json out    # pure vs array-IR kernel bench
     dynunlock run table2 scaling --jobs 4 # several grids through the runner
     dynunlock cache stats|gc|prune|migrate  # manage the result store
     dynunlock store-bench --emit-json out # head-to-head backend benchmark
@@ -981,104 +980,6 @@ def cmd_opt_bench(args: argparse.Namespace) -> int:
     return 1 if (regressed or outcome_mismatches) else 0
 
 
-def cmd_ir_bench(args: argparse.Namespace) -> int:
-    """``dynunlock ir-bench``: measure pure vs array-IR kernels.
-
-    Times the IR-accelerated kernels (packed-lane simulation, Tseitin
-    template compilation, level-1 optimization) on the Table II locked
-    models with :mod:`repro.ir` forced off and on, checks that both arms
-    produce identical kernel results and identical full-attack outcomes
-    at every requested opt level, writes ``BENCH_ir.json``, and fails
-    (exit 1) when the array arm is slower than ``--min-speedup`` times
-    the pure arm or any identity check trips.
-    """
-    from repro.ir.bench import run_ir_bench
-
-    profile = _profile_from_args(args)
-    benchmarks = args.benchmarks or None
-    opt_levels = tuple(args.identity_levels)
-
-    def _say(msg: str) -> None:
-        print(f"  [.] {msg}", file=sys.stderr)
-
-    report = run_ir_bench(
-        profile,
-        benchmarks,
-        n_patterns=args.patterns,
-        repeats=args.repeats,
-        opt_levels=opt_levels,
-        log=_say,
-    )
-
-    headers = [
-        "Benchmark",
-        "Model gates",
-        "Pure (s)",
-        "Array (s)",
-        "Speedup",
-        "Success",
-    ]
-    rows: list[list] = []
-    for row in report.rows:
-        identical = row.kernel_match and row.identity_ok
-        rows.append(
-            [
-                row.benchmark,
-                row.model_gates,
-                f"{row.pure_s:.3f}",
-                f"{row.array_s:.3f}",
-                f"{row.speedup:.2f}x",
-                "yes" if identical else "MISMATCH",
-            ]
-        )
-
-    mismatches = report.mismatches
-    speedup = report.speedup
-    too_slow = speedup < args.min_speedup
-    title = (
-        f"Pure vs array-IR kernels (profile={profile.name}, "
-        f"{report.n_patterns} patterns, best of {report.repeats})"
-    )
-    print(render_table(headers, rows, title=title))
-    print(
-        f"  [=] kernel totals: pure {report.pure_total_s:.2f}s, "
-        f"array {report.array_total_s:.2f}s (speedup {speedup:.2f}x, "
-        f"floor {args.min_speedup:.2f}x)",
-        file=sys.stderr,
-    )
-    if args.emit_json:
-        path = write_artifact(
-            args.emit_json,
-            "ir",
-            headers,
-            rows,
-            title=title,
-            profile=profile.name,
-            meta={
-                "n_patterns": report.n_patterns,
-                "repeats": report.repeats,
-                "identity_levels": list(report.opt_levels),
-                "min_speedup": args.min_speedup,
-                "pure_total_s": report.pure_total_s,
-                "array_total_s": report.array_total_s,
-                "speedup": speedup,
-                "mismatches": mismatches,
-                "regressed": bool(too_slow or mismatches),
-                "code_version": code_version()[:20],
-            },
-        )
-        print(f"  [=] wrote {path}", file=sys.stderr)
-    for mismatch in mismatches:
-        print(f"  [!] arms disagree: {mismatch}", file=sys.stderr)
-    if too_slow:
-        print(
-            f"  [!] array IR below the speedup floor: {speedup:.2f}x < "
-            f"{args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-    return 1 if (too_slow or mismatches) else 0
-
-
 def _parse_size(text: str) -> int:
     """Parse a byte count with optional K/M/G/T suffix (binary units)."""
     units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
@@ -1520,38 +1421,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_profile(p)
     add_obs(p)
     p.set_defaults(func=cmd_opt_bench)
-
-    p = sub.add_parser(
-        "ir-bench",
-        help="measure pure vs array-IR kernels (Table II locked models)",
-    )
-    p.add_argument(
-        "--benchmarks", nargs="*", default=[],
-        help="restrict to these benchmarks (default: all of Table II)",
-    )
-    p.add_argument(
-        "--patterns", type=int, default=1024, metavar="N",
-        help="simulation batch size per kernel pass (default 1024)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="kernel passes per arm; best-of is reported (default 3)",
-    )
-    p.add_argument(
-        "--identity-levels", type=int, nargs="*", default=[0, 1, 2],
-        choices=(0, 1, 2), metavar="L",
-        help="opt levels for the full-attack identity gate "
-             "(default 0 1 2; pass none to skip)",
-    )
-    p.add_argument(
-        "--min-speedup", type=float, default=1.15, metavar="X",
-        help="fail when array total is not this many times faster "
-             "than pure (default 1.15)",
-    )
-    p.add_argument("--emit-json", default=None, metavar="DIR",
-                   help="write BENCH_ir.json + .csv artifacts to DIR")
-    add_profile(p)
-    p.set_defaults(func=cmd_ir_bench)
 
     p = sub.add_parser(
         "matrix", help="run the attack x defense resilience grid"

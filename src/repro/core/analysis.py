@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:  # optional: gated so the numpy-less scalar paths can import repro
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.modeling import (
     derive_shift_in_crossings,

@@ -27,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-try:  # optional: only the dense overlay encoding needs numpy
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist

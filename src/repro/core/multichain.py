@@ -15,10 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-try:  # optional: gated so the numpy-less scalar paths can import repro
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.attack.bruteforce import refine_candidates_by_replay
 from repro.attack.satattack import SatAttack, SatAttackConfig

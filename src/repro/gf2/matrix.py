@@ -8,10 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-try:  # optional: gated so the numpy-less scalar paths can import repro
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 class GF2Matrix:
@@ -26,8 +23,6 @@ class GF2Matrix:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray | Sequence[Sequence[int]]):
-        if np is None:
-            raise ModuleNotFoundError("numpy is required for repro.gf2")
         arr = np.asarray(data, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")

@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-try:  # optional: gated so the numpy-less scalar paths can import repro
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.gf2.matrix import GF2Matrix
 

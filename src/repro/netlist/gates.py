@@ -9,15 +9,9 @@ netlist level, not as a gate type, because they have state.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-try:  # numpy accelerates the vector path; the scalar path is stdlib-only
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np  # noqa: F811
+import numpy as np
 
 
 class GateType(Enum):
@@ -101,8 +95,6 @@ def evaluate_gate(gtype: GateType, inputs: Sequence[int]) -> int:
 
 def evaluate_gate_vec(gtype: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:
     """Evaluate one gate on numpy bit arrays (vectorised over patterns)."""
-    if np is None:  # pragma: no cover - numpy-less CI leg
-        raise RuntimeError("evaluate_gate_vec requires numpy")
     check_arity(gtype, len(inputs))
     if gtype is GateType.AND or gtype is GateType.NAND:
         acc = inputs[0].copy()

@@ -81,8 +81,8 @@ class Netlist:
 
         The supported way to retarget outputs in place -- assigning
         ``netlist.outputs`` directly bypasses cache/version invalidation
-        and can serve stale derived structures (fanout, array IR) to
-        later callers.
+        and can serve stale derived structures (fanout map, Tseitin
+        template) to later callers.
         """
         nets = list(nets)
         if len(set(nets)) != len(nets):
@@ -138,9 +138,11 @@ class Netlist:
 
         Bumped by *every* mutator (``add_input``/``add_output``/
         ``add_gate``/``add_dff``/``set_outputs``/``remove_*``), so
-        derived caches -- the array IR, compiled simulators -- can pair
-        a cached structure with the netlist state it was built from and
-        never serve a stale view after an interface-only mutation.
+        derived caches -- the Tseitin template behind
+        :func:`repro.sat.tseitin.encoding_for` -- can pair a cached
+        structure with the netlist state it was built from and never
+        serve a stale view, even after a mutation that leaves every
+        size count unchanged.
         """
         return self._version
 
@@ -222,17 +224,6 @@ class Netlist:
         """
         if self._topo_cache is not None:
             return self._topo_cache
-
-        # The array IR computes the identical order over flat int
-        # arrays (lazy import: repro.ir sits above this module).
-        from repro.ir import enabled as _ir_enabled
-
-        if _ir_enabled():
-            from repro.ir import ir_for
-
-            order = ir_for(self).topological_gate_objects()
-            self._topo_cache = order
-            return order
 
         resolved: set[str] = set(self.inputs) | set(self.dffs)
         pending: dict[str, int] = {}

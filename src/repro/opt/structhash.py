@@ -333,12 +333,6 @@ def _read_counts(netlist: Netlist) -> dict[str, int]:
     :meth:`~repro.netlist.netlist.Netlist.fanout_map`; DFF D pins and
     primary outputs are additional sinks the fanout map excludes.
     """
-    from repro.ir import enabled as _ir_enabled, ir_for
-
-    if _ir_enabled():
-        # One counting pass over the flat fanin/dff_d/po id arrays;
-        # same multiplicities as the dict-of-lists walk below.
-        return ir_for(netlist).read_counts()
     reads = {net: len(gates) for net, gates in netlist.fanout_map().items()}
     for dff in netlist.dffs.values():
         reads[dff.d] = reads.get(dff.d, 0) + 1

@@ -14,7 +14,6 @@ still branch on.
 
 from __future__ import annotations
 
-from repro.ir import enabled as _ir_enabled, ir_for
 from repro.netlist.netlist import Netlist
 
 
@@ -22,10 +21,6 @@ def cone_of_influence(
     netlist: Netlist, pinned: frozenset[str] = frozenset()
 ) -> set[str]:
     """Gate-output nets reachable backwards from any observable root."""
-    if _ir_enabled():
-        # Same reachability over the flat IR arrays (driver/fanin ids)
-        # instead of per-net dict probes; returns the identical name set.
-        return ir_for(netlist).cone_keep(pinned)
     roots = list(netlist.outputs)
     roots.extend(dff.d for dff in netlist.dffs.values())
     roots.extend(pinned)

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-try:  # optional: gated so the numpy-less scalar paths can import repro
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist, NetNamer
@@ -39,10 +36,6 @@ class SymbolicLfsr:
     """
 
     def __init__(self, width: int, taps: Sequence[int]):
-        if np is None:
-            raise ModuleNotFoundError(
-                "numpy is required for symbolic LFSR unrolling"
-            )
         self.width = width
         self.taps = tuple(sorted(taps))
         self._rows = np.eye(width, dtype=np.uint8)  # T^0

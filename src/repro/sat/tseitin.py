@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-from repro.ir import GT_LIST, enabled as _ir_enabled, ir_for
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist
 from repro.sat.cnf import Cnf
@@ -34,17 +33,13 @@ from repro.sat.cnf import Cnf
 # gate clause emission (shared by template compilation and ad-hoc use)
 # ----------------------------------------------------------------------
 def encode_gate_clauses(cnf: Cnf, gate: Gate, out: int, ins: list[int]) -> None:
-    """Append the clause set for ``out <-> gate(ins)`` to ``cnf``."""
-    encode_gate_type(cnf, gate.gtype, out, ins)
+    """Append the clause set for ``out <-> gate(ins)`` to ``cnf``.
 
-
-def encode_gate_type(cnf: Cnf, gtype: GateType, out: int, ins: list[int]) -> None:
-    """Append the clause set for ``out <-> gtype(ins)`` to ``cnf``.
-
-    Shared by the gate-object walk and the array-IR compile (which
-    dispatches on :data:`repro.ir.GT_CODE` codes); clause order is part
-    of the template contract -- both compiles emit identical encodings.
+    Clause order is part of the template contract: every stamped copy of
+    a :class:`NetlistEncoding` replays it verbatim, so the solver sees
+    the same CNF for the same netlist on every run.
     """
+    gtype = gate.gtype
     add = cnf.add_clause
     if gtype is GateType.AND:
         for x in ins:
@@ -145,18 +140,16 @@ class NetlistEncoding:
     n_locals: int
     clauses: tuple[tuple[int, ...], ...]
     net_local: Mapping[str, int]
-    fingerprint: tuple[int, int, int]
 
     @property
     def n_clauses(self) -> int:
         return len(self.clauses)
 
 
-_TEMPLATE_CACHE: "WeakKeyDictionary[Netlist, NetlistEncoding]" = WeakKeyDictionary()
-
-
-def _fingerprint(netlist: Netlist) -> tuple[int, int, int]:
-    return (len(netlist.inputs), len(netlist.outputs), len(netlist.gates))
+#: netlist -> (the ``Netlist.version`` it was compiled at, template).
+_TEMPLATE_CACHE: "WeakKeyDictionary[Netlist, tuple[int, NetlistEncoding]]" = (
+    WeakKeyDictionary()
+)
 
 
 def compile_encoding(netlist: Netlist) -> NetlistEncoding:
@@ -166,8 +159,6 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
             "cannot Tseitin-encode a sequential netlist; "
             "build a combinational model first"
         )
-    if _ir_enabled():
-        return _compile_encoding_ir(netlist)
     cnf = Cnf()
     net_local: dict[str, int] = {}
 
@@ -191,73 +182,21 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
         n_locals=cnf.n_vars,
         clauses=tuple(cnf.clauses),
         net_local=net_local,
-        fingerprint=_fingerprint(netlist),
-    )
-
-
-def _compile_encoding_ir(netlist: Netlist) -> NetlistEncoding:
-    """Array-translation compile behind :func:`compile_encoding`.
-
-    Walks the flat IR arrays instead of gate objects: net -> local
-    variable becomes an int-array lookup and clause emission dispatches
-    on small gate-type codes.  Variable numbering (inputs, then per-gate
-    out/operand first use with XOR auxiliaries inline, then outputs) and
-    clause order replicate the gate-object walk exactly, so the two
-    compiles produce equal :class:`NetlistEncoding` objects and every
-    stamped copy downstream is byte-identical.
-    """
-    ir = ir_for(netlist)
-    cnf = Cnf()
-    local = [0] * ir.n_nets
-    assigned: list[int] = []  # net ids in local-variable assignment order
-    new_var = cnf.new_var
-
-    def var_of(nid: int) -> int:
-        var = local[nid]
-        if not var:
-            var = new_var()
-            local[nid] = var
-            assigned.append(nid)
-        return var
-
-    for nid in ir.pi:
-        var_of(nid)
-    gate_type = ir.gate_type.tolist()
-    gate_out = ir.gate_out.tolist()
-    offsets = ir.fanin_offset.tolist()
-    fanin = ir.fanin.tolist()
-    for gi in ir.topological_order().tolist():
-        out = var_of(gate_out[gi])
-        ins = [var_of(fanin[k]) for k in range(offsets[gi], offsets[gi + 1])]
-        encode_gate_type(cnf, GT_LIST[gate_type[gi]], out, ins)
-    for nid in ir.po:
-        var_of(nid)
-
-    names = ir.names
-    net_local = {names[nid]: local[nid] for nid in assigned}
-    return NetlistEncoding(
-        name=netlist.name,
-        n_locals=cnf.n_vars,
-        clauses=tuple(cnf.clauses),
-        net_local=net_local,
-        fingerprint=_fingerprint(netlist),
     )
 
 
 def encoding_for(netlist: Netlist) -> NetlistEncoding:
     """Cached :func:`compile_encoding`.
 
-    The cache key is the netlist object; a shape fingerprint (input,
-    output and gate counts) invalidates stale entries when a netlist is
-    mutated after being encoded.  In-place edits that preserve all three
-    counts are not detected — re-encode such netlists with
-    :func:`compile_encoding` directly.
+    Keyed on the netlist object and its mutation counter
+    (:attr:`~repro.netlist.netlist.Netlist.version`): every mutator bumps
+    it, so a netlist edited after being encoded is always recompiled.
     """
     cached = _TEMPLATE_CACHE.get(netlist)
-    if cached is not None and cached.fingerprint == _fingerprint(netlist):
-        return cached
+    if cached is not None and cached[0] == netlist.version:
+        return cached[1]
     template = compile_encoding(netlist)
-    _TEMPLATE_CACHE[netlist] = template
+    _TEMPLATE_CACHE[netlist] = (netlist.version, template)
     return template
 
 

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-try:  # the scalar and packed paths are stdlib-only; numpy is optional
-    import numpy as np
-except Exception:  # pragma: no cover - exercised by the numpy-less CI leg
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro.ir import enabled as _ir_enabled
-from repro.ir.lanes import MIN_ENGINE_PATTERNS, word_engine_for
 from repro.netlist.gates import GateType, evaluate_gate, evaluate_gate_vec
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.util.bitvec import (
@@ -100,8 +95,6 @@ class CombinationalSimulator:
         every primary input *and* every DFF Q net.  Returns arrays for all
         nets.
         """
-        if np is None:  # pragma: no cover - numpy-less CI leg
-            raise NetlistError("CombinationalSimulator.run_many requires numpy")
         values: dict[str, np.ndarray] = {}
         n_patterns: int | None = None
         for net in list(self.netlist.inputs) + list(self.netlist.dffs):
@@ -164,25 +157,6 @@ class BitParallelSimulator:
             for gate in order
         ]
         self._output_index = [index[net] for net in netlist.outputs]
-        self._engine = None  # lazily-compiled repro.ir word engine
-        self._engine_tried = False
-
-    def _word_engine(self):
-        """The numpy leveled word engine, or None (scalar-only).
-
-        Compiled on first demand so that constructions that only ever run
-        a couple of scalar words (fault simulation with forces, tiny
-        replays) never pay for it.  ``None`` whenever numpy is absent or
-        the array IR is disabled (``REPRO_IR=0``) -- the scalar engine is
-        always available and bit-identical.
-        """
-        if not self._engine_tried:
-            self._engine_tried = True
-            if np is not None and _ir_enabled():
-                self._engine = word_engine_for(
-                    self._program, len(self._free_nets), self._n_nets
-                )
-        return self._engine
 
     @property
     def net_index(self) -> Mapping[str, int]:
@@ -288,19 +262,11 @@ class BitParallelSimulator:
 
         Returns one output-bit row per pattern, in the netlist's output
         order — the bit-parallel equivalent of calling
-        :meth:`CombinationalSimulator.run_outputs` per pattern.
-
-        When the array-IR word engine is available the whole pattern
-        matrix is evaluated in one leveled numpy pass (every 64-lane
-        word of every net at once); otherwise (or for small batches on
-        narrow circuits, where straight-line Python wins) the original
-        chunked scalar loop runs.  Both produce identical bits.
+        :meth:`CombinationalSimulator.run_outputs` per pattern.  Each
+        64-pattern chunk is packed into one word per free net and run
+        through :meth:`run_packed_outputs`; the final chunk may be
+        partial.
         """
-        n_patterns = len(patterns)
-        if n_patterns >= MIN_ENGINE_PATTERNS:
-            engine = self._word_engine()
-            if engine is not None:
-                return self._run_patterns_words(engine, patterns)
         results: list[list[int]] = []
         nets = self._free_nets
         for start in range(0, len(patterns), PACK_WORD_BITS):
@@ -312,46 +278,6 @@ class BitParallelSimulator:
             for lane in range(n_lanes):
                 results.append([(word >> lane) & 1 for word in out_words])
         return results
-
-    def _run_patterns_words(
-        self, engine, patterns: Sequence[Mapping[str, int]]
-    ) -> list[list[int]]:
-        """Whole-matrix evaluation behind :meth:`run_patterns`.
-
-        Lane packing and output unpacking are vectorised too: the only
-        per-pattern Python work left is reading the input mapping.  The
-        returned rows are plain 0/1 ints, identical to the scalar path.
-        """
-        nets = self._free_nets
-        n_free = len(nets)
-        n_patterns = len(patterns)
-        n_words = (n_patterns + PACK_WORD_BITS - 1) // PACK_WORD_BITS
-        shifts = np.arange(PACK_WORD_BITS, dtype=np.uint64)
-        # (padded patterns, free nets) 0/1 matrix -> packed uint64 words.
-        bits = np.zeros((n_words * PACK_WORD_BITS, n_free), dtype=np.uint64)
-        flat = bits.reshape(-1)
-        flat[: n_patterns * n_free] = np.fromiter(
-            (pattern[net] for pattern in patterns for net in nets),
-            dtype=np.uint64,
-            count=n_patterns * n_free,
-        )
-        input_rows = (
-            bits.reshape(n_words, PACK_WORD_BITS, n_free)
-            << shifts[None, :, None]
-        ).sum(axis=1, dtype=np.uint64).T
-        masks = np.full(n_words, lane_mask(PACK_WORD_BITS), dtype=np.uint64)
-        masks[-1] = lane_mask(
-            n_patterns - (n_words - 1) * PACK_WORD_BITS
-        )
-        state = engine.eval_words(input_rows, masks)
-        out_state = state[np.array(self._output_index, dtype=np.intp)]
-        out_bits = (
-            (out_state[:, :, None] >> shifts[None, None, :])
-            & np.uint64(1)
-        ).reshape(
-            len(self._output_index), n_words * PACK_WORD_BITS
-        )[:, :n_patterns]
-        return out_bits.T.tolist()
 
 
 def broadcast_inputs(

@@ -84,7 +84,6 @@ class TestSubmitJobs:
 
 
 class TestRunGrid:
-    @pytest.mark.requires_numpy
     def test_run_grid_returns_structured_result(self):
         grid = api.run_grid("table2", profile="quick", benchmarks=["s5378"])
         assert grid.name == "table2"
@@ -99,7 +98,6 @@ class TestRunGrid:
 
 
 class TestRunAttack:
-    @pytest.mark.requires_numpy
     def test_attack_small_benchmark(self):
         run = api.run_attack(
             "s5378", profile=TINY, key_bits=4, scale=64, timeout_s=120.0

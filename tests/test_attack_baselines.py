@@ -43,7 +43,6 @@ class TestScanSatStatic:
 
 class TestScanSatDyn:
     @pytest.mark.parametrize("period", [1, 3])
-    @pytest.mark.requires_numpy
     def test_recovers_dos_seed(self, period):
         netlist, rng = synthetic(10 + period)
         lock = lock_with_dos(netlist, key_bits=4, rng=rng, period_p=period)
@@ -68,7 +67,6 @@ class TestShiftAndLeak:
 
 
 class TestBruteForceRefinement:
-    @pytest.mark.requires_numpy
     def test_filters_wrong_seeds(self):
         netlist, rng = synthetic(30)
         lock = lock_with_effdyn(netlist, key_bits=4, rng=rng)
@@ -94,7 +92,6 @@ class TestBruteForceRefinement:
         assert result.survivors == [true_seed]
         assert result.n_candidates_in == 2
 
-    @pytest.mark.requires_numpy
     def test_stop_at_one(self):
         netlist, rng = synthetic(31)
         lock = lock_with_effdyn(netlist, key_bits=4, rng=rng)
@@ -113,7 +110,6 @@ class TestBruteForceRefinement:
         assert result.survivors == [list(lock.seed)]
         assert result.n_patterns_used == 0  # single candidate, early stop
 
-    @pytest.mark.requires_numpy
     def test_empty_candidates(self):
         netlist, rng = synthetic(32)
         lock = lock_with_effdyn(netlist, key_bits=4, rng=rng)

@@ -121,39 +121,24 @@ class TestPartialFinalChunk:
 
     Regression for the partial-final-word masking: widths 63 and 65
     exercise a lone partial word and a full word followed by a 1-lane
-    word, in both the scalar chunk loop (IR forced off) and the numpy
-    word engine (IR forced on).
+    word in the chunk loop of ``run_patterns``.
     """
 
     WIDTHS = (PACK_WORD_BITS - 1, PACK_WORD_BITS, PACK_WORD_BITS + 1)
 
-    def _check(self, force_ir: bool):
-        from repro import ir
-
+    def test_scalar_path(self):
         core, rng = random_core(21)
         scalar = CombinationalSimulator(core)
-        prior = ir.core._FORCED
-        ir.set_enabled(force_ir)
-        try:
-            sim = BitParallelSimulator(core)
-            for width in self.WIDTHS:
-                patterns = [
-                    {net: rng.randrange(2) for net in core.inputs}
-                    for _ in range(width)
-                ]
-                got = sim.run_patterns(patterns)
-                assert len(got) == width
-                for pattern, outputs in zip(patterns, got):
-                    assert outputs == scalar.run_outputs(pattern)
-        finally:
-            ir.set_enabled(prior)
-
-    def test_scalar_path(self):
-        self._check(force_ir=False)
-
-    def test_word_engine_path(self):
-        pytest.importorskip("numpy")
-        self._check(force_ir=True)
+        sim = BitParallelSimulator(core)
+        for width in self.WIDTHS:
+            patterns = [
+                {net: rng.randrange(2) for net in core.inputs}
+                for _ in range(width)
+            ]
+            got = sim.run_patterns(patterns)
+            assert len(got) == width
+            for pattern, outputs in zip(patterns, got):
+                assert outputs == scalar.run_outputs(pattern)
 
 
 class TestPackedFaultSimulation:

@@ -52,12 +52,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "paper flops  : 160" in out
 
-    @pytest.mark.requires_numpy
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         assert "success=True" in capsys.readouterr().out
 
-    @pytest.mark.requires_numpy
     def test_attack_small(self, capsys):
         code = main(
             ["attack", "s5378", "--scale", "64", "--key-bits", "4",
@@ -101,7 +99,6 @@ class TestRunnerSurfaces:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "tableX"])
 
-    @pytest.mark.requires_numpy
     def test_table2_emits_artifacts_and_caches(self, tmp_path, capsys):
         argv = [
             "table2", "s5378", "--profile", "quick",
@@ -115,7 +112,6 @@ class TestRunnerSurfaces:
         assert main(argv) == 0  # second run: served from cache
         assert capsys.readouterr().out == first
 
-    @pytest.mark.requires_numpy
     def test_run_subcommand_table2_subset(self, tmp_path, capsys):
         assert main(
             ["run", "table2", "--benchmarks", "s5378",
@@ -183,7 +179,6 @@ class TestFuzzCommand:
         replay = build_parser().parse_args(["fuzz-replay"])
         assert replay.corpus == ".fuzz_corpus"
 
-    @pytest.mark.requires_numpy
     def test_small_campaign_is_green(self, capsys, tmp_path):
         code = main(
             ["fuzz", "--trials", "6", "--seed", "0",
@@ -264,7 +259,6 @@ class TestOptCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table2", "--opt-level", "9"])
 
-    @pytest.mark.requires_numpy
     def test_opt_stats_command(self, capsys, tmp_path):
         code = main(["opt", "s5378", "--scale", "32", "--emit-json", str(tmp_path)])
         captured = capsys.readouterr()
@@ -273,12 +267,10 @@ class TestOptCommands:
         assert "effdyn-model" in captured.out
         assert (tmp_path / "BENCH_opt.json").exists()
 
-    @pytest.mark.requires_numpy
     def test_opt_command_level2_runs_satsweep(self, capsys):
         assert main(["opt", "s5378", "--scale", "32", "--level", "2"]) == 0
         assert "satsweep" in capsys.readouterr().out
 
-    @pytest.mark.requires_numpy
     def test_attack_with_no_opt(self, capsys):
         code = main(
             ["attack", "s5378", "--scale", "64", "--key-bits", "4",
@@ -287,7 +279,6 @@ class TestOptCommands:
         assert code == 0
         assert "success          : True" in capsys.readouterr().out
 
-    @pytest.mark.requires_numpy
     def test_opt_bench_single_benchmark(self, capsys, tmp_path):
         import json
 

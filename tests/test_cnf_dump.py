@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.attack.satattack import SatAttack
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.core.cnf_dump import CnfDumper, probe_fixed_key_bits
@@ -55,7 +53,6 @@ class TestProbeFixedKeyBits:
 
 
 class TestCnfDumper:
-    @pytest.mark.requires_numpy
     def test_snapshots_collected_in_memory(self):
         attack, lock = make_attack()
         dumper = CnfDumper(attack, directory=None, probe=False)
@@ -66,7 +63,6 @@ class TestCnfDumper:
             assert snap.path is None
             assert snap.n_clauses > 0
 
-    @pytest.mark.requires_numpy
     def test_snapshots_written_to_disk(self, tmp_path):
         attack, lock = make_attack(seed=4)
         dumper = CnfDumper(attack, directory=tmp_path)
@@ -81,7 +77,6 @@ class TestCnfDumper:
             sizes.append(cnf.n_clauses)
         assert sizes == sorted(sizes)
 
-    @pytest.mark.requires_numpy
     def test_probe_reveals_bits_consistent_with_final_candidates(self):
         attack, lock = make_attack(seed=5)
         dumper = CnfDumper(attack, directory=None, probe=True)

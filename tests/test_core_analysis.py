@@ -2,9 +2,8 @@
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # whole-module skip on the numpy-less leg
 
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.core.algorithm1 import algorithm1

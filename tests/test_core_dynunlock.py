@@ -18,7 +18,6 @@ from repro.util.bitvec import random_bits
 
 class TestDynUnlockOnS27:
     @pytest.mark.parametrize("lock_seed", range(6))
-    @pytest.mark.requires_numpy
     def test_recovers_exact_seed(self, lock_seed):
         netlist = s27_netlist()
         lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(lock_seed))
@@ -27,7 +26,6 @@ class TestDynUnlockOnS27:
         assert result.recovered_seed == list(lock.seed)
         assert result.iterations >= 1
 
-    @pytest.mark.requires_numpy
     def test_result_reports_paper_columns(self):
         netlist = s27_netlist()
         lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(0))
@@ -40,7 +38,6 @@ class TestDynUnlockOnS27:
 
 class TestDynUnlockOnSyntheticCircuits:
     @pytest.mark.parametrize("trial", range(4))
-    @pytest.mark.requires_numpy
     def test_seed_recovery_across_geometries(self, trial):
         rng = random.Random(40 + trial)
         config = GeneratorConfig(
@@ -59,7 +56,6 @@ class TestDynUnlockOnSyntheticCircuits:
         # fresh patterns through the model the attack produced.
         assert result.recovered_seed is not None
 
-    @pytest.mark.requires_numpy
     def test_recovered_seed_grants_scan_access(self):
         """The attack's end goal: predict scrambled responses at will."""
         rng = random.Random(77)
@@ -86,7 +82,6 @@ class TestDynUnlockOnSyntheticCircuits:
                 values[n] for n in result.model.b_outputs
             ] == response.scan_out
 
-    @pytest.mark.requires_numpy
     def test_s208_like_fig1_attack(self):
         """The paper's demonstration circuit profile (8 flops, 3 key bits)."""
         from repro.locking.effdyn import EffDynLock
@@ -108,7 +103,6 @@ class TestDynUnlockOnSyntheticCircuits:
 
 
 class TestDynUnlockConfigKnobs:
-    @pytest.mark.requires_numpy
     def test_timeout_produces_graceful_nonconvergence(self):
         rng = random.Random(9)
         config = GeneratorConfig(n_flops=10, n_inputs=3, n_outputs=2)
@@ -123,7 +117,6 @@ class TestDynUnlockConfigKnobs:
         assert not result.success
         assert result.seed_candidates == []
 
-    @pytest.mark.requires_numpy
     def test_pos_can_be_excluded(self):
         netlist = s27_netlist()
         lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(0))

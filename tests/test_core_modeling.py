@@ -104,7 +104,6 @@ class TestModelAgainstOracle:
             ] == response.primary_outputs
 
     @pytest.mark.parametrize("trial", range(8))
-    @pytest.mark.requires_numpy
     def test_dynamic_model_matches_oracle_on_random_circuits(self, trial):
         rng = random.Random(5000 + trial)
         config = GeneratorConfig(
@@ -119,7 +118,6 @@ class TestModelAgainstOracle:
             netlist, lock, lock.make_oracle(), mode="dynamic"
         )
 
-    @pytest.mark.requires_numpy
     def test_dynamic_model_matches_oracle_on_s27(self):
         netlist = s27_netlist()
         lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(42))
@@ -127,7 +125,6 @@ class TestModelAgainstOracle:
             netlist, lock, lock.make_oracle(), mode="dynamic"
         )
 
-    @pytest.mark.requires_numpy
     def test_dynamic_model_with_two_captures(self):
         netlist = s27_netlist()
         lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(43))
@@ -135,7 +132,6 @@ class TestModelAgainstOracle:
             netlist, lock, lock.make_oracle(), mode="dynamic", n_captures=2
         )
 
-    @pytest.mark.requires_numpy
     def test_dynamic_model_with_three_captures_synthetic(self):
         rng = random.Random(4242)
         config = GeneratorConfig(n_flops=6, n_inputs=3, n_outputs=2)
@@ -154,7 +150,6 @@ class TestModelAgainstOracle:
             netlist, lock, lock.make_oracle(), mode="static"
         )
 
-    @pytest.mark.requires_numpy
     def test_dos_restart_model_matches_dos_oracle(self):
         rng = random.Random(77)
         config = GeneratorConfig(n_flops=8, n_inputs=3, n_outputs=2)
@@ -164,7 +159,6 @@ class TestModelAgainstOracle:
             netlist, lock, lock.make_oracle(), mode="dos_restart"
         )
 
-    @pytest.mark.requires_numpy
     def test_dos_with_larger_period(self):
         rng = random.Random(78)
         config = GeneratorConfig(n_flops=8, n_inputs=3, n_outputs=2)
@@ -174,7 +168,6 @@ class TestModelAgainstOracle:
             netlist, lock, lock.make_oracle(), mode="dos_restart"
         )
 
-    @pytest.mark.requires_numpy
     def test_s208_like_fig1_lock(self):
         """The paper's running example: 8 flops, gates after 1, 2 and 5."""
         netlist = s208_like_netlist()
@@ -197,7 +190,6 @@ class TestModelAgainstOracle:
 
 class TestEncodingEquivalence:
     @pytest.mark.parametrize("trial", range(4))
-    @pytest.mark.requires_numpy
     def test_dense_and_unrolled_models_agree(self, trial):
         rng = random.Random(900 + trial)
         config = GeneratorConfig(n_flops=7, n_inputs=3, n_outputs=2)
@@ -254,7 +246,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             build_combinational_model(netlist, spec, (0,), 1, n_captures=0)
 
-    @pytest.mark.requires_numpy
     def test_x_inputs_property_order(self):
         netlist = s27_netlist()
         lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(3))

@@ -26,7 +26,6 @@ def make_lock(seed: int = 5, n_flops: int = 8, key_bits: int = 4):
 
 
 class TestWrongReverseEngineering:
-    @pytest.mark.requires_numpy
     def test_wrong_taps_never_yield_verified_seed(self):
         """If the attacker mis-read the LFSR polynomial, refinement must
         reject every candidate (responses cannot be reproduced)."""
@@ -49,7 +48,6 @@ class TestWrongReverseEngineering:
         # replay verification killed all survivors.
         assert not result.success
 
-    @pytest.mark.requires_numpy
     def test_wrong_keygate_positions_never_yield_verified_seed(self):
         netlist, lock = make_lock(seed=6)
         positions = list(lock.spec.keygate_positions)
@@ -71,7 +69,6 @@ class TestWrongReverseEngineering:
         )
         assert not result.success
 
-    @pytest.mark.requires_numpy
     def test_wrong_netlist_never_yields_verified_seed(self):
         """Attacking chip A with chip B's netlist must fail verification."""
         netlist_a, lock_a = make_lock(seed=7)
@@ -107,7 +104,6 @@ class TestApiMisuse:
 
 
 class TestGracefulDegradation:
-    @pytest.mark.requires_numpy
     def test_zero_candidate_limit_reports_exhaustion(self):
         netlist, lock = make_lock(seed=11)
         result = dynunlock(
@@ -120,7 +116,6 @@ class TestGracefulDegradation:
         # and the restart loop ran out of rounds -- never a crash.
         assert result.n_seed_candidates <= 1 or result.success
 
-    @pytest.mark.requires_numpy
     def test_all_patterns_consistent_after_success(self):
         netlist, lock = make_lock(seed=12)
         oracle = lock.make_oracle()

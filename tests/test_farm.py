@@ -393,7 +393,6 @@ class TestDriverState:
         assert json.loads(capsys.readouterr().out)["exists"] is False
 
 
-@pytest.mark.requires_numpy
 class TestFarmEndToEnd:
     """Liar-cell farms: fast, violation-rich, fully deterministic."""
 
@@ -612,7 +611,6 @@ class TestTopFarmSection:
         assert "farm:" not in frame
 
 
-@pytest.mark.requires_numpy
 class TestSigtermResume:
     """The acceptance test: SIGTERM a real farm process mid-run, resume
     it, and demand byte-identical state vs an uninterrupted run."""

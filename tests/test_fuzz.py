@@ -142,7 +142,6 @@ class TestFuzzCell:
 
 
 class TestBuiltinsSatisfyInvariants:
-    @pytest.mark.requires_numpy
     def test_quick_campaign_is_green(self):
         report = run_campaign(QUICK, trials=16, seed=0, jobs=1)
         assert report.ok, report.violations
@@ -172,7 +171,6 @@ class TestCampaignDeterminism:
         assert keys(a) == keys(b) == keys(c)
         assert campaign_rows(a) == campaign_rows(b) == campaign_rows(c)
 
-    @pytest.mark.requires_numpy
     def test_resume_through_store_is_byte_identical(self, tmp_path):
         from repro.runner.store import ResultStore
 
@@ -342,7 +340,6 @@ class TestPlantedBugsAreCaught:
             for violation in crashes:
                 assert trial_fails(violation["shrunk_trial"], CRASH, QUICK)
 
-    @pytest.mark.requires_numpy
     def test_double_violations_share_one_shrink_and_corpus_entry(
         self, tmp_path
     ):

@@ -1,8 +1,7 @@
 """Unit and property tests for the GF(2) linear algebra substrate."""
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # whole-module skip on the numpy-less leg
 from hypothesis import given, settings, strategies as st
 
 from repro.gf2.matrix import GF2Matrix, identity, zeros

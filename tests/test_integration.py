@@ -12,8 +12,6 @@ reproduction trustworthy:
 
 import random
 
-import pytest
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
@@ -69,7 +67,6 @@ class TestOracleConsistencyProperty:
 class TestModelSoundnessProperty:
     @SLOW_SETTINGS
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @pytest.mark.requires_numpy
     def test_model_with_true_seed_equals_oracle(self, seed):
         netlist, lock, rng = build_locked_case(seed)
         oracle = lock.make_oracle()
@@ -89,7 +86,6 @@ class TestModelSoundnessProperty:
 
     @SLOW_SETTINGS
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @pytest.mark.requires_numpy
     def test_sat_encoding_of_model_matches_simulation(self, seed):
         """Tseitin(model) under assumptions == direct model evaluation."""
         netlist, lock, rng = build_locked_case(seed)
@@ -114,7 +110,6 @@ class TestModelSoundnessProperty:
 
 
 class TestPipelineDeterminism:
-    @pytest.mark.requires_numpy
     def test_attack_is_reproducible(self):
         netlist, lock, _ = build_locked_case(777)
         result_a = dynunlock(netlist, lock.public_view(), lock.make_oracle())
@@ -128,7 +123,6 @@ class TestPipelineDeterminism:
 class TestOverlayXorStructure:
     @SLOW_SETTINGS
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @pytest.mark.requires_numpy
     def test_scan_out_difference_is_pattern_independent(self, seed):
         """For a fixed geometry+seed, (locked XOR clean) scan responses of
         the SAME applied state differ by a constant mask -- linearity of

@@ -130,7 +130,6 @@ class TestMultiChainOracle:
 
 class TestMultiChainModel:
     @pytest.mark.parametrize("trial", range(6))
-    @pytest.mark.requires_numpy
     def test_model_matches_oracle(self, trial):
         netlist, spec, taps, width, seed_bits, oracle, rng = make_case(
             100 + trial,
@@ -175,7 +174,6 @@ def rng_flops(trial: int) -> int:
 
 class TestMultiChainAttack:
     @pytest.mark.parametrize("trial", range(3))
-    @pytest.mark.requires_numpy
     def test_seed_recovery(self, trial):
         netlist, spec, taps, width, seed_bits, oracle, rng = make_case(
             200 + trial, n_flops=10, n_chains=3, n_gates=5

@@ -182,6 +182,47 @@ class TestNetlistConstruction:
         assert netlist.fanout_map() is not first
 
 
+class TestCacheInvalidation:
+    @staticmethod
+    def _base() -> Netlist:
+        netlist = Netlist("inv")
+        netlist.add_input("a")
+        netlist.add_input("b")
+        netlist.add_gate("x", GateType.AND, ["a", "b"])
+        netlist.add_gate("y", GateType.OR, ["x", "b"])
+        netlist.add_output("y")
+        return netlist
+
+    def test_mutators_invalidate_topo_and_fanout(self):
+        """Every mutator drops the derived caches and bumps ``version``."""
+        mutations = [
+            lambda n: n.add_gate("z", GateType.NOT, ["x"]),
+            lambda n: n.add_input("c"),
+            lambda n: n.add_output("x"),
+            lambda n: n.set_outputs(["x"]),
+            lambda n: n.add_dff(q="q0", d="x"),
+            lambda n: n.remove_gate("y"),
+        ]
+        for mutate in mutations:
+            netlist = self._base()
+            netlist.topological_gates()
+            netlist.fanout_map()
+            assert netlist._topo_cache is not None
+            assert netlist._fanout_cache is not None
+            version = netlist.version
+            mutate(netlist)
+            assert netlist._topo_cache is None, mutate
+            assert netlist._fanout_cache is None, mutate
+            assert netlist.version > version, mutate
+
+    def test_fanout_map_fresh_after_remove_gate(self):
+        netlist = self._base()
+        assert any(g.output == "y" for g in netlist.fanout_map()["x"])
+        netlist.set_outputs(["x"])
+        netlist.remove_gate("y")
+        assert netlist.fanout_map().get("x", []) == []
+
+
 class TestNetNamer:
     def test_avoids_existing_nets(self):
         netlist = Netlist("t")

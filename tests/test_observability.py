@@ -340,7 +340,6 @@ class TestOffByDefaultInvariance:
 
 
 class TestRealAttackSpan:
-    @pytest.mark.requires_numpy
     def test_cli_attack_records_attack_phases(self, tmp_path, capsys):
         code = main(
             [
@@ -381,7 +380,6 @@ class TestRealAttackSpan:
         ]
         assert "run_started" in events and "run_finished" in events
 
-    @pytest.mark.requires_numpy
     def test_grid_command_emits_metrics_and_identical_rows(self, tmp_path, capsys):
         args = [
             "table2",

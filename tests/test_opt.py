@@ -380,7 +380,6 @@ class TestPipeline:
 # ----------------------------------------------------------------------
 class TestKeyIdentity:
     @pytest.mark.parametrize("bench_name", smallest_benchmarks(2, scale=16))
-    @pytest.mark.requires_numpy
     def test_dynunlock_recovers_identical_seed(self, bench_name):
         from repro.core.dynunlock import DynUnlockConfig, dynunlock
         from repro.locking.effdyn import lock_with_effdyn
@@ -433,7 +432,6 @@ class TestKeyIdentity:
 # attack-model reduction sanity
 # ----------------------------------------------------------------------
 class TestModelReduction:
-    @pytest.mark.requires_numpy
     def test_effdyn_model_shrinks_meaningfully(self):
         from repro.core.modeling import build_combinational_model
         from repro.locking.effdyn import lock_with_effdyn

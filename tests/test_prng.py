@@ -2,9 +2,8 @@
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # whole-module skip on the numpy-less leg
 
 from repro.netlist.netlist import Netlist
 from repro.prng.lfsr import FibonacciLfsr, GaloisLfsr, Keystream

@@ -80,7 +80,6 @@ class TestExperimentRunners:
             table3_key_sizes=(6,),
         )
 
-    @pytest.mark.requires_numpy
     def test_run_table2_row(self):
         from repro.reports.experiments import run_table2_row
 
@@ -89,7 +88,6 @@ class TestExperimentRunners:
         assert row.success_rate == 1.0
         assert row.n_seed_candidates >= 1
 
-    @pytest.mark.requires_numpy
     def test_run_table3_cell(self):
         from repro.reports.experiments import run_table3_cell
 
@@ -97,7 +95,6 @@ class TestExperimentRunners:
         assert row.key_bits == 6
         assert row.success_rate == 1.0
 
-    @pytest.mark.requires_numpy
     def test_run_nonlinear_ablation(self):
         from repro.reports.experiments import run_nonlinear_ablation
 

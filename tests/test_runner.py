@@ -287,13 +287,11 @@ class TestTable2ThroughRunner:
             row.exact_seed_rate,
         )
 
-    @pytest.mark.requires_numpy
     def test_parallel_rows_equal_serial_rows(self):
         serial = run_table2(QUICK, self.BENCH, jobs=1)
         parallel = run_table2(QUICK, self.BENCH, jobs=2)
         assert [self._key(r) for r in serial] == [self._key(r) for r in parallel]
 
-    @pytest.mark.requires_numpy
     def test_cached_rerun_is_identical_including_times(self, tmp_path):
         store = ResultStore(tmp_path)
         first = run_table2(QUICK, self.BENCH, store=store)
@@ -302,7 +300,6 @@ class TestTable2ThroughRunner:
         assert first == second  # byte-identical rows, time column included
         assert events and all("[cached]" in e for e in events)
 
-    @pytest.mark.requires_numpy
     def test_profile_change_misses_the_cache(self, tmp_path):
         store = ResultStore(tmp_path)
         run_table2(QUICK, self.BENCH, store=store)

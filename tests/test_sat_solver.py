@@ -300,7 +300,6 @@ class TestSearchIdentity:
         assert solver.solve(max_conflicts=1300).satisfiable is None
         assert self.counters(solver.stats) == (1300, 1887, 136236, 1299, 0, 6)
 
-    @pytest.mark.requires_numpy
     def test_table2_s5378_cell(self):
         # One incremental session: assumptions, clause groups and
         # seed-candidate enumeration.

@@ -11,7 +11,7 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
 from repro.sat.solver import CdclSolver
-from repro.sat.tseitin import CircuitEncoder
+from repro.sat.tseitin import CircuitEncoder, compile_encoding, encoding_for
 from repro.sim.logicsim import evaluate
 
 
@@ -122,3 +122,19 @@ class TestSharing:
         with pytest.raises(ValueError):
             encoder.alias("a", w)
         encoder.alias("a", v)  # idempotent alias is fine
+
+
+class TestTemplateCache:
+    def test_hit_on_unchanged_netlist(self):
+        netlist = single_gate_netlist(GateType.AND, 2)
+        assert encoding_for(netlist) is encoding_for(netlist)
+
+    def test_recompiled_after_count_preserving_replacement(self):
+        netlist = single_gate_netlist(GateType.AND, 2)
+        stale = encoding_for(netlist)
+        netlist.remove_gate("y")
+        netlist.add_gate("y", GateType.OR, ["x0", "x1"])
+        fresh = encoding_for(netlist)
+        assert fresh is not stale
+        assert fresh == compile_encoding(netlist)
+        assert fresh.clauses != stale.clauses

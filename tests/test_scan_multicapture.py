@@ -63,7 +63,6 @@ class TestMultiCaptureProtocol:
         assert diffs
 
     @pytest.mark.parametrize("n_captures", [2, 3])
-    @pytest.mark.requires_numpy
     def test_model_tracks_multicapture_oracle(self, case, n_captures):
         netlist, lock, rng = case
         oracle = lock.make_oracle()
@@ -85,7 +84,6 @@ class TestMultiCaptureProtocol:
                 values[n] for n in model.po_outputs
             ] == response.primary_outputs
 
-    @pytest.mark.requires_numpy
     def test_multicapture_model_has_chained_cores(self, case):
         netlist, lock, rng = case
         single = build_combinational_model(

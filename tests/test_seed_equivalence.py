@@ -15,9 +15,8 @@ nullspace vectors, and full-rank overlays force exact recovery.
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # whole-module skip on the numpy-less leg
 
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.core.analysis import overlay_matrices

@@ -9,9 +9,7 @@ solution counts.
 
 import random
 
-import pytest
-
-np = pytest.importorskip("numpy")  # whole-module skip on the numpy-less leg
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.gf2.matrix import GF2Matrix

@@ -564,7 +564,6 @@ class TestCrossBackendRuns:
         assert artifacts["json"] == artifacts["sharded"] == artifacts["sqlite"]
         assert verdicts["json"] == verdicts["sharded"] == verdicts["sqlite"]
 
-    @pytest.mark.requires_numpy
     def test_fuzz_rows_and_artifacts_identical_across_backends(
         self, tmp_path, capsys
     ):
