@@ -15,8 +15,8 @@ against a checked-in baseline JSON of the same shape.  Exit code 1 when
 
 The baseline also pins the row-shape invariants (benchmark names and
 the Success column) so a regression in *what* was computed -- not just
-how fast -- fails too.  Refresh the baseline by copying a representative
-artifact over it (see docs/reproducing.md).
+how fast -- fails too.  Refresh the baseline with ``make
+refresh-baseline`` (see docs/reproducing.md).
 
 Stdlib only: CI calls this before the package's dependencies matter.
 """

@@ -7,7 +7,11 @@ iterates:
 1. build a *miter*: two copies of ``C`` sharing ``X`` but holding
    independent keys ``K_A``, ``K_B``, constrained so that at least one
    output differs — a satisfying assignment yields a *distinguishing
-   input pattern* (DIP);
+   input pattern* (DIP).  The miter also requires ``K_A != K_B``: each
+   copy is a function of ``(X, K)`` (undriven nets are rejected), so
+   equal keys give equal outputs and this lemma removes no model, but
+   it spares the solver from proving that by search -- once the DIP
+   constraints force ``K_A = K_B``, unit propagation refutes the miter;
 2. query the oracle with the DIP and constrain both key copies to
    reproduce the observed response (two fresh circuit copies per DIP);
 3. repeat until the miter is unsatisfiable: every key still satisfying
@@ -30,7 +34,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.validate import validate_netlist
 from repro.observability import spans as obs
 from repro.opt import OptResult, optimize, resolve_level
 from repro.sat.enumerate import enumerate_models
@@ -136,6 +141,13 @@ class SatAttack:
         if resolve_level(self.config.opt_level) > 0:
             self.opt_result = optimize(locked, level=self.config.opt_level)
             locked = self.opt_result.netlist
+        # The miter's key-difference lemma is sound only when each copy
+        # is a function of (X, K); an undriven net would be a free
+        # variable in each copy.
+        try:
+            validate_netlist(locked)
+        except NetlistError as exc:
+            raise ValueError(f"cannot attack {locked.name!r}: {exc}") from exc
         self.locked = locked
         self.x_inputs = [net for net in locked.inputs if net not in key_set]
 
@@ -193,6 +205,15 @@ class SatAttack:
         self.key_vars_b = [
             self.encoder.var_for(f"B::{net}") for net in self.key_inputs
         ]
+        # Key-difference lemma (module docstring, step 1): the active
+        # miter needs some e_i, and e_i -> ka_i xor kb_i.
+        key_diff_lits: list[int] = []
+        for ka, kb in zip(self.key_vars_a, self.key_vars_b):
+            e = cnf.new_var()
+            cnf.add_clause([-e, ka, kb])
+            cnf.add_clause([-e, -ka, -kb])
+            key_diff_lits.append(e)
+        cnf.add_clause([-self.act_var] + key_diff_lits)
         self._synced_clauses = self.solver.absorb(cnf)
 
     def _sync_solver(self) -> None:
@@ -250,6 +271,11 @@ class SatAttack:
         iteration = 0
         while iteration < cfg.max_iterations:
             remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
+            if remaining == 0.0:
+                # The solver reads its clock only every few conflicts,
+                # so a spent budget must not reach it: a small instance
+                # would converge inside the first check interval.
+                break
             with watch.lap("solve_dip"):
                 result = self.solver.solve(
                     assumptions=[self.act_var], timeout_s=remaining

@@ -6,6 +6,8 @@ import pytest
 
 from repro.attack.satattack import IterationRecord, SatAttack, SatAttackConfig
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
+from repro.core.modeling import build_combinational_model
+from repro.locking.effdyn import lock_with_effdyn
 from repro.locking.rll import lock_combinational_rll
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
@@ -119,6 +121,24 @@ class TestSatAttackOnRll:
         assert not result.converged
         assert result.iterations == 0
 
+    def test_spent_time_budget_starts_no_solve(self):
+        # This case converges within the solver's first clock-check
+        # interval, so only a check before solve() stops it.
+        core, lock, oracle_fn, _ = make_rll_case(1)
+        calls = []
+
+        def counting_oracle(x_bits):
+            calls.append(x_bits)
+            return oracle_fn(x_bits)
+
+        config = SatAttackConfig(timeout_s=0.0)
+        attack = SatAttack(lock.locked, lock.key_inputs, counting_oracle, config)
+        result = attack.run()
+        assert not result.converged
+        assert result.iterations == 0
+        assert calls == []
+        assert attack.solver.stats.solve_calls == 0
+
 
 class TestSatAttackValidation:
     def test_unknown_key_input_rejected(self):
@@ -128,6 +148,18 @@ class TestSatAttackValidation:
         netlist.add_output("y")
         with pytest.raises(ValueError):
             SatAttack(netlist, ["nokey"], lambda x: x)
+
+    def test_undriven_net_rejected(self):
+        # A floating net is a free variable per miter copy, so two
+        # same-key copies could disagree; the attack refuses such input.
+        netlist = Netlist("t")
+        netlist.add_input("a")
+        netlist.add_input("k")
+        netlist.add_gate("t1", GateType.XOR, ["a", "k"])
+        netlist.add_gate("y", GateType.AND, ["t1", "floating"])
+        netlist.add_output("y")
+        with pytest.raises(ValueError, match="floating"):
+            SatAttack(netlist, ["k"], lambda x: [0])
 
     def test_wrong_oracle_width_detected(self):
         netlist = Netlist("t")
@@ -176,3 +208,46 @@ class TestKnownTinyLock:
         assert result.iterations == 0  # no DIP can exist
         assert sorted(result.key_candidates) == [[0], [1]]
         assert result.fixed_key_bits == {}
+
+
+class TestKeyDifferenceLemma:
+    """The active miter requires K_A != K_B.
+
+    With both key copies assumed equal, unit propagation alone refutes
+    the miter: no conflict is needed to show that two copies of one
+    circuit under one key agree.
+    """
+
+    @staticmethod
+    def same_key_miter_conflicts(locked, key_inputs, key):
+        attack = SatAttack(locked, key_inputs, lambda x: [])
+        same_key = [
+            var if bit else -var
+            for side in (attack.key_vars_a, attack.key_vars_b)
+            for var, bit in zip(side, key)
+        ]
+        before = attack.solver.stats.conflicts
+        result = attack.solver.solve(assumptions=same_key + [attack.act_var])
+        assert result.satisfiable is False
+        return attack.solver.stats.conflicts - before
+
+    def test_rll_same_key_miter_refuted_without_conflicts(self):
+        core, lock, oracle_fn, _ = make_rll_case(1)
+        conflicts = self.same_key_miter_conflicts(
+            lock.locked, lock.key_inputs, lock.secret_key
+        )
+        assert conflicts == 0
+
+    def test_effdyn_model_same_key_miter_refuted_without_conflicts(self):
+        rng = random.Random(9)
+        config = GeneratorConfig(n_flops=10, n_inputs=3, n_outputs=2)
+        netlist = generate_circuit(config, rng, name="lemma")
+        lock = lock_with_effdyn(netlist, key_bits=5, rng=rng)
+        view = lock.public_view()
+        model = build_combinational_model(
+            netlist, view.spec, view.lfsr_taps, view.lfsr_width
+        )
+        conflicts = self.same_key_miter_conflicts(
+            model.netlist, model.key_inputs, lock.seed
+        )
+        assert conflicts == 0

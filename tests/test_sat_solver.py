@@ -322,7 +322,7 @@ class TestSearchIdentity:
         )
         assert result.n_seed_candidates == 64
         stats = result.sat_result.solver_stats
-        assert self.counters(stats) == (982, 8158, 80990, 965, 0, 5)
+        assert self.counters(stats) == (815, 8833, 72310, 794, 0, 4)
 
 
 class TestLuby:
