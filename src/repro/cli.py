@@ -281,6 +281,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     """``dynunlock selftest``: end-to-end DynUnlock on the genuine s27."""
     from repro.bench_suite.iscas import s27_netlist
     from repro.core.dynunlock import dynunlock
+    from repro.sat.solver import solver_core
 
     netlist = s27_netlist()
     lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(7))
@@ -288,7 +289,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     exact = result.recovered_seed == list(lock.seed)
     print(
         f"s27 self-test: success={result.success} exact_seed={exact} "
-        f"iterations={result.iterations} time={result.runtime_s:.2f}s"
+        f"iterations={result.iterations} time={result.runtime_s:.2f}s "
+        f"solver_core={solver_core()}"
     )
     return 0 if (result.success and exact) else 1
 
@@ -845,9 +847,11 @@ def cmd_opt(args: argparse.Namespace) -> int:
 def cmd_opt_bench(args: argparse.Namespace) -> int:
     """``dynunlock opt-bench``: measure the optimized vs raw attack pipeline.
 
-    Runs the Table II grid twice through the scheduler -- once with
-    optimization disabled, once at the requested level -- cache-less so
-    the timings are honest, then writes ``BENCH_opt.json`` and fails
+    Runs the Table II grid twice -- once with optimization disabled,
+    once at the requested level -- cache-less so the timings are honest.
+    Both arms go through one scheduler run that alternates them cell by
+    cell, so a burst of host noise lands on both arms rather than on
+    one.  Then it writes ``BENCH_opt.json`` and fails
     (exit 1) when the optimized pipeline is slower than the raw one by
     more than ``--threshold``, or when optimization changed any cell's
     attack outcome (success / exact-seed bits).
@@ -866,28 +870,29 @@ def cmd_opt_bench(args: argparse.Namespace) -> int:
     benchmarks = args.benchmarks or None
     jobs = _jobs_from_args(args)
 
-    reports = {}
     with _observation(args, "opt-bench") as observer:
-        for label, arm_level in (("no-opt", 0), ("opt", level)):
-            print(f"  [.] running table2 arm: {label}", file=sys.stderr)
-            specs = table2_specs(profile, benchmarks, opt_level=arm_level)
-            report = run_jobs(
-                specs,
-                jobs=jobs,
-                store=None,
-                progress=adapt_progress(_progress),
-                observer=observer,
-            )
-            report.raise_on_error()
-            reports[label] = report
+        print("  [.] running table2 arms no-opt/opt cell by cell", file=sys.stderr)
+        arms = zip(
+            table2_specs(profile, benchmarks, opt_level=0),
+            table2_specs(profile, benchmarks, opt_level=level),
+        )
+        report = run_jobs(
+            [spec for pair in arms for spec in pair],
+            jobs=jobs,
+            store=None,
+            progress=adapt_progress(_progress),
+            observer=observer,
+        )
+        report.raise_on_error()
 
-    def by_cell(report):
+    def by_cell(arm_level):
         return {
             (o.spec.params["benchmark"], o.spec.params["seed_index"]): o.result
             for o in report.outcomes
+            if o.spec.params["opt_level"] == arm_level
         }
 
-    raw, opt = by_cell(reports["no-opt"]), by_cell(reports["opt"])
+    raw, opt = by_cell(0), by_cell(level)
     outcome_mismatches = []
     for (bench, seed), raw_cell in raw.items():
         opt_cell = opt[(bench, seed)]

@@ -83,6 +83,15 @@ def _fmt_age(seconds: float) -> str:
     return f"{seconds / 3600:.1f}h"
 
 
+def _props_per_s(span: dict) -> float | None:
+    """Solver propagations per second of ``solve`` phase, if both known."""
+    propagations = (span.get("counts") or {}).get("solver_propagations")
+    solve_s = float((span.get("phases") or {}).get("solve", 0.0))
+    if not propagations or solve_s <= 0.0:
+        return None
+    return propagations / solve_s
+
+
 def render_top(
     snapshot: RunSnapshot,
     *,
@@ -158,6 +167,9 @@ def render_top(
             counts = span.get("counts") or {}
             if counts.get("dips"):
                 detail += f"{', ' if detail else ''}dips={counts['dips']}"
+            rate = _props_per_s(span)
+            if rate is not None:
+                detail += f"{', ' if detail else ''}props/s={rate / 1e6:.2f}M"
             suffix = f" ({detail})" if detail else ""
             lines.append(
                 f"  {span.get('label', '?')} — "

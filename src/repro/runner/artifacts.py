@@ -67,6 +67,7 @@ def run_metadata() -> dict[str, Any]:
     """The ``run`` provenance block stamped into every artifact."""
     from repro.observability.session import current_session
     from repro.runner.spec import code_version
+    from repro.sat.solver import solver_core
 
     session = current_session()
     return {
@@ -75,6 +76,7 @@ def run_metadata() -> dict[str, Any]:
         "python": platform.python_version(),
         "platform": sys.platform,
         "code_version": code_version()[:20],
+        "solver_core": solver_core(),
     }
 
 

@@ -110,15 +110,17 @@ _CODE_VERSION: str | None = None
 
 
 def _fingerprint_source_tree(root: Path) -> str:
-    """One full walk of ``root``: hash every ``*.py`` path and contents.
+    """One full walk of ``root``: hash every ``*.py`` and ``*.c`` file.
 
-    This is the expensive part of :func:`code_version` (it reads every
-    source file under ``src/repro``), kept as a separate hook so tests
-    can pin that it runs at most once per process no matter how many
-    stores are opened.
+    Each file's path and contents go in, in sorted path order; the C
+    files are the native solver core, whose edits change results as
+    much as a Python edit does.  This is the expensive part of
+    :func:`code_version` (it reads every source file under
+    ``src/repro``), kept as a separate hook so tests can pin that it
+    runs at most once per process no matter how many stores are opened.
     """
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
@@ -129,11 +131,12 @@ def _fingerprint_source_tree(root: Path) -> str:
 def code_version() -> str:
     """Fingerprint of the ``src/repro`` source tree (cached per process).
 
-    Hashes every ``*.py`` file's path and contents in sorted order, so
-    any source edit -- attack, simulator, or the runner itself -- yields
-    a new version and orphans previously cached results.  The walk runs
-    once per process and the digest is shared by every store opened
-    afterwards (opening N stores must not re-hash the tree N times).
+    Hashes every ``*.py`` and ``*.c`` file's path and contents in sorted
+    order, so any source edit -- attack, simulator, native solver core,
+    or the runner itself -- yields a new version and orphans previously
+    cached results.  The walk runs once per process and the digest is
+    shared by every store opened afterwards (opening N stores must not
+    re-hash the tree N times).
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:

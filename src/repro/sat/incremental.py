@@ -118,10 +118,9 @@ class IncrementalSolver(CdclSolver):
 
         Callers that keep growing one :class:`Cnf` (the Tseitin encoder's
         output) pass the previous return value back in, so each call
-        transfers only the new suffix.  Returns the new synced count.
+        transfers only the new suffix, in one call into the core.
+        Returns the new synced count.
         """
-        self._ensure_vars(cnf.n_vars)
         clauses = cnf.clauses
-        for index in range(already_synced, len(clauses)):
-            self.add_clause(clauses[index])
+        self._core.add_clauses(clauses[already_synced:], cnf.n_vars)
         return len(clauses)

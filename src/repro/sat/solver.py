@@ -1,7 +1,7 @@
 """A conflict-driven clause-learning (CDCL) SAT solver.
 
-This is a from-scratch, pure-Python replacement for the lingeling solver
-the paper used.  It implements the standard modern architecture:
+This is a from-scratch replacement for the lingeling solver the paper
+used.  It implements the standard modern architecture:
 
 * two-literal watching for unit propagation;
 * VSIDS-style variable activities with a lazy max-heap;
@@ -12,20 +12,38 @@ the paper used.  It implements the standard modern architecture:
 * incremental use: clauses may be added between ``solve`` calls, and each
   call may carry a list of assumption literals.
 
+:class:`CdclSolver` is the solver every caller uses.  Its search runs on
+one of two *cores* that make the same search, decision for decision:
+
+* the native core, ``_cdcl.c``: a plain-C port of the search, compiled
+  with the system ``cc`` when the first solver is constructed, cached
+  under the user cache directory and driven through ctypes
+  (:mod:`repro.sat._native`);
+* :class:`PythonCore`, the pure-Python reference the native core is
+  tested against, and the core on a host with no ``cc`` on ``PATH``.
+
+Which one runs is decided by that fact alone (:func:`solver_core`); there
+is no option.  Both produce the same results, models, assumption cores
+and counters (conflicts, decisions, propagations, learned, deleted,
+restarts) on every instance.
+
 Literal encoding (internal): variable ``v`` (1-based) maps to codes
 ``2*v`` (positive) and ``2*v + 1`` (negative); ``code ^ 1`` negates.
 Public APIs use DIMACS-signed literals.
 
-Data layout, chosen for the interpreter's cost model: a clause *is* its
-list of literal codes, with the watched literals at positions 0 and 1;
-watch lists and reasons hold those lists directly, and each clause sits
-in exactly the watch lists of its two watched literals.  Truth values
-are indexed by literal code (``_lit_value``: 1 true, 0 false, -1
-unassigned), so the hot loops test a literal with one list read.
+The reference's data layout is chosen for the interpreter's cost model:
+a clause *is* its list of literal codes, with the watched literals at
+positions 0 and 1; watch lists and reasons hold those lists directly,
+and each clause sits in exactly the watch lists of its two watched
+literals.  Truth values are indexed by literal code (``_lit_value``: 1
+true, 0 false, -1 unassigned), so the hot loops test a literal with one
+list read.
 """
 
 from __future__ import annotations
 
+import functools
+import shutil
 import time
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
@@ -91,7 +109,9 @@ class CdclSolver:
     ``var_decay``, ``restart_base`` and ``reduce_base`` expose the usual
     heuristic knobs (VSIDS decay, Luby restart unit, learned-DB budget);
     the defaults behave well on the locked-circuit instances this project
-    generates.
+    generates.  ``stats`` is one live :class:`SolverStats` for the
+    solver's whole life.  The search runs on the host's core (see the
+    module docstring).
     """
 
     def __init__(
@@ -101,6 +121,72 @@ class CdclSolver:
         restart_base: int = 128,
         reduce_base: int = 4000,
     ):
+        self._core = _core_factory()(var_decay, restart_base, reduce_base)
+        self.stats: SolverStats = self._core.stats
+        if cnf is not None:
+            self.add_cnf(cnf)
+
+    @property
+    def n_vars(self) -> int:
+        return self._core.n_vars
+
+    def new_var(self) -> int:
+        return self._core.new_var()
+
+    def add_cnf(self, cnf: Cnf) -> None:
+        self._core.add_clauses(cnf.clauses, cnf.n_vars)
+
+    def add_clause(self, lits: Sequence[int]) -> bool:
+        """Add a clause of DIMACS literals.
+
+        Returns False when the formula became trivially UNSAT.
+        """
+        return self._core.add_clause(lits)
+
+    def solve(
+        self,
+        assumptions: Iterable[int] = (),
+        max_conflicts: int | None = None,
+        timeout_s: float | None = None,
+    ) -> SolveResult:
+        """Search for a model; returns a :class:`SolveResult`.
+
+        ``satisfiable`` is None when ``max_conflicts``/``timeout_s`` was
+        exhausted before an answer was reached.
+        """
+        return self._core.solve(assumptions, max_conflicts, timeout_s)
+
+
+@functools.cache
+def _core_factory() -> type:
+    """The core class new solvers run on: native when ``cc`` is on PATH.
+
+    The native core is built (or its cached build loaded) when the first
+    one is constructed, which raises with the compiler's output if the
+    build fails.  Tests monkeypatch this function to run the reference.
+    """
+    if shutil.which("cc") is None:
+        return PythonCore
+    from repro.sat._native import NativeCore
+
+    return NativeCore
+
+
+def solver_core() -> str:
+    """Which core new solvers run on: ``"native"`` or ``"python"``."""
+    return _core_factory().name
+
+
+class PythonCore:
+    """The pure-Python search core: the reference for the native one.
+
+    It has :class:`CdclSolver`'s interface minus the ``cnf`` argument;
+    :meth:`add_clauses` is the bulk intake both cores share.
+    """
+
+    name = "python"
+
+    def __init__(self, var_decay: float, restart_base: int, reduce_base: int):
         self.n_vars = 0
         self._learnts: list[_Clause] = []
         self._watches: list[list[list[int]]] = [[], []]  # index by lit code
@@ -123,8 +209,6 @@ class CdclSolver:
         self._qhead = 0
         self._ok = True  # False once a top-level conflict is derived
         self.stats = SolverStats()
-        if cnf is not None:
-            self.add_cnf(cnf)
 
     # ------------------------------------------------------------------
     # construction
@@ -147,9 +231,10 @@ class CdclSolver:
         while self.n_vars < max_var:
             self.new_var()
 
-    def add_cnf(self, cnf: Cnf) -> None:
-        self._ensure_vars(cnf.n_vars)
-        for clause in cnf.clauses:
+    def add_clauses(self, clauses: Sequence[Sequence[int]], n_vars: int) -> None:
+        """Create variables up to ``n_vars``, then add every clause."""
+        self._ensure_vars(n_vars)
+        for clause in clauses:
             self.add_clause(clause)
 
     def add_clause(self, lits: Sequence[int]) -> bool:

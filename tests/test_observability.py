@@ -460,7 +460,7 @@ def canned_metrics_dir(tmp_path):
             "started_unix": 1001.5,
             "ended_unix": 1005.5,
             "phases": {"solve": 2.5, "encode": 1.0},
-            "counts": {"dips": 7},
+            "counts": {"dips": 7, "solver_propagations": 5_000_000},
         },
         {
             "kind": "span",
@@ -498,6 +498,7 @@ class TestTop:
         assert "#2 c@quick" in frame  # the running job, with its age
         assert "a@quick — 4.00s" in frame
         assert "dips=7" in frame
+        assert "props/s=2.00M" in frame  # 5M propagations in 2.5 s of solve
 
     def test_render_empty_dir(self, tmp_path):
         frame = render_top(load_snapshot(tmp_path), now=0.0)
@@ -554,6 +555,7 @@ class TestArtifactSchema:
             "python",
             "platform",
             "code_version",
+            "solver_core",
         }
         assert len(run["run_id"]) == 12
         assert len(run["code_version"]) == 20

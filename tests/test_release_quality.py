@@ -96,3 +96,19 @@ class TestPackagingMetadata:
         text = (REPO / "pyproject.toml").read_text()
         assert 'dynunlock = "repro.cli:main"' in text
         from repro.cli import main  # noqa: F401  (importable)
+
+    def test_c_sources_ship_as_package_data(self):
+        # The native solver core is compiled from its source at run time.
+        text = (REPO / "pyproject.toml").read_text()
+        section = text.split("[tool.setuptools.package-data]\n", 1)[1]
+        section = section.split("\n[", 1)[0]
+        match = re.search(r"^repro = \[(.*)\]$", section, re.MULTILINE)
+        assert match, "no package data declared for repro"
+        patterns = re.findall(r'"([^"]+)"', match.group(1))
+        sources = sorted(SRC.rglob("*.c"))
+        assert sources, "expected the native core's C source under src/repro"
+        for path in sources:
+            rel = path.relative_to(SRC)
+            assert any(rel.match(pattern) for pattern in patterns), (
+                f"{rel} is not shipped as package data"
+            )

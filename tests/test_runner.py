@@ -21,7 +21,7 @@ from repro.reports.profiles import (
 )
 from repro.runner.artifacts import load_artifact, write_artifact
 from repro.runner.scheduler import RunnerError, run_jobs
-from repro.runner.spec import JobSpec, code_version
+from repro.runner.spec import JobSpec, _fingerprint_source_tree, code_version
 from repro.runner.store import ResultStore
 
 QUICK = PROFILES["quick"]
@@ -93,6 +93,16 @@ class TestJobSpec:
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()
         int(code_version(), 16)
+
+    def test_fingerprint_covers_c_sources(self, tmp_path):
+        # The native solver core is C: editing it must orphan results.
+        (tmp_path / "mod.py").write_text("x = 1\n")
+        core = tmp_path / "sat" / "core.c"
+        core.parent.mkdir()
+        core.write_text("int f(void) { return 1; }\n")
+        before = _fingerprint_source_tree(tmp_path)
+        core.write_text("int f(void) { return 2; }\n")
+        assert _fingerprint_source_tree(tmp_path) != before
 
 
 class TestResultStore:

@@ -3,13 +3,23 @@ hard instances, incrementality, assumptions, and enumeration."""
 
 import itertools
 import random
+import shutil
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sat import solver as solver_module
 from repro.sat.cnf import Cnf
 from repro.sat.enumerate import count_models, enumerate_models
-from repro.sat.solver import CdclSolver, _luby
+from repro.sat.incremental import IncrementalSolver
+from repro.sat.solver import CdclSolver, PythonCore, _luby, solver_core
+
+HAS_CC = shutil.which("cc") is not None
+needs_native = pytest.mark.skipif(
+    not HAS_CC, reason="no C compiler on PATH: the native core is not built"
+)
 
 
 def brute_force_satisfiable(cnf: Cnf) -> bool:
@@ -323,6 +333,227 @@ class TestSearchIdentity:
         assert result.n_seed_candidates == 64
         stats = result.sat_result.solver_stats
         assert self.counters(stats) == (815, 8833, 72310, 794, 0, 4)
+
+
+class TestSearchIdentityOnReference(TestSearchIdentity):
+    """The same pins on the pure-Python reference core."""
+
+    @pytest.fixture(autouse=True)
+    def reference_core(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_core_factory", lambda: PythonCore)
+
+
+class TestCoreSelection:
+    def test_native_core_whenever_cc_is_on_path(self):
+        # CI's test, perf and bench jobs run where cc exists, so this
+        # pins that they exercise and time the native core.
+        expected = "native" if HAS_CC else "python"
+        assert solver_core() == expected
+        assert CdclSolver()._core.name == expected
+
+
+@needs_native
+class TestNativeBuild:
+    def test_build_is_cached_by_source(self, tmp_path, monkeypatch):
+        from repro.sat import _native
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        built = _native.build(shutil.which("cc"))
+        assert built.parent == tmp_path / "dynunlock-repro"
+        assert _native.build(shutil.which("cc")) == built  # cached
+        edited = tmp_path / "edited.c"
+        edited.write_text(_native.SOURCE.read_text() + "\n/* edit */\n")
+        monkeypatch.setattr(_native, "SOURCE", edited)
+        assert _native.build(shutil.which("cc")) != built
+
+    def test_unwritable_cache_builds_in_a_temporary_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sat import _native
+
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        built = _native.build(shutil.which("cc"))
+        assert built.is_file() and blocker not in built.parents
+        shutil.rmtree(built.parent)
+
+    def test_failed_build_raises_with_compiler_output(self, tmp_path, monkeypatch):
+        from repro.sat import _native
+
+        broken = tmp_path / "broken.c"
+        broken.write_text("int f(void) { return undeclared_name; }\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_native, "SOURCE", broken)
+        with pytest.raises(RuntimeError, match="undeclared_name"):
+            _native.build(shutil.which("cc"))
+        assert not list((tmp_path / "dynunlock-repro").iterdir())
+
+
+class _Alarm(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+class TestInterruptible:
+    def test_sigalrm_interrupts_a_long_solve(self):
+        # The runner's job timeout is a SIGALRM handler that raises; it
+        # can only run when the search returns to the interpreter.
+        def raise_alarm(signum, frame):
+            raise _Alarm
+
+        solver = CdclSolver(pigeonhole_cnf(10))
+        previous = signal.signal(signal.SIGALRM, raise_alarm)
+        started = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(_Alarm):
+                solver.solve(max_conflicts=150_000)
+            elapsed = time.perf_counter() - started
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        conflicts = solver.stats.conflicts
+        assert conflicts > 0
+        assert solver.solve(max_conflicts=10).satisfiable is None
+        assert solver.stats.conflicts == conflicts + 10
+
+
+@needs_native
+class TestNativeMatchesReference:
+    """The native core against the reference, call by call.
+
+    After every call both solvers must agree on the result, the model,
+    the failed-assumption core, the variable count and every counter.
+    """
+
+    FIELDS = (
+        "conflicts",
+        "decisions",
+        "propagations",
+        "learned",
+        "deleted",
+        "restarts",
+        "solve_calls",
+    )
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        from repro.sat._native import NativeCore
+
+        def make(cnf=None, **knobs):
+            solvers = []
+            for core in (NativeCore, PythonCore):
+                with monkeypatch.context() as patch:
+                    patch.setattr(solver_module, "_core_factory", lambda: core)
+                    solvers.append(IncrementalSolver(cnf, **knobs))
+            assert [s._core.name for s in solvers] == ["native", "python"]
+            return solvers
+
+        return make
+
+    def same(self, native, reference, call, *args, **kwargs):
+        got = getattr(native, call)(*args, **kwargs)
+        want = getattr(reference, call)(*args, **kwargs)
+        if call == "solve":
+            got = (got.satisfiable, got.model, got.core)
+            want = (want.satisfiable, want.model, want.core)
+        assert got == want, (call, args, kwargs)
+        assert self.state(native) == self.state(reference), (call, args, kwargs)
+        return got
+
+    def state(self, solver):
+        stats = solver.stats
+        return tuple(getattr(stats, name) for name in self.FIELDS), solver.n_vars
+
+    def test_random_incremental_sequences(self, pair):
+        # Random 3-SAT grown towards the threshold in batches, with small
+        # reduce budgets and fast decay to exercise reduction and the
+        # activity rescale; conflict budgets stop solves mid-search.
+        for seed in range(30):
+            rng = random.Random(seed)
+            native, reference = pair(
+                var_decay=rng.choice([0.5, 0.8, 0.95]),
+                restart_base=rng.choice([8, 32, 128]),
+                reduce_base=rng.choice([10, 40, 4000]),
+            )
+            n = rng.randint(100, 150)
+            cnf = Cnf(n)
+            synced = 0
+            for _ in range(rng.randint(5, 10)):
+                op = rng.random()
+                if op < 0.4:
+                    for _ in range(rng.randint(n, 2 * n)):
+                        cnf.add_clause(
+                            rng.choice([-1, 1]) * var
+                            for var in rng.sample(range(1, n + 1), 3)
+                        )
+                    synced = self.same(native, reference, "absorb", cnf, synced)
+                elif op < 0.5:
+                    clause = [rng.choice([-1, 1]) * rng.randint(1, n + 4)
+                              for _ in range(rng.randint(1, 3))]
+                    self.same(native, reference, "add_clause", clause)
+                elif op < 0.55:
+                    self.same(native, reference, "new_var")
+                else:
+                    assumptions = [rng.choice([-1, 1]) * rng.randint(1, n)
+                                   for _ in range(rng.randint(0, 3))]
+                    self.same(
+                        native,
+                        reference,
+                        "solve",
+                        assumptions=assumptions,
+                        max_conflicts=rng.choice([None, None, 1, 50, 500]),
+                    )
+
+    def test_clause_edge_cases_and_timeout(self, pair):
+        native, reference = pair(pigeonhole_cnf(7))
+        # A zero timeout expires at the first clock check, 64 conflicts in.
+        assert self.same(native, reference, "solve", timeout_s=0.0)[0] is None
+        assert native.stats.conflicts == 64
+        # Tautology, duplicate literal, fresh variables, then a unit whose
+        # negation empties a clause: the formula becomes trivially UNSAT.
+        for clause in ([1, -1], [2, 2, 3], [-100, 101], [57], [-57], [5, 6]):
+            self.same(native, reference, "add_clause", clause)
+        assert self.same(native, reference, "solve", [1]) == (False, None, [])
+
+    def test_literal_errors(self, pair):
+        native, reference = pair()
+        for solver_ in (native, reference):
+            with pytest.raises(ValueError, match="literal 0"):
+                solver_.add_clause([1, 0])
+        # Literal codes 2v and 2v+1 must fit the core's 32-bit integers.
+        with pytest.raises(ValueError, match="out of range"):
+            native.add_clause([1, -(2**30)])
+        with pytest.raises(ValueError, match="out of range"):
+            native.solve(assumptions=[2**30])
+        assert native.solve(assumptions=[1]).model[1] == 1
+
+    def test_table2_cell_cnf_dump(self, pair, tmp_path):
+        # The DIMACS snapshot CnfDumper writes for the s5378 Table II
+        # cell: the final miter query (the UNSAT proof that ends the
+        # attack), then key recovery with the miter off.
+        from repro.api import resolve_profile
+        from repro.attack.satattack import SatAttack
+        from repro.core.cnf_dump import CnfDumper
+        from repro.core.dynunlock import DynUnlock
+        from repro.reports.cells import build_table2_lock
+
+        netlist, lock, _ = build_table2_lock(resolve_profile("quick"), "s5378", 0)
+        driver = DynUnlock(netlist, lock.public_view(), lock.make_oracle())
+        model = driver._build_model(1)
+        attack = SatAttack(
+            model.netlist, model.key_inputs, driver._oracle_fn(model, 1)
+        )
+        attack.config.iteration_hook = CnfDumper(attack, directory=tmp_path)
+        attack.run()
+        dump = sorted(tmp_path.glob("iteration_*.cnf"))[-1]
+        native, reference = pair(Cnf.load(dump))
+        act = attack.act_var
+        assert self.same(native, reference, "solve", [act])[0] is False
+        assert self.same(native, reference, "solve", [-act])[0] is True
+        self.same(native, reference, "solve", [act], max_conflicts=5)
 
 
 class TestLuby:
