@@ -1,22 +1,26 @@
 #!/usr/bin/env python
-"""Gate CI on benchmark timing: fail when a run regresses past a baseline.
+"""Gate CI on benchmark timing: fail when runs regress past a baseline.
 
 Usage::
 
     python scripts/check_bench_regression.py \
-        benchmarks/baselines/table2_quick.json results/BENCH_table2.json \
+        benchmarks/baselines/table2_quick.json \
+        run1/BENCH_table2.json [run2/BENCH_table2.json ...] \
         [--threshold 0.25] [--metric total_attack_time_s]
 
-Compares the chosen metric of a freshly emitted runner artifact (the
-``meta`` block of a ``BENCH_*.json`` written by ``dynunlock ... --emit-json``)
-against a checked-in baseline JSON of the same shape.  Exit code 1 when
+Compares the chosen metric of one or more freshly emitted runner
+artifacts (the ``meta`` block of a ``BENCH_*.json`` written by
+``dynunlock ... --emit-json``) against a checked-in baseline JSON of the
+same shape.  Given several artifacts of repeated runs, the gate takes
+the median of their metric, so one run slowed by a noisy neighbour does
+not fail it.  Exit code 1 when
 
-    current > baseline * (1 + threshold)
+    median(current) > baseline * (1 + threshold)
 
 The baseline also pins the row-shape invariants (benchmark names and
-the Success column) so a regression in *what* was computed -- not just
-how fast -- fails too.  Refresh the baseline with ``make
-refresh-baseline`` (see docs/reproducing.md).
+the Success column), checked for every artifact, so a regression in
+*what* was computed -- not just how fast -- fails too.  Refresh the
+baseline with ``make refresh-baseline`` (see docs/reproducing.md).
 
 Stdlib only: CI calls this before the package's dependencies matter.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -67,7 +72,12 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path)
-    parser.add_argument("current", type=Path)
+    parser.add_argument(
+        "current",
+        type=Path,
+        nargs="+",
+        help="artifact(s) of the run(s) to check; the gate uses their median",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -82,42 +92,48 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     baseline = load_meta(args.baseline)
-    current = load_meta(args.current)
-
     base_value = baseline["meta"].get(args.metric)
-    cur_value = current["meta"].get(args.metric)
-    if base_value is None or cur_value is None:
-        raise SystemExit(f"metric {args.metric!r} missing from meta block(s)")
+    if base_value is None:
+        raise SystemExit(f"metric {args.metric!r} missing from {args.baseline}")
 
     failures = []
-    if row_shape(baseline) != row_shape(current):
-        failures.append(
-            f"row set or success column changed: baseline "
-            f"{row_shape(baseline)} vs current {row_shape(current)}"
-        )
-    n_cached = current["meta"].get("n_cached", 0)
-    if n_cached:
-        # Cached cells replay the per-cell attack times *measured when
-        # they were computed*, and the result store namespaces entries
-        # by the src/repro fingerprint -- so the timing metric still
-        # reflects the current code and stays comparable.  Note it for
-        # the log rather than failing (CI keys its actions/cache on the
-        # same fingerprint, so doc-only pushes are fully cached).
-        print(
-            f"note: {n_cached}/{current['meta'].get('n_jobs_total', '?')} "
-            "cell(s) replayed from the result store (times as measured "
-            "when first computed)"
-        )
+    values = []
+    for path in args.current:
+        current = load_meta(path)
+        value = current["meta"].get(args.metric)
+        if value is None:
+            raise SystemExit(f"metric {args.metric!r} missing from {path}")
+        values.append(value)
+        if row_shape(baseline) != row_shape(current):
+            failures.append(
+                f"{path}: row set or success column changed: baseline "
+                f"{row_shape(baseline)} vs current {row_shape(current)}"
+            )
+        n_cached = current["meta"].get("n_cached", 0)
+        if n_cached:
+            # Cached cells replay the per-cell attack times *measured when
+            # they were computed*, and the result store namespaces entries
+            # by the src/repro fingerprint -- so the timing metric still
+            # reflects the current code and stays comparable.  Note it for
+            # the log rather than failing.
+            print(
+                f"note: {path}: {n_cached}/"
+                f"{current['meta'].get('n_jobs_total', '?')} cell(s) replayed "
+                "from the result store (times as measured when first computed)"
+            )
 
+    cur_value = statistics.median(values)
     limit = base_value * (1.0 + args.threshold)
     ratio = cur_value / base_value if base_value else float("inf")
+    runs = ", ".join(f"{v:.2f}s" for v in values)
     print(
         f"{args.metric}: baseline={base_value:.2f}s current={cur_value:.2f}s "
-        f"({ratio:.2f}x, limit {limit:.2f}s at +{args.threshold:.0%})"
+        f"(median of {len(values)}: {runs}; {ratio:.2f}x, "
+        f"limit {limit:.2f}s at +{args.threshold:.0%})"
     )
     if cur_value > limit:
         failures.append(
-            f"{args.metric} regressed: {cur_value:.2f}s > {limit:.2f}s "
+            f"{args.metric} regressed: median {cur_value:.2f}s > {limit:.2f}s "
             f"(baseline {base_value:.2f}s + {args.threshold:.0%})"
         )
 

@@ -79,7 +79,12 @@ class IterationRecord:
 
 @dataclass
 class SatAttackResult:
-    """Outcome of the DIP loop: convergence, DIP trace, key candidates."""
+    """Outcome of the DIP loop: convergence, DIP trace, key candidates.
+
+    ``timed_out`` is True when the loop stopped because
+    :attr:`SatAttackConfig.timeout_s` ran out: the outcome then depends
+    on the machine's speed, so it must not be cached as a verdict.
+    """
     converged: bool
     iterations: int
     dips: list[tuple[list[int], list[int]]]
@@ -87,6 +92,7 @@ class SatAttackResult:
     candidates_exhausted: bool  # True when enumeration hit candidate_limit
     fixed_key_bits: dict[int, int]
     runtime_s: float
+    timed_out: bool = False
     stopwatch: Stopwatch = field(repr=False, default_factory=Stopwatch)
     solver_stats: SolverStats = field(repr=False, default_factory=SolverStats)
 
@@ -267,6 +273,7 @@ class SatAttack:
         started = time.perf_counter()
         dips: list[tuple[list[int], list[int]]] = []
         converged = False
+        timed_out = False
 
         iteration = 0
         while iteration < cfg.max_iterations:
@@ -275,13 +282,15 @@ class SatAttack:
                 # The solver reads its clock only every few conflicts,
                 # so a spent budget must not reach it: a small instance
                 # would converge inside the first check interval.
+                timed_out = True
                 break
             with watch.lap("solve_dip"):
                 result = self.solver.solve(
                     assumptions=[self.act_var], timeout_s=remaining
                 )
             if result.satisfiable is None:
-                break  # budget exhausted
+                timed_out = True  # budget exhausted
+                break
             if result.satisfiable is False:
                 converged = True
                 break
@@ -370,6 +379,7 @@ class SatAttack:
             candidates_exhausted=exhausted,
             fixed_key_bits=fixed,
             runtime_s=watch.total,
+            timed_out=timed_out,
             stopwatch=watch,
             solver_stats=solver_stats,
         )

@@ -99,6 +99,10 @@ class DynUnlockResult:
     rounds: list[RoundRecord] = field(default_factory=list)
     sat_result: SatAttackResult | None = field(default=None, repr=False)
     model: CombinationalModel | None = field(default=None, repr=False)
+    #: True when a round's SAT attack ran out of its wall-clock budget
+    #: (:attr:`SatAttackResult.timed_out`); such an outcome depends on
+    #: the machine's speed.
+    timed_out: bool = False
 
 
 class DynUnlock:
@@ -168,6 +172,7 @@ class DynUnlock:
         sat_result: SatAttackResult | None = None
         candidates: list[list[int]] = []
 
+        timed_out = False
         for n_captures in range(1, cfg.max_captures + 1):
             model = self._build_model(n_captures)
             attack = SatAttack(
@@ -184,6 +189,7 @@ class DynUnlock:
             )
             sat_result = attack.run()
             total_iterations += sat_result.iterations
+            timed_out = timed_out or sat_result.timed_out
             rounds.append(
                 RoundRecord(
                     n_captures=n_captures,
@@ -259,6 +265,7 @@ class DynUnlock:
             rounds=rounds,
             sat_result=sat_result,
             model=model,
+            timed_out=timed_out,
         )
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 
 class GateType(Enum):
     """The primitive gate vocabulary shared by every subsystem."""
@@ -91,34 +89,6 @@ def evaluate_gate(gtype: GateType, inputs: Sequence[int]) -> int:
     if gtype is GateType.CONST1:
         return 1
     raise ValueError(f"unknown gate type {gtype!r}")  # pragma: no cover
-
-
-def evaluate_gate_vec(gtype: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate one gate on numpy bit arrays (vectorised over patterns)."""
-    check_arity(gtype, len(inputs))
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        acc = inputs[0].copy()
-        for arr in inputs[1:]:
-            acc &= arr
-        return acc if gtype is GateType.AND else acc ^ 1
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        acc = inputs[0].copy()
-        for arr in inputs[1:]:
-            acc |= arr
-        return acc if gtype is GateType.OR else acc ^ 1
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        acc = inputs[0].copy()
-        for arr in inputs[1:]:
-            acc ^= arr
-        return acc if gtype is GateType.XOR else acc ^ 1
-    if gtype is GateType.NOT:
-        return inputs[0] ^ 1
-    if gtype is GateType.BUF:
-        return inputs[0].copy()
-    if gtype is GateType.MUX:
-        sel, in0, in1 = inputs
-        return (in0 & (sel ^ 1)) | (in1 & sel)
-    raise ValueError(f"vector evaluation unsupported for {gtype!r}")
 
 
 # .bench name -> GateType (both directions; BUFF is the ISCAS spelling).

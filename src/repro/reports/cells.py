@@ -6,6 +6,10 @@ combination -- and returns a plain JSON-safe dict, so the result can be
 pickled back from a worker process, memoised in the
 :class:`~repro.runner.store.ResultStore`, and serialised into artifacts.
 
+A cell whose attack ran out of its wall-clock budget says so with a
+true ``timed_out``; the scheduler reports such a result but never
+stores it, because it depends on the speed of the machine that ran it.
+
 Determinism contract: every cell derives all randomness from
 ``hash_label`` streams keyed by its own parameters, and rebuilds its
 netlist/lock from scratch.  That makes a cell's output independent of
@@ -97,6 +101,7 @@ def table2_cell(
         "time_s": result.runtime_s,
         "success": bool(result.success),
         "exact_seed": result.recovered_seed == list(lock.seed),
+        "timed_out": result.timed_out,
     }
 
 
@@ -189,6 +194,7 @@ def scaling_cell(
         "n_seed_candidates": result.n_seed_candidates,
         "iterations": result.iterations,
         "time_s": result.runtime_s,
+        "timed_out": result.timed_out,
     }
 
 
@@ -257,6 +263,7 @@ def ablation_cell(
         "attack_success": bool(result.success),
         "exact_seed": result.recovered_seed == list(lock.seed),
         "time_s": result.runtime_s,
+        "timed_out": result.timed_out,
     }
 
 

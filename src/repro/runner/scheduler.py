@@ -12,6 +12,8 @@ nondeterminism.  Features:
   JSON, sharded, or SQLite) short-circuits cells whose
   (spec hash, code version) pair is already on disk, and absorbs every
   freshly computed cell -- an interrupted grid resumes where it stopped.
+  A result with a true ``timed_out`` (an attack that ran out of its
+  wall-clock budget) is reported but not stored.
 * Per-job ``timeout_s`` (enforced by an interval timer inside the
   worker) and ``retries`` re-submissions for transient failures
   (default 0: cells are deterministic, so an identical resubmission
@@ -172,7 +174,9 @@ def _finish(
     outcome.result = payload["result"]
     outcome.duration_s = payload["duration_s"]
     outcome.span = payload.get("span")
-    if store is not None:
+    # A timed-out attack's verdict depends on the machine that ran it, so
+    # it is reported but never cached under the machine-independent key.
+    if store is not None and not outcome.result.get("timed_out"):
         store.put(outcome.spec, outcome.result, duration_s=outcome.duration_s)
     if observer is not None:
         observer.finished(outcome)

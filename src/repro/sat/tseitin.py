@@ -14,8 +14,9 @@ Two layers:
   gate-walk and dict churn a single time per circuit.
 * :class:`CircuitEncoder` stamps template copies into a shared
   :class:`Cnf`.  Stamping is pure integer translation (one fresh-variable
-  block plus a literal lookup table per copy), which is what makes
-  per-DIP miter extension cheap.
+  block plus a signed literal lookup table per copy, indexed directly by
+  each local literal), which is what makes per-DIP miter extension
+  cheap.
 """
 
 from __future__ import annotations
@@ -269,7 +270,9 @@ class CircuitEncoder:
             net_vars[prefix + net] = var
             mapping[net] = var
 
-        append = cnf.clauses.append
-        for clause in template.clauses:
-            append(tuple(lut[l] if l > 0 else -lut[-l] for l in clause))
+        # Signed table: append the negated entries in reverse, so Python's
+        # negative indexing maps literal -l to lut[-l] == -lut[l].
+        lut += [-var for var in lut[:0:-1]]
+        get = lut.__getitem__
+        cnf.clauses.extend([tuple(map(get, clause)) for clause in template.clauses])
         return mapping

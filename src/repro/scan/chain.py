@@ -95,20 +95,17 @@ def shift_cycle(
     """One shift edge: returns the new chain state.
 
     ``key`` is the dynamic key in effect during this edge, one entry per
-    key gate.
+    key gate.  Every bit moves one position towards scan-out; only the
+    bits crossing a key gate are touched again, so an edge costs one
+    list copy plus O(key gates) ``xor`` calls, made in position order.
     """
     if len(state) != spec.n_flops:
         raise ValueError("state length does not match chain length")
     if len(key) < spec.n_keygates:
         raise ValueError("key vector shorter than the number of key gates")
-    new_state: list[Bit] = [scan_in_bit]
-    gate_lookup = {pos: g for g, pos in enumerate(spec.keygate_positions)}
-    for p in range(spec.n_flops - 1):
-        bit = state[p]
-        gate = gate_lookup.get(p)
-        if gate is not None:
-            bit = xor(bit, key[gate])
-        new_state.append(bit)
+    new_state = [scan_in_bit, *state[:-1]]
+    for gate, pos in enumerate(spec.keygate_positions):
+        new_state[pos + 1] = xor(state[pos], key[gate])
     return new_state
 
 

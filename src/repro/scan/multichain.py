@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.netlist.netlist import Netlist, NetlistError
+from repro.scan.chain import ScanChainSpec, shift_cycle, xor_int
 from repro.scan.oracle import KeystreamLike, ScanResponse
 from repro.sim.seqsim import SequentialSimulator
 
@@ -117,7 +118,9 @@ class MultiChainScanOracle:
 
     API mirrors :class:`repro.scan.oracle.ScanOracle`: patterns and
     responses use the *global* flop order, padding and per-chain routing
-    are internal.
+    are internal.  Each chain shifts through
+    :func:`repro.scan.chain.shift_cycle`, the shift the single-chain
+    oracle and the attack model share.
     """
 
     def __init__(
@@ -139,6 +142,20 @@ class MultiChainScanOracle:
         self.obfuscation_enabled = obfuscation_enabled
         self._sim = SequentialSimulator(netlist)
         self.query_count = 0
+        # Per chain: its single-chain geometry and the global key index
+        # of each of its key gates, in position order.
+        self._chains: list[tuple[ScanChainSpec, tuple[int, ...]]] = []
+        for chain, length in enumerate(spec.chain_lengths):
+            gates = spec.gates_in_chain(chain)
+            self._chains.append(
+                (
+                    ScanChainSpec(
+                        n_flops=length,
+                        keygate_positions=tuple(pos for _, pos in gates),
+                    ),
+                    tuple(key_index for key_index, _ in gates),
+                )
+            )
 
     def _split(self, bits: Sequence[int]) -> list[list[int]]:
         chunks: list[list[int]] = []
@@ -156,19 +173,14 @@ class MultiChainScanOracle:
     ) -> list[list[int]]:
         """One simultaneous shift edge across every chain."""
         new_states: list[list[int]] = []
-        for chain, state in enumerate(states):
-            gates = dict(
-                (position, key_index)
-                for key_index, position in self.spec.gates_in_chain(chain)
-            )
-            new_state = [scan_in_bits[chain]]
-            for p in range(len(state) - 1):
-                bit = state[p]
-                key_index = gates.get(p)
-                if key_index is not None and self.obfuscation_enabled:
-                    bit ^= key[key_index]
-                new_state.append(bit)
-            new_states.append(new_state)
+        for (chain_spec, key_indices), state, bit in zip(
+            self._chains, states, scan_in_bits
+        ):
+            if self.obfuscation_enabled:
+                chain_key = [key[i] for i in key_indices]
+            else:
+                chain_key = [0] * len(key_indices)
+            new_states.append(shift_cycle(chain_spec, state, bit, chain_key, xor_int))
         return new_states
 
     def query(

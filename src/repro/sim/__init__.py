@@ -2,8 +2,9 @@
 
 Two simulators share the netlist IR:
 
-* :mod:`repro.sim.logicsim` — combinational evaluation, scalar and
-  numpy-vectorised (many patterns at once);
+* :mod:`repro.sim.logicsim` — combinational evaluation: the scalar
+  reference walk, and one lowered two-operand gate program that runs on
+  one-lane bits, packed lane words or numpy columns;
 * :mod:`repro.sim.seqsim` — cycle-accurate sequential simulation with
   explicit flip-flop state, used as ground truth for the scan oracle.
 """

@@ -1,24 +1,50 @@
 """Combinational logic evaluation.
 
-Three paths share one gate semantics:
+One reference walk and one lowered program share the gate semantics of
+:mod:`repro.netlist.gates`:
 
-* the scalar path (:func:`evaluate`) is the reference;
-* the numpy path (:meth:`CombinationalSimulator.run_many`) evaluates a
-  uint8 pattern matrix, one byte per pattern-bit;
-* the packed path (:class:`BitParallelSimulator`) pre-compiles the
-  netlist to a flat instruction list over dense net indices and
-  evaluates up to 64 patterns (lanes) per Python bitwise operation —
-  the fast substrate under brute-force candidate refinement and fault
-  simulation, where thousands of patterns are replayed per circuit.
+* :func:`evaluate` walks the topological gate list one scalar bit at a
+  time.  It is the reference every other path is tested against.
+* :func:`program_for` lowers a netlist once into a :class:`GateProgram`,
+  a flat list of two-operand instructions ``(op, out, a, b)`` over dense
+  slots, with ``op`` one of :func:`operator.and_`, :func:`operator.or_`
+  and :func:`operator.xor`.  Every simulator runs it with the same loop,
+  ``slots[out] = op(slots[a], slots[b])``, on whatever its slots hold:
+  one-lane ints (:meth:`CombinationalSimulator.run`, hence
+  :class:`~repro.sim.seqsim.SequentialSimulator` and every scan
+  oracle's capture edge), packed lane words (:class:`BitParallelSimulator`,
+  under brute-force replay, fault simulation and SAT sweeping), or uint8
+  numpy columns (:meth:`CombinationalSimulator.run_many`).
+
+Slot layout: the primary inputs, then the DFF Q nets, then one slot per
+gate output in topological order, then two reserved slots -- the lane
+mask (all lanes 1) and the constant 0.  Lowering:
+
+* AND/OR/XOR chain their inputs pairwise, accumulating in the gate's own
+  output slot (nothing reads that slot before the gate's last
+  instruction, because the order is topological);
+* NAND/NOR/XNOR add one XOR with the mask slot; NOT is one XOR with it;
+* BUF is an OR with the zero slot, CONST0/CONST1 OR the zero or mask
+  slot with the zero slot;
+* MUX(sel, in0, in1) is ``in0 ^ (sel & (in0 ^ in1))``, three instructions.
+
+Programs are cached per netlist object and
+:attr:`~repro.netlist.netlist.Netlist.version` (like the Tseitin templates
+of :func:`repro.sat.tseitin.encoding_for`) and built on first use, so a
+simulator nobody runs costs nothing and every simulator of one netlist
+shares one program.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.netlist.gates import GateType, evaluate_gate, evaluate_gate_vec
+from repro.netlist.gates import GateType, evaluate_gate
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.util.bitvec import (
     PACK_WORD_BITS,
@@ -40,20 +66,36 @@ def evaluate(
     the full net -> bit valuation, from which callers read outputs or DFF D
     pins.
     """
-    values: dict[str, int] = {}
-    for net in netlist.inputs:
-        if net not in input_values:
-            raise NetlistError(f"missing value for primary input {net!r}")
-        values[net] = _as_bit(input_values[net], net)
-    for q_net in netlist.dffs:
-        if state_values is None or q_net not in state_values:
-            raise NetlistError(f"missing state value for flip-flop {q_net!r}")
-        values[q_net] = _as_bit(state_values[q_net], q_net)
-
+    values = dict(
+        zip(netlist.inputs, _checked_bits(netlist.inputs, input_values, _NO_INPUT))
+    )
+    values.update(
+        zip(netlist.dffs, _checked_bits(netlist.dffs, state_values, _NO_STATE))
+    )
     for gate in netlist.topological_gates():
         operands = [values[n] for n in gate.inputs]
         values[gate.output] = evaluate_gate(gate.gtype, operands)
     return values
+
+
+_NO_INPUT = "missing value for primary input"
+_NO_STATE = "missing state value for flip-flop"
+
+#: Accepted scalar bit values -> the int stored (True, 1.0 and numpy
+#: integers hash like the ints they equal).
+_BIT = {0: 0, 1: 1}
+
+
+def _checked_bits(
+    nets: Sequence[str], values: Mapping[str, int] | None, missing: str
+) -> list[int]:
+    """``values`` of ``nets`` as 0/1 ints; NetlistError names the bad net."""
+    bits = []
+    for net in nets:
+        if values is None or net not in values:
+            raise NetlistError(f"{missing} {net!r}")
+        bits.append(_as_bit(values[net], net))
+    return bits
 
 
 def _as_bit(value: int, net: str) -> int:
@@ -62,23 +104,175 @@ def _as_bit(value: int, net: str) -> int:
     return int(value)
 
 
+# ----------------------------------------------------------------------
+# the lowered gate program
+# ----------------------------------------------------------------------
+Op = Callable[[Any, Any], Any]
+_AND, _OR, _XOR = operator.and_, operator.or_, operator.xor
+
+#: Chained gate type -> (pairwise op, whether the result is inverted).
+_CHAINS: dict[GateType, tuple[Op, bool]] = {
+    GateType.AND: (_AND, False),
+    GateType.NAND: (_AND, True),
+    GateType.OR: (_OR, False),
+    GateType.NOR: (_OR, True),
+    GateType.XOR: (_XOR, False),
+    GateType.XNOR: (_XOR, True),
+}
+
+
+@dataclass(frozen=True)
+class GateProgram:
+    """A netlist lowered to two-operand instructions (module docstring).
+
+    ``nets[s]`` names slot ``s`` and ``index`` is its inverse.  The
+    caller loads the ``free`` slots (``inputs``, then the DFF Q nets
+    ``states``) and appends the two reserved slots after the named ones:
+    the lane mask, then 0.  ``ends`` maps a gate-output slot to the
+    position just past its last instruction, where a forced word
+    replaces it.  ``version`` is the netlist version the program was
+    lowered from.
+    """
+
+    version: int
+    inputs: tuple[str, ...]
+    states: tuple[str, ...]
+    free: tuple[str, ...]
+    nets: tuple[str, ...]
+    index: Mapping[str, int]
+    code: tuple[tuple[Op, int, int, int], ...]
+    ends: Mapping[int, int]
+
+    def blank(self, fill: Any = 0) -> list:
+        """Placeholders for the gate-output slots (appended after the free ones)."""
+        return [fill] * (len(self.nets) - len(self.free))
+
+    def execute(self, slots: list, force: Mapping[int, Any] | None = None) -> None:
+        """Run the program over ``slots`` in place.
+
+        ``force`` maps slots to words that override them once their driver
+        has run (free slots before the first instruction): the program
+        runs up to the forced slot's last instruction, the word is stored,
+        and the run continues.
+        """
+        code = self.code
+        if not force:
+            _run(code, slots)
+            return
+        ends = self.ends
+        start = 0
+        for stop, slot in sorted((ends.get(slot, 0), slot) for slot in force):
+            _run(code[start:stop], slots)
+            slots[slot] = force[slot]
+            start = stop
+        _run(code[start:], slots)
+
+
+def _run(code: Sequence[tuple[Op, int, int, int]], slots: list) -> None:
+    for op, out, a, b in code:
+        slots[out] = op(slots[a], slots[b])
+
+
+def lower(netlist: Netlist) -> GateProgram:
+    """Lower ``netlist`` into a fresh :class:`GateProgram` (no cache)."""
+    inputs = tuple(netlist.inputs)
+    states = tuple(netlist.dffs)
+    order = netlist.topological_gates()
+    free = inputs + states
+    nets = free + tuple(gate.output for gate in order)
+    index = {net: slot for slot, net in enumerate(nets)}
+    mask, zero = len(nets), len(nets) + 1
+    code: list[tuple[Op, int, int, int]] = []
+    ends: dict[int, int] = {}
+    for gate in order:
+        out = index[gate.output]
+        ins = [index[net] for net in gate.inputs]
+        gtype = gate.gtype
+        if gtype is GateType.MUX:
+            sel, in0, in1 = ins
+            code.append((_XOR, out, in0, in1))
+            code.append((_AND, out, out, sel))
+            code.append((_XOR, out, out, in0))
+        elif gtype is GateType.NOT:
+            code.append((_XOR, out, ins[0], mask))
+        elif gtype is GateType.BUF:
+            code.append((_OR, out, ins[0], zero))
+        elif gtype is GateType.CONST0:
+            code.append((_OR, out, zero, zero))
+        elif gtype is GateType.CONST1:
+            code.append((_OR, out, mask, zero))
+        else:
+            op, invert = _CHAINS[gtype]
+            code.append((op, out, ins[0], ins[1]))
+            code.extend((op, out, out, x) for x in ins[2:])
+            if invert:
+                code.append((_XOR, out, out, mask))
+        ends[out] = len(code)
+    return GateProgram(
+        version=netlist.version,
+        inputs=inputs,
+        states=states,
+        free=free,
+        nets=nets,
+        index=index,
+        code=tuple(code),
+        ends=ends,
+    )
+
+
+_PROGRAM_CACHE: "WeakKeyDictionary[Netlist, GateProgram]" = WeakKeyDictionary()
+
+
+def program_for(netlist: Netlist) -> GateProgram:
+    """Cached :func:`lower`, keyed on the netlist object and its version.
+
+    Every mutator bumps :attr:`~repro.netlist.netlist.Netlist.version`, so
+    a netlist edited after lowering is lowered again on its next run.
+    """
+    program = _PROGRAM_CACHE.get(netlist)
+    if program is None or program.version != netlist.version:
+        program = lower(netlist)
+        _PROGRAM_CACHE[netlist] = program
+    return program
+
+
 class CombinationalSimulator:
     """Reusable evaluator for a fixed netlist.
 
-    Precomputes the topological order once; ``run`` then evaluates a single
-    pattern, and ``run_many`` evaluates a whole pattern matrix vectorised.
+    ``run`` evaluates one pattern (the program as a one-lane word) and
+    ``run_many`` a whole pattern matrix as uint8 numpy columns.  Both
+    follow the netlist's mutations: each run uses the program of the
+    netlist's current version.
     """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order = netlist.topological_gates()
+        self._program: GateProgram | None = None
+
+    def _lowered(self) -> GateProgram:
+        program = self._program
+        if program is None or program.version != self.netlist.version:
+            program = self._program = program_for(self.netlist)
+        return program
 
     def run(
         self,
         input_values: Mapping[str, int],
         state_values: Mapping[str, int] | None = None,
     ) -> dict[str, int]:
-        return evaluate(self.netlist, input_values, state_values)
+        """Same contract and errors as :func:`evaluate`."""
+        program = self._lowered()
+        try:
+            slots = [_BIT[input_values[net]] for net in program.inputs]
+            slots += [_BIT[state_values[net]] for net in program.states]
+        except (KeyError, TypeError):
+            # Missing or non-bit value: let the reference checks name it.
+            slots = _checked_bits(program.inputs, input_values, _NO_INPUT)
+            slots += _checked_bits(program.states, state_values, _NO_STATE)
+        slots += program.blank()
+        slots += (1, 0)
+        program.execute(slots)
+        return dict(zip(program.nets, slots))
 
     def run_outputs(
         self,
@@ -95,28 +289,21 @@ class CombinationalSimulator:
         every primary input *and* every DFF Q net.  Returns arrays for all
         nets.
         """
-        values: dict[str, np.ndarray] = {}
-        n_patterns: int | None = None
-        for net in list(self.netlist.inputs) + list(self.netlist.dffs):
+        program = self._lowered()
+        slots: list = []
+        for net in program.free:
             if net not in input_matrix:
                 raise NetlistError(f"missing pattern column for net {net!r}")
             arr = np.asarray(input_matrix[net], dtype=np.uint8)
-            if n_patterns is None:
-                n_patterns = arr.shape[0]
-            elif arr.shape[0] != n_patterns:
+            if slots and arr.shape[0] != slots[0].shape[0]:
                 raise NetlistError("pattern columns have inconsistent lengths")
-            values[net] = arr
-
-        const_shape = n_patterns if n_patterns is not None else 1
-        for gate in self._order:
-            if gate.gtype is GateType.CONST0:
-                values[gate.output] = np.zeros(const_shape, dtype=np.uint8)
-            elif gate.gtype is GateType.CONST1:
-                values[gate.output] = np.ones(const_shape, dtype=np.uint8)
-            else:
-                operands = [values[n] for n in gate.inputs]
-                values[gate.output] = evaluate_gate_vec(gate.gtype, operands)
-        return values
+            slots.append(arr)
+        n_patterns = slots[0].shape[0] if slots else 1
+        slots += program.blank(None)
+        slots.append(np.ones(n_patterns, dtype=np.uint8))
+        slots.append(np.zeros(n_patterns, dtype=np.uint8))
+        program.execute(slots)
+        return dict(zip(program.nets, slots))
 
 
 def evaluate_many(
@@ -129,39 +316,33 @@ def evaluate_many(
 class BitParallelSimulator:
     """Packed-integer bit-parallel evaluator for a fixed netlist.
 
-    Construction compiles the netlist once: every net gets a dense index
-    and the topological gate order becomes a flat instruction list, so
-    each evaluation is a straight-line pass of Python bitwise operations
-    with no dict lookups.  A *lane* is one pattern; all lanes of a net
-    live in one ``int`` (bit ``j`` = lane ``j``), so a 64-lane run
-    evaluates 64 patterns for the cost of one.
+    Runs the netlist's :class:`GateProgram` on packed words: a *lane* is
+    one pattern, and all lanes of a net live in one ``int`` (bit ``j`` =
+    lane ``j``), so a 64-lane run evaluates 64 patterns for the cost of
+    one.
 
     Flip-flop Q nets are treated as extra inputs, mirroring
-    :meth:`CombinationalSimulator.run_many`.
+    :meth:`CombinationalSimulator.run_many`.  The primary-output slots
+    are resolved per simulator when it takes up a program, because
+    assigning ``netlist.outputs`` directly does not bump the version.
     """
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._free_nets = list(netlist.inputs) + list(netlist.dffs)
-        index: dict[str, int] = {}
-        for net in self._free_nets:
-            index[net] = len(index)
-        order = netlist.topological_gates()
-        for gate in order:
-            if gate.output not in index:
-                index[gate.output] = len(index)
-        self._net_index = index
-        self._n_nets = len(index)
-        self._program: list[tuple[GateType, int, tuple[int, ...]]] = [
-            (gate.gtype, index[gate.output], tuple(index[n] for n in gate.inputs))
-            for gate in order
-        ]
-        self._output_index = [index[net] for net in netlist.outputs]
+        self._program: GateProgram | None = None
+        self._output_index: list[int] = []
+
+    def _lowered(self) -> GateProgram:
+        program = self._program
+        if program is None or program.version != self.netlist.version:
+            program = self._program = program_for(self.netlist)
+            self._output_index = [program.index[net] for net in self.netlist.outputs]
+        return program
 
     @property
     def net_index(self) -> Mapping[str, int]:
-        """Net name -> dense slot index (stable for this simulator)."""
-        return self._net_index
+        """Net name -> dense slot index (stable for this netlist version)."""
+        return self._lowered().index
 
     def run_packed(
         self,
@@ -177,68 +358,30 @@ class BitParallelSimulator:
         stuck-at injection hook used by fault simulation.  Returns the
         packed word of every net.
         """
-        slots = self._run_slots(packed_inputs, n_lanes, force)
-        return {net: slots[slot] for net, slot in self._net_index.items()}
+        program = self._lowered()
+        slots = self._run_slots(program, packed_inputs, n_lanes, force)
+        return dict(zip(program.nets, slots))
 
     def _run_slots(
         self,
+        program: GateProgram,
         packed_inputs: Mapping[str, int],
         n_lanes: int,
-        force: Mapping[str, int] | None = None,
+        force: Mapping[str, int] | None,
     ) -> list[int]:
-        """Straight-line packed evaluation; returns the raw slot array."""
+        """Packed evaluation; returns the raw slot array."""
         mask = lane_mask(n_lanes)
-        slots = [0] * self._n_nets
-        index = self._net_index
-        for net in self._free_nets:
-            word = packed_inputs.get(net)
-            if word is None:
-                raise NetlistError(f"missing packed value for net {net!r}")
-            slots[index[net]] = word & mask
-
-        force_slots: dict[int, int] | None = None
+        try:
+            slots = [packed_inputs[net] & mask for net in program.free]
+        except KeyError:
+            missing = next(net for net in program.free if net not in packed_inputs)
+            raise NetlistError(f"missing packed value for net {missing!r}") from None
+        slots += program.blank()
+        slots += (mask, 0)
+        forced = None
         if force:
-            force_slots = {index[net]: word & mask for net, word in force.items()}
-            for slot, word in force_slots.items():
-                slots[slot] = word
-
-        for gtype, out, ins in self._program:
-            if gtype is GateType.AND or gtype is GateType.NAND:
-                acc = slots[ins[0]]
-                for i in ins[1:]:
-                    acc &= slots[i]
-                if gtype is GateType.NAND:
-                    acc ^= mask
-            elif gtype is GateType.OR or gtype is GateType.NOR:
-                acc = slots[ins[0]]
-                for i in ins[1:]:
-                    acc |= slots[i]
-                if gtype is GateType.NOR:
-                    acc ^= mask
-            elif gtype is GateType.XOR or gtype is GateType.XNOR:
-                acc = slots[ins[0]]
-                for i in ins[1:]:
-                    acc ^= slots[i]
-                if gtype is GateType.XNOR:
-                    acc ^= mask
-            elif gtype is GateType.NOT:
-                acc = slots[ins[0]] ^ mask
-            elif gtype is GateType.BUF:
-                acc = slots[ins[0]]
-            elif gtype is GateType.MUX:
-                sel = slots[ins[0]]
-                acc = (slots[ins[1]] & ~sel) | (slots[ins[2]] & sel)
-                acc &= mask
-            elif gtype is GateType.CONST0:
-                acc = 0
-            else:  # CONST1
-                acc = mask
-            if force_slots is not None:
-                forced = force_slots.get(out)
-                if forced is not None:
-                    acc = forced
-            slots[out] = acc
-
+            forced = {program.index[net]: word & mask for net, word in force.items()}
+        program.execute(slots, forced)
         return slots
 
     def run_packed_outputs(
@@ -252,7 +395,8 @@ class BitParallelSimulator:
         Skips the name -> word dict entirely — this is the per-fault hot
         path of fault simulation.
         """
-        slots = self._run_slots(packed_inputs, n_lanes, force)
+        program = self._lowered()
+        slots = self._run_slots(program, packed_inputs, n_lanes, force)
         return [slots[slot] for slot in self._output_index]
 
     def run_patterns(
@@ -268,7 +412,7 @@ class BitParallelSimulator:
         partial.
         """
         results: list[list[int]] = []
-        nets = self._free_nets
+        nets = self._lowered().free
         for start in range(0, len(patterns), PACK_WORD_BITS):
             chunk = patterns[start : start + PACK_WORD_BITS]
             n_lanes = len(chunk)

@@ -317,6 +317,45 @@ class TestTable2ThroughRunner:
         assert all(store.get(s) is None for s in specs)
 
 
+class TestTimedOutCellsAreNotStored:
+    """A verdict that depends on the machine's speed never enters the store."""
+
+    class RacingClock:
+        """Stands in for the attack's ``time`` module: each reading is an
+        hour after the last, so the wall-clock budget is spent at once."""
+
+        def __init__(self):
+            self.now = 0.0
+
+        def perf_counter(self):
+            self.now += 3600.0
+            return self.now
+
+    def test_timed_out_cell_is_reported_but_not_stored(self, tmp_path, monkeypatch):
+        from repro.attack import satattack
+
+        monkeypatch.setattr(satattack, "time", self.RacingClock())
+        store = ResultStore(tmp_path)
+        specs = table2_specs(QUICK, ["s5378"])
+        report = run_jobs(specs, jobs=1, store=store)
+        assert report.n_computed == len(specs)
+        for outcome in report.outcomes:
+            assert outcome.ok
+            assert outcome.result["timed_out"] is True
+            assert outcome.result["iterations"] == 0
+            assert store.get(outcome.spec) is None
+        assert len(store) == 0
+
+    def test_cell_within_budget_is_stored(self, tmp_path):
+        store = ResultStore(tmp_path)
+        specs = table2_specs(QUICK, ["s5378"])
+        report = run_jobs(specs, jobs=1, store=store)
+        for outcome in report.outcomes:
+            assert outcome.result["timed_out"] is False
+            assert store.get(outcome.spec) == outcome.result
+        assert len(store) == len(specs)
+
+
 class TestArtifacts:
     HEADERS = ["Benchmark", "Time (s)"]
     ROWS = [["s5378", 1.25], ["b17", 2.5]]

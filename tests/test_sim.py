@@ -10,7 +10,12 @@ from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.bench_suite.iscas import s27_netlist
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.sim.logicsim import CombinationalSimulator, evaluate, evaluate_many
+from repro.sim.logicsim import (
+    BitParallelSimulator,
+    CombinationalSimulator,
+    evaluate,
+    evaluate_many,
+)
 from repro.sim.seqsim import SequentialSimulator
 from repro.util.bitvec import random_bits
 
@@ -159,3 +164,238 @@ class TestSequentialSimulator:
         t1 = SequentialSimulator(s27_netlist()).run(inputs)
         t2 = SequentialSimulator(s27_netlist()).run(inputs)
         assert t1 == t2
+
+
+# ----------------------------------------------------------------------
+# the lowered gate program against the scalar reference walk
+# ----------------------------------------------------------------------
+def random_netlist(seed: int, n_inputs: int = 5, n_dffs: int = 4, n_gates: int = 40):
+    """A netlist using every gate type, wide chained gates and flip-flops.
+
+    It always holds a 3-input NAND ``nand3`` and a MUX ``mux`` (gates that
+    lower to several instructions), which later gates may read.
+    """
+    rng = random.Random(seed)
+    netlist = Netlist(f"rand{seed}")
+    nets = [netlist.add_input(f"i{k}") for k in range(n_inputs)]
+    nets += [f"q{k}" for k in range(n_dffs)]
+    netlist.add_gate("nand3", GateType.NAND, ["i0", "i1", "q0"])
+    netlist.add_gate("mux", GateType.MUX, ["i2", "nand3", "q1"])
+    nets += ["nand3", "mux"]
+    types = list(GateType) * (n_gates // len(GateType) + 1)
+    rng.shuffle(types)
+    for g, gtype in enumerate(types[:n_gates]):
+        if gtype in (GateType.CONST0, GateType.CONST1):
+            ins = []
+        elif gtype in (GateType.NOT, GateType.BUF):
+            ins = [rng.choice(nets)]
+        elif gtype is GateType.MUX:
+            ins = [rng.choice(nets) for _ in range(3)]
+        else:
+            ins = [rng.choice(nets) for _ in range(rng.randint(2, 5))]
+        netlist.add_gate(f"g{g}", gtype, ins)
+        nets.append(f"g{g}")
+    gate_nets = nets[n_inputs + n_dffs:]
+    for k in range(n_dffs):
+        netlist.add_dff(f"q{k}", rng.choice(gate_nets))
+    netlist.set_outputs(rng.sample(gate_nets, 4))
+    return netlist
+
+
+def random_assignment(netlist: Netlist, rng: random.Random):
+    inputs = {net: rng.randrange(2) for net in netlist.inputs}
+    state = {net: rng.randrange(2) for net in netlist.dffs}
+    return inputs, state
+
+
+def redriven(netlist: Netlist, forced: dict[str, int]) -> Netlist:
+    """A copy whose ``forced`` nets are driven by constant gates."""
+    const = {0: GateType.CONST0, 1: GateType.CONST1}
+    copy = Netlist(netlist.name)
+    for net in netlist.inputs:
+        if net in forced:
+            copy.add_gate(net, const[forced[net]], [])
+        else:
+            copy.add_input(net)
+    for gate in netlist.gates.values():
+        if gate.output in forced:
+            copy.add_gate(gate.output, const[forced[gate.output]], [])
+        else:
+            copy.add_gate(gate.output, gate.gtype, gate.inputs)
+    for dff in netlist.dffs.values():
+        copy.add_dff(dff.q, dff.d)
+    copy.set_outputs(netlist.outputs)
+    return copy
+
+
+def packed_assignment(netlist: Netlist, rng: random.Random, n_lanes: int):
+    """Random packed words for every free net, plus each lane's scalars."""
+    free = list(netlist.inputs) + list(netlist.dffs)
+    words = {net: rng.getrandbits(n_lanes) for net in free}
+    lanes = [
+        (
+            {net: (words[net] >> j) & 1 for net in netlist.inputs},
+            {net: (words[net] >> j) & 1 for net in netlist.dffs},
+        )
+        for j in range(n_lanes)
+    ]
+    return words, lanes
+
+
+class TestGateProgramMatchesEvaluate:
+    SEEDS = range(12)
+
+    def test_every_gate_type_is_exercised(self):
+        used = {g.gtype for g in random_netlist(0).gates.values()}
+        assert used == set(GateType)
+        wide = [g for g in random_netlist(0).gates.values() if len(g.inputs) > 2]
+        assert {g.gtype for g in wide} >= {GateType.NAND, GateType.MUX}
+
+    def test_run_matches_evaluate(self):
+        rng = random.Random(0)
+        for seed in self.SEEDS:
+            netlist = random_netlist(seed)
+            sim = CombinationalSimulator(netlist)
+            for _ in range(8):
+                inputs, state = random_assignment(netlist, rng)
+                got = sim.run(inputs, state)
+                # Same nets, same bits, same order.
+                assert list(got.items()) == list(
+                    evaluate(netlist, inputs, state).items()
+                )
+                assert all(type(bit) is int for bit in got.values())
+
+    def test_sequential_step_matches_evaluate(self):
+        rng = random.Random(1)
+        for seed in self.SEEDS:
+            netlist = random_netlist(seed)
+            sim = SequentialSimulator(netlist)
+            for _ in range(6):
+                inputs = {net: rng.randrange(2) for net in netlist.inputs}
+                before = sim.get_state()
+                expected = evaluate(netlist, inputs, before)
+                assert sim.step(inputs) == expected
+                assert sim.get_state() == {
+                    q: expected[dff.d] for q, dff in netlist.dffs.items()
+                }
+
+    @pytest.mark.parametrize("n_lanes", [1, 64, 130])
+    def test_packed_lanes_match_evaluate(self, n_lanes):
+        rng = random.Random(n_lanes)
+        for seed in self.SEEDS:
+            netlist = random_netlist(seed)
+            words, lanes = packed_assignment(netlist, rng, n_lanes)
+            values = BitParallelSimulator(netlist).run_packed(words, n_lanes)
+            for j, (inputs, state) in enumerate(lanes):
+                reference = evaluate(netlist, inputs, state)
+                assert values.keys() == reference.keys()
+                for net, bit in reference.items():
+                    assert (values[net] >> j) & 1 == bit, (seed, j, net)
+            assert all(word >> n_lanes == 0 for word in values.values())
+
+    def test_run_many_matches_evaluate(self):
+        rng = random.Random(2)
+        netlist = random_netlist(5)
+        n_patterns = 9
+        assignments = [random_assignment(netlist, rng) for _ in range(n_patterns)]
+        columns = {
+            net: np.array(
+                [{**inputs, **state}[net] for inputs, state in assignments],
+                dtype=np.uint8,
+            )
+            for net in list(netlist.inputs) + list(netlist.dffs)
+        }
+        values = CombinationalSimulator(netlist).run_many(columns)
+        for p, (inputs, state) in enumerate(assignments):
+            for net, bit in evaluate(netlist, inputs, state).items():
+                assert int(values[net][p]) == bit, (p, net)
+
+
+class TestGateProgramForce:
+    """``force=`` overrides a net after its driver, like a stuck-at fault."""
+
+    N_LANES = 64
+
+    def check_force(self, netlist, forced):
+        rng = random.Random(len(forced))
+        mask = (1 << self.N_LANES) - 1
+        words, lanes = packed_assignment(netlist, rng, self.N_LANES)
+        sim = BitParallelSimulator(netlist)
+        force = {net: mask if bit else 0 for net, bit in forced.items()}
+        values = sim.run_packed(words, self.N_LANES, force=force)
+        outputs = sim.run_packed_outputs(words, self.N_LANES, force=force)
+        assert outputs == [values[net] for net in netlist.outputs]
+        copy = redriven(netlist, forced)
+        for j, (inputs, state) in enumerate(lanes):
+            inputs = {k: v for k, v in inputs.items() if k not in forced}
+            reference = evaluate(copy, inputs, state)
+            for net in values:
+                assert (values[net] >> j) & 1 == reference[net], (forced, j, net)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_force_primary_input(self, seed):
+        self.check_force(random_netlist(seed), {"i0": 1})
+        self.check_force(random_netlist(seed), {"i1": 0})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_force_multi_instruction_gates(self, seed):
+        netlist = random_netlist(seed)
+        for bit in (0, 1):
+            self.check_force(netlist, {"nand3": bit})
+            self.check_force(netlist, {"mux": bit})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_force_two_nets_at_once(self, seed):
+        netlist = random_netlist(seed)
+        self.check_force(netlist, {"mux": 1, "nand3": 0})
+        self.check_force(netlist, {"g7": 0, "i2": 1})
+
+
+class TestGateProgramFollowsMutation:
+    def test_add_gate_after_a_run(self):
+        netlist = tiny_circuit()
+        sim = CombinationalSimulator(netlist)
+        pattern = {"a": 1, "b": 0}
+        assert "z" not in sim.run(pattern)
+        netlist.add_gate("z", GateType.NOR, ["y", "b", "n"])
+        assert sim.run(pattern) == evaluate(netlist, pattern)
+        assert "z" in sim.run(pattern)
+
+    def test_set_outputs_after_a_run(self):
+        netlist = tiny_circuit()
+        sim = CombinationalSimulator(netlist)
+        packed = BitParallelSimulator(netlist)
+        pattern = {"a": 1, "b": 1}
+        assert sim.run_outputs(pattern) == [1]
+        assert packed.run_packed_outputs({"a": 1, "b": 1}, 1) == [1]
+        netlist.set_outputs(["n", "y"])
+        reference = evaluate(netlist, pattern)
+        assert sim.run_outputs(pattern) == [reference["n"], reference["y"]]
+        assert packed.run_packed_outputs({"a": 1, "b": 1}, 1) == [0, 1]
+
+
+class TestRunKeepsEvaluateChecks:
+    def test_missing_input(self):
+        with pytest.raises(NetlistError, match="primary input 'b'"):
+            CombinationalSimulator(tiny_circuit()).run({"a": 1})
+
+    def test_missing_state(self):
+        sim = CombinationalSimulator(s27_netlist())
+        inputs = {"G0": 0, "G1": 0, "G2": 0, "G3": 0}
+        with pytest.raises(NetlistError, match="flip-flop"):
+            sim.run(inputs)
+        with pytest.raises(NetlistError, match="flip-flop"):
+            sim.run(inputs, {"G5": 0})
+
+    def test_non_bit_rejected(self):
+        sim = CombinationalSimulator(tiny_circuit())
+        with pytest.raises(NetlistError, match="0/1"):
+            sim.run({"a": 2, "b": 0})
+        with pytest.raises(NetlistError, match="0/1"):
+            sim.run({"a": [1], "b": 0})
+
+    def test_bit_like_values_become_ints(self):
+        sim = CombinationalSimulator(tiny_circuit())
+        values = sim.run({"a": True, "b": np.uint8(1)})
+        assert values == evaluate(tiny_circuit(), {"a": 1, "b": 1})
+        assert all(type(bit) is int for bit in values.values())
