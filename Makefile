@@ -23,7 +23,7 @@
 #                           when optimization slows the total attack time
 #                           by >10% or changes any attack outcome
 #   make store-bench      - head-to-head result-store benchmark (json vs
-#                           sharded vs sqlite backends); writes
+#                           sqlite backends); writes
 #                           BENCH_store.json to $(STORE_BENCH_DIR) and
 #                           fails when the default json backend's
 #                           put+get path regresses >25% against

@@ -52,8 +52,8 @@ class SatAttackConfig:
     """Attack knobs.
 
     ``opt_level`` selects the :mod:`repro.opt` preprocessing level the
-    locked netlist is rewritten at before encoding (None = the active
-    default, 0 = encode the raw netlist).  Because the optimizer pins
+    locked netlist is rewritten at before encoding (None = the default
+    level, 0 = encode the raw netlist).  Because the optimizer pins
     the full I/O interface, recovered keys are unaffected -- only the
     encoded clause count and simulation cost change.
     """

@@ -25,8 +25,7 @@ paper's Table I expectations (``--no-check-paper`` to disable).
 
 Attacks preprocess their locked netlists through the :mod:`repro.opt`
 optimizer by default; ``--no-opt`` (or ``--opt-level 0``) on any attack
-or grid command is the escape hatch, ``--opt-level 2`` adds SAT
-sweeping, and ``REPRO_OPT_LEVEL`` changes the process-wide default.
+or grid command is the escape hatch.
 
 All table commands accept ``--profile quick|full|paper`` (or the
 ``REPRO_PROFILE`` environment variable) plus the runner surfaces:
@@ -38,7 +37,7 @@ stale cells -- pass ``--no-resume`` to force recomputation; and
 ``--emit-json DIR`` writes ``BENCH_<experiment>.json`` + ``.csv``
 artifacts that CI uploads and diffs against the checked-in baseline.
 
-The result store is pluggable: ``--cache-backend json|sharded|sqlite``
+The result store is pluggable: ``--cache-backend json|sqlite``
 (or ``$REPRO_CACHE_BACKEND``) selects the backend on every grid/fuzz
 command, ``dynunlock cache`` inspects, garbage-collects, prunes, and
 migrates caches, and ``dynunlock store-bench`` measures the backends
@@ -84,6 +83,7 @@ from repro.bench_suite.registry import (
     get_benchmark,
 )
 from repro.locking.effdyn import lock_with_effdyn
+from repro.opt import DEFAULT_LEVEL, MAX_LEVEL
 from repro.reports.experiments import GRID
 from repro.reports.profiles import PROFILES, active_profile
 from repro.reports.tables import render_table
@@ -96,6 +96,9 @@ from repro.runner.stores import (
     open_store,
     resolve_backend,
 )
+
+#: The ``--opt-level`` / ``opt --level`` choices.
+OPT_LEVELS = tuple(range(MAX_LEVEL + 1))
 
 
 def _progress(message: str) -> None:
@@ -848,7 +851,7 @@ def cmd_opt_bench(args: argparse.Namespace) -> int:
     """``dynunlock opt-bench``: measure the optimized vs raw attack pipeline.
 
     Runs the Table II grid twice -- once with optimization disabled,
-    once at the requested level -- cache-less so the timings are honest.
+    once at the default level -- cache-less so the timings are honest.
     Both arms go through one scheduler run that alternates them cell by
     cell, so a burst of host noise lands on both arms rather than on
     one.  Then it writes ``BENCH_opt.json`` and fails
@@ -857,16 +860,13 @@ def cmd_opt_bench(args: argparse.Namespace) -> int:
     attack outcome (success / exact-seed bits).
     """
     from repro.core.modeling import build_combinational_model
-    from repro.opt import optimize, resolve_level
+    from repro.opt import optimize
     from repro.reports.cells import build_table2_lock
     from repro.reports.experiments import adapt_progress, table2_specs
     from repro.runner.scheduler import run_jobs
 
     profile = _profile_from_args(args)
-    level = resolve_level(args.level)
-    if level == 0:
-        print("opt-bench needs a non-zero --level to compare", file=sys.stderr)
-        return 2
+    level = DEFAULT_LEVEL
     benchmarks = args.benchmarks or None
     jobs = _jobs_from_args(args)
 
@@ -1277,9 +1277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_opt(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--opt-level", type=int, choices=(0, 1, 2), default=None,
+            "--opt-level", type=int, choices=OPT_LEVELS, default=None,
             help="netlist-optimization preprocessing level "
-                 "(default: $REPRO_OPT_LEVEL or 1; 2 adds SAT sweeping)",
+                 f"(default: {DEFAULT_LEVEL})",
         )
         p.add_argument(
             "--no-opt", dest="opt_level", action="store_const", const=0,
@@ -1391,8 +1391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("benchmark")
     p.add_argument("--scale", type=int, default=None,
                    help="flop-count divisor (default: the profile's scale)")
-    p.add_argument("--level", type=int, choices=(0, 1, 2), default=None,
-                   help="optimization level (default: $REPRO_OPT_LEVEL or 1)")
+    p.add_argument("--level", type=int, choices=OPT_LEVELS, default=None,
+                   help=f"optimization level (default: {DEFAULT_LEVEL})")
     p.add_argument("--key-bits", type=int, default=None)
     p.add_argument("--lock-seed", type=int, default=0)
     p.add_argument("--emit-json", default=None, metavar="DIR",
@@ -1409,9 +1409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the grid to these benchmarks (default: all of "
              "Table II)",
     )
-    p.add_argument("--level", type=int, choices=(1, 2), default=None,
-                   help="optimization level of the opt arm "
-                        "(default: $REPRO_OPT_LEVEL or 1)")
     p.add_argument(
         "--threshold", type=float, default=0.10, metavar="FRACTION",
         help="fail when opt total time exceeds no-opt by this fraction "

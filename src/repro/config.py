@@ -94,6 +94,12 @@ def _positive(value: Any) -> str | None:
     return None
 
 
+def _opt_level(value: Any) -> str | None:
+    from repro.opt import MAX_LEVEL
+
+    return _int_range(0, MAX_LEVEL)(value)
+
+
 def _known_profile(value: Any) -> str | None:
     from repro.reports.profiles import PROFILES
 
@@ -150,9 +156,7 @@ def _known_benchmarks(value: Any) -> str | None:
 #: closures with lazy imports so loading this module stays cheap.
 SCHEMA: dict[str, Field] = {
     "profile": Field("str", "experiment size profile", _known_profile),
-    "opt_level": Field(
-        "int", "netlist-optimization level", _int_range(0, 2)
-    ),
+    "opt_level": Field("int", "netlist-optimization level", _opt_level),
     "cache.backend": Field("str", "result-store backend", _known_backend),
     "cache.dir": Field("str", "result-store location"),
     "cache.resume": Field("bool", "reuse cached cells"),

@@ -49,7 +49,7 @@ class DynUnlockConfig:
     sets the replay budget of the brute-force step.  ``opt_level``
     selects the :mod:`repro.opt` preprocessing level the combinational
     model is rewritten at before SAT encoding and bit-parallel replay
-    (None = the active default, 0 = attack the raw model); the
+    (None = the default level, 0 = attack the raw model); the
     optimizer pins the model's interface, so recovered seeds are
     identical at every level.
     """

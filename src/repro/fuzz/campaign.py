@@ -78,12 +78,11 @@ def sample_trial_params(
     campaign seed and the trial index; the resulting dict is flat and
     JSON-safe so it can live in a :class:`JobSpec` and a corpus entry.
 
-    The *active* netlist-optimization level is captured into the params
+    The resolved netlist-optimization level is captured into the params
     (not sampled): it participates in the spec hash and is persisted in
     every crash-corpus entry, so ``fuzz-replay`` re-runs a shrunk trial
-    through the same optimization pipeline that was live when the
-    failure was recorded -- replays stay reproducible even after the
-    process-wide default changes.
+    at the level the failure was recorded at -- replays stay
+    reproducible even after the default level changes.
     """
     from repro.opt import resolve_level
 
@@ -141,12 +140,11 @@ def fuzz_cell(
 
     ``opt_level`` is the optimization level the trial's attack runs at
     (recorded by :func:`sample_trial_params`, persisted in corpus
-    entries); the opt-equivalence invariant always checks every live
-    level on the sampled circuit, so the SAT sweep is fuzzed even when
-    attacks preprocess at the cheaper default.
+    entries); the opt-equivalence invariant checks the optimizer on the
+    sampled circuit whatever level the attack runs at.
     """
     from repro.matrix.registry import call_attack
-    from repro.opt import MAX_LEVEL, resolve_level
+    from repro.opt import resolve_level
 
     config = config_from_dict(
         {
@@ -177,12 +175,7 @@ def fuzz_cell(
         "queries": 0,
         "violations": [],
     }
-    violations = [
-        v.as_dict()
-        for v in check_opt_equivalence(
-            netlist, rng, levels=range(1, MAX_LEVEL + 1)
-        )
-    ]
+    violations = [v.as_dict() for v in check_opt_equivalence(netlist, rng)]
     try:
         lock = defense_spec.build(netlist, kb, rng)
     except ValueError as exc:
@@ -340,7 +333,7 @@ def run_campaign(
     (already-dispatched chunks finish).  Violations are shrunk (up to
     ``shrink_limit`` of them) and written to ``corpus_dir`` when given.
     ``opt_level`` overrides the optimization level recorded into every
-    trial (None = the active default).  ``observer`` (a
+    trial (None = the default level).  ``observer`` (a
     :class:`~repro.observability.session.RunObserver`) instruments the
     trial scheduling; the invariant checks and shrinking run in-process
     and are reported only through campaign-level metrics.

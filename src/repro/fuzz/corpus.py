@@ -2,9 +2,9 @@
 
 Layout: ``<root>/<invariant>/<trial-seed>.json``, one file per
 (invariant, trial) pair, written atomically (temp file + rename, the
-same idiom as :mod:`repro.runner.store`) so an interrupted campaign
-never leaves a torn entry.  Every entry carries the *shrunk* trial
-params (what ``replay`` runs), the original sampled params (for
+same idiom as :mod:`repro.runner.stores.json_file`) so an interrupted
+campaign never leaves a torn entry.  Every entry carries the *shrunk*
+trial params (what ``replay`` runs), the original sampled params (for
 forensics), the profile the failure was observed under, and the
 invariant + detail -- enough to re-demonstrate the failure on a clean
 checkout with no campaign state.
@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.fuzz.invariants import REPLAYABLE_INVARIANTS
+from repro.opt import resolve_level
 
 DEFAULT_CORPUS_DIR = ".fuzz_corpus"
 
@@ -53,8 +54,14 @@ class CrashEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrashEntry":
+        """Parse an entry; raises :class:`CorpusError` when malformed.
+
+        A trial asking for an optimization level this code lacks is
+        malformed too: replaying it would fail for that reason alone and
+        be misreported as a fixed (or a reproduced) bug.
+        """
         try:
-            return cls(
+            entry = cls(
                 invariant=str(data["invariant"]),
                 detail=str(data["detail"]),
                 trial=dict(data["trial"]),
@@ -63,8 +70,10 @@ class CrashEntry:
                 shrink_evals=int(data.get("shrink_evals", 0)),
                 meta=dict(data.get("meta", {})),
             )
+            resolve_level(entry.trial.get("opt_level"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"malformed corpus entry: {exc}") from exc
+        return entry
 
 
 def entry_path(root: str | Path, entry: CrashEntry) -> Path:
@@ -105,7 +114,10 @@ def load_corpus(root: str | Path) -> list[tuple[Path, CrashEntry]]:
             raise CorpusError(f"unreadable corpus entry {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise CorpusError(f"corpus entry {path} is not a JSON object")
-        entries.append((path, CrashEntry.from_dict(data)))
+        try:
+            entries.append((path, CrashEntry.from_dict(data)))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from exc
     return entries
 
 

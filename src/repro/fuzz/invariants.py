@@ -310,18 +310,18 @@ def _io_key_mismatch(
 def check_opt_equivalence(
     netlist: Netlist,
     rng: random.Random,
-    levels: Sequence[int] = (1, 2),
     n_patterns: int | None = None,
 ) -> list[InvariantViolation]:
     """``optimize(netlist) == netlist`` under bit-parallel replay.
 
-    For every requested level: the optimizer must keep the interface
-    (input/output/flop names and order) byte-identical and the observed
-    behaviour -- captured next-state per flop plus primary outputs, the
-    exact :func:`predict_capture` semantics -- equal on random packed
-    pattern lanes.  This is how the optimizer is adversarially tested by
-    the campaign machinery: every sampled circuit shape exercises it,
-    failures shrink and land in the crash corpus like any other bug.
+    The optimizer (level 1; level 0 is the identity by definition) must
+    keep the interface (input/output/flop names and order)
+    byte-identical and the observed behaviour -- captured next-state per
+    flop plus primary outputs, the exact :func:`predict_capture`
+    semantics -- equal on random packed pattern lanes.  This is how the
+    optimizer is adversarially tested by the campaign machinery: every
+    sampled circuit shape exercises it, failures shrink and land in the
+    crash corpus like any other bug.
     """
     from repro.opt import optimize
 
@@ -330,35 +330,30 @@ def check_opt_equivalence(
     pis = [random_bits(len(netlist.inputs), rng) for _ in range(n)]
     want = predict_capture(netlist, states, pis)
 
-    violations: list[InvariantViolation] = []
-    for level in levels:
-        if level < 1:
-            continue  # level 0 is the identity by definition
-        optimized = optimize(netlist, level=level).netlist
-        if (
-            optimized.inputs != netlist.inputs
-            or optimized.outputs != netlist.outputs
-            or list(optimized.dffs) != list(netlist.dffs)
-            or [d.d for d in optimized.dffs.values()]
-            != [d.d for d in netlist.dffs.values()]
-        ):
-            violations.append(
-                InvariantViolation(
-                    OPT_EQUIVALENCE,
-                    f"level {level} optimization altered the netlist "
-                    "interface (pinned nets must survive unchanged)",
-                )
+    optimized = optimize(netlist, level=1).netlist
+    if (
+        optimized.inputs != netlist.inputs
+        or optimized.outputs != netlist.outputs
+        or list(optimized.dffs) != list(netlist.dffs)
+        or [d.d for d in optimized.dffs.values()]
+        != [d.d for d in netlist.dffs.values()]
+    ):
+        return [
+            InvariantViolation(
+                OPT_EQUIVALENCE,
+                "level 1 optimization altered the netlist interface "
+                "(pinned nets must survive unchanged)",
             )
-            continue
-        if predict_capture(optimized, states, pis) != want:
-            violations.append(
-                InvariantViolation(
-                    OPT_EQUIVALENCE,
-                    f"level {level} optimization diverges from the "
-                    "original netlist under bit-parallel replay",
-                )
+        ]
+    if predict_capture(optimized, states, pis) != want:
+        return [
+            InvariantViolation(
+                OPT_EQUIVALENCE,
+                "level 1 optimization diverges from the original netlist "
+                "under bit-parallel replay",
             )
-    return violations
+        ]
+    return []
 
 
 # ----------------------------------------------------------------------

@@ -82,7 +82,7 @@ def matrix_cell(
 
     ``opt_level`` overrides the attack's netlist-optimization
     preprocessing level (:mod:`repro.opt`); None leaves each attack at
-    the active default, 0 disables optimization for the cell.
+    the default level, 0 disables optimization for the cell.
     """
     from repro.bench_suite.registry import build_benchmark_netlist
 
@@ -133,10 +133,9 @@ def matrix_specs(
 ) -> list[JobSpec]:
     """Enumerate every *applicable* cell of the grid (n/a pairs skipped).
 
-    The *resolved* optimization level (explicit ``opt_level``, else
-    ``REPRO_OPT_LEVEL``, else the default) always joins the cell params
-    and hence the cache key, so a level change can never replay stale
-    cached results.
+    The *resolved* optimization level (explicit ``opt_level``, else the
+    default) always joins the cell params and hence the cache key, so a
+    level change can never replay stale cached results.
     """
     from repro.opt import resolve_level
 

@@ -3,16 +3,13 @@
 Every attack model, replay oracle and fuzz trial in this repo
 re-encodes and re-simulates a netlist; :func:`repro.opt.optimize`
 shrinks that netlist first while provably preserving its interface
-semantics.  Three passes compose into a pipeline:
+semantics.  Two passes, iterated to a fixpoint, make up the pipeline:
 
 * :mod:`repro.opt.structhash` -- structural hashing into a canonical
   DAG: constant folding, commutative-input sorting, double-negation and
   XOR-involution rewrites, and common-subexpression merging;
 * :mod:`repro.opt.sweep` -- cone-of-influence dead-logic elimination
-  (plus unused-input reporting, the "unused key gate" detector);
-* :mod:`repro.opt.satsweep` -- simulation-guided equivalence classing
-  (packed random lanes through the bit-parallel simulator) confirmed or
-  refuted by the incremental SAT solver's assumption API, then merged.
+  (plus unused-input reporting, the "unused key gate" detector).
 
 The contract optimization never breaks: primary inputs, primary
 outputs, and flip-flop Q/D nets keep their names, order and semantics,

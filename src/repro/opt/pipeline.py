@@ -1,15 +1,12 @@
 """The composable optimization pipeline: ``optimize(netlist, level=...)``.
 
-Levels (cumulative):
+Levels:
 
 * ``0`` -- no-op: the input netlist is returned untouched.
 * ``1`` (default) -- structural hashing + cone-of-influence sweep,
   iterated to a structural fixpoint.  Pure graph rewriting, linear in
   the netlist; this is the level every attack encodes through unless
   told otherwise.
-* ``2`` -- level 1 plus SAT sweeping: simulation-proposed equivalences
-  confirmed through the incremental solver's assumption API and merged,
-  re-running the level-1 fixpoint after each merge round.
 
 The pipeline pins the whole netlist interface automatically: primary
 inputs (hence key inputs), primary outputs, and flip-flop Q/D nets are
@@ -17,45 +14,34 @@ never renamed, reordered or removed, so recovered keys and oracle
 wirings map back to the original netlist unchanged.  Extra nets can be
 pinned with ``pin=``.
 
-``REPRO_OPT_LEVEL`` overrides the default level process-wide; explicit
-``level=`` arguments always win.  Every pass reports an
-:class:`OptStats` entry (gates before/after, wall time) so callers --
-the ``dynunlock opt`` CLI, the opt bench -- can show where the
-reduction came from.
+The level is chosen per call (``level=``; ``None`` means
+:data:`DEFAULT_LEVEL`).  Every pass reports an :class:`OptStats` entry
+(gates before/after, wall time) so callers -- the ``dynunlock opt``
+CLI, the opt bench -- can show where the reduction came from.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
 from repro.netlist.netlist import Netlist
 from repro.observability import spans as obs
-from repro.opt.satsweep import sat_sweep
 from repro.opt.structhash import structural_hash
 from repro.opt.sweep import sweep
 
 #: The level attacks preprocess with when nothing is specified.
 DEFAULT_LEVEL = 1
-MAX_LEVEL = 2
+MAX_LEVEL = 1
 
 #: Safety bound on fixpoint iteration (reached only by pathological
 #: oscillation, which the rewrites are not expected to exhibit).
 _MAX_FIXPOINT_ROUNDS = 8
-_MAX_SATSWEEP_ROUNDS = 4
 
 
 def resolve_level(level: int | None) -> int:
-    """Normalise an optimization level request.
-
-    ``None`` means "the active default": the ``REPRO_OPT_LEVEL``
-    environment variable when set, else :data:`DEFAULT_LEVEL`.
-    """
-    if level is None:
-        env = os.environ.get("REPRO_OPT_LEVEL", "").strip()
-        level = int(env) if env else DEFAULT_LEVEL
-    level = int(level)
+    """Normalise an optimization level request (``None`` = the default)."""
+    level = DEFAULT_LEVEL if level is None else int(level)
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(
             f"optimization level must be in 0..{MAX_LEVEL}, got {level}"
@@ -140,8 +126,6 @@ def optimize(
     level: int | None = None,
     *,
     pin: tuple[str, ...] = (),
-    sat_seed: int = 0xA115,
-    sat_max_checks: int = 256,
 ) -> OptResult:
     """Optimize ``netlist`` at ``level``; see the module docstring.
 
@@ -162,49 +146,10 @@ def optimize(
 
     pinned = _interface_pins(netlist, frozenset(pin))
     current = _level1_fixpoint(netlist, pinned, stats)
-
-    if level >= 2:
-        for _ in range(_MAX_SATSWEEP_ROUNDS):
-            before = current.n_gates
-            t0 = time.perf_counter()
-            substitutions, detail = sat_sweep(
-                current,
-                pinned,
-                seed=sat_seed,
-                max_checks=sat_max_checks,
-            )
-            stats.passes.append(
-                PassStats(
-                    "satsweep",
-                    before,
-                    before,  # merges apply in the rebuild below
-                    time.perf_counter() - t0,
-                    detail,
-                )
-            )
-            if not substitutions:
-                break
-            t0 = time.perf_counter()
-            merged, detail = structural_hash(
-                current, pinned, substitutions=substitutions
-            )
-            stats.passes.append(
-                PassStats(
-                    "satsweep-merge",
-                    before,
-                    merged.n_gates,
-                    time.perf_counter() - t0,
-                    detail,
-                )
-            )
-            current = _level1_fixpoint(merged, pinned, stats)
-
     stats.gates_after = current.n_gates
     stats.time_s = time.perf_counter() - started
-    for record in reversed(stats.passes):
-        if record.name == "sweep":
-            stats.unused_inputs = list(record.detail.get("unused_inputs", ()))
-            break
+    # The fixpoint always ends on a sweep pass.
+    stats.unused_inputs = list(stats.passes[-1].detail["unused_inputs"])
     if obs.active():
         # One span update per pipeline run; nothing on the per-pass path.
         obs.add_phase("opt", stats.time_s)

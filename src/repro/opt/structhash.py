@@ -21,15 +21,9 @@ extras) always stay present and driven under their own name: when a
 pinned gate output simplifies away, a BUF (or constant gate) alias is
 materialised so the interface contract of :mod:`repro.opt` holds.  The
 pass never renames or reorders primary inputs, outputs or flip-flops.
-
-``substitutions`` seeds the rewrite with externally proven equivalences
-(net -> replacement net or constant); this is how the SAT sweep's merges
-are applied -- :mod:`repro.opt.satsweep` proves, this pass rebuilds.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist, NetNamer
@@ -56,17 +50,12 @@ _XOR_CLASS = frozenset({GateType.XOR, GateType.XNOR})
 class _Rewriter:
     """One structural-hashing run over a source netlist."""
 
-    def __init__(
-        self,
-        src: Netlist,
-        pinned: frozenset[str],
-        substitutions: Mapping[str, Value] | None,
-    ):
+    def __init__(self, src: Netlist, pinned: frozenset[str]):
         self.src = src
         self.pinned = pinned
         self.out = Netlist(name=src.name)
-        # net -> canonical Value; seeded with externally proven merges.
-        self.value: dict[str, Value] = dict(substitutions or {})
+        # net -> canonical Value of every gate output folded away.
+        self.value: dict[str, Value] = {}
         # canonical (gtype, operands) -> output net of the emitted gate.
         self.cse: dict[tuple, str] = {}
         # emitted gate output -> its canonical (gtype, operands) form.
@@ -108,11 +97,6 @@ class _Rewriter:
 
     def _rewrite(self, gate: Gate) -> None:
         out_net = gate.output
-        if out_net in self.value:
-            # Substituted away by a caller-proven equivalence.
-            if out_net in self.pinned:
-                self._materialize(out_net, self.resolve(out_net))
-            return
         val = self._simplify(gate)
         if val is None:
             return  # emitted under its own name
@@ -344,7 +328,6 @@ def _read_counts(netlist: Netlist) -> dict[str, int]:
 def structural_hash(
     netlist: Netlist,
     pinned: frozenset[str] = frozenset(),
-    substitutions: Mapping[str, Value] | None = None,
 ) -> tuple[Netlist, dict[str, int]]:
     """Rewrite ``netlist`` into canonical form; see the module docstring.
 
@@ -352,5 +335,5 @@ def structural_hash(
     the result preserves input/output/DFF names and order, and every net
     in ``pinned`` remains present and driven.
     """
-    rewriter = _Rewriter(netlist, pinned, substitutions)
+    rewriter = _Rewriter(netlist, pinned)
     return rewriter.run(), rewriter.stats

@@ -3,8 +3,8 @@
 Each function here computes exactly one grid cell of the paper's
 evaluation -- one (benchmark, lock scheme, attack, profile, seed)
 combination -- and returns a plain JSON-safe dict, so the result can be
-pickled back from a worker process, memoised in the
-:class:`~repro.runner.store.ResultStore`, and serialised into artifacts.
+pickled back from a worker process, memoised in the result store
+(:mod:`repro.runner.stores`), and serialised into artifacts.
 
 A cell whose attack ran out of its wall-clock budget says so with a
 true ``timed_out``; the scheduler reports such a result but never
@@ -75,7 +75,7 @@ def table2_cell(
 
     ``opt_level`` pins the :mod:`repro.opt` preprocessing level; the
     spec builders always bake the resolved level into the params, so it
-    participates in the cache key (None = resolve the active default
+    participates in the cache key (None = resolve the default level
     here, for direct callers).
     """
     netlist, lock, kb = build_table2_lock(

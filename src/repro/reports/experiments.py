@@ -12,7 +12,7 @@ cells (one per :mod:`repro.reports.cells` invocation) and push them
 through :func:`repro.runner.scheduler.run_jobs`.  Every runner accepts
 
 * ``jobs`` -- worker processes (1 = serial in-process, the default);
-* ``store`` -- a :class:`~repro.runner.store.ResultStore` memoising
+* ``store`` -- a :class:`~repro.runner.stores.StoreBackend` memoising
   finished cells, making re-runs resumable and incremental.
 
 Parallel and serial runs aggregate identical cell results in identical
@@ -38,7 +38,7 @@ from repro.reports.cells import _TABLE1_DEFENSES, table1_cell
 from repro.reports.profiles import ExperimentProfile
 from repro.runner.scheduler import JobOutcome, run_jobs
 from repro.runner.spec import JobSpec
-from repro.runner.store import ResultStore
+from repro.runner.stores import StoreBackend
 
 ProgressFn = Callable[[str], None]
 
@@ -83,7 +83,7 @@ def _run_grid(
     specs: Sequence[JobSpec],
     progress: ProgressFn,
     jobs: int,
-    store: ResultStore | None,
+    store: StoreBackend | None,
 ) -> list[JobOutcome]:
     """Run one experiment's specs, failing loudly if any cell failed."""
     report = run_jobs(
@@ -99,7 +99,7 @@ def run_grid_experiment(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
     observer=None,
     **spec_kwargs,
 ):
@@ -174,11 +174,10 @@ def table2_specs(
 ) -> list[JobSpec]:
     """Enumerate the (benchmark x LFSR seed) grid for Table II.
 
-    The *resolved* optimization level (explicit ``opt_level``, else
-    ``REPRO_OPT_LEVEL``, else the default) always joins the cell params
-    -- and hence the cache key -- so a level change in any form can
-    never replay stale cached results.  Resolution happens here, in the
-    driver process, not in the workers.
+    The *resolved* optimization level (explicit ``opt_level``, else the
+    default) always joins the cell params -- and hence the cache key --
+    so a level change can never replay stale cached results.
+    Resolution happens here, in the driver process, not in the workers.
     """
     names = list(benchmarks) if benchmarks is not None else TABLE2_BENCHMARKS
     extra = {"opt_level": resolve_level(opt_level)}
@@ -227,7 +226,7 @@ def run_table2_row(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> Table2Row:
     """Attack one benchmark for ``profile.n_seeds`` different LFSR seeds."""
     specs = table2_specs(profile, [name], key_bits=key_bits)
@@ -241,7 +240,7 @@ def run_table2(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> list[Table2Row]:
     """Run every Table II row at the given profile."""
     specs = table2_specs(profile, benchmarks)
@@ -338,7 +337,7 @@ def run_table3_cell(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> Table3Row:
     """Attack one circuit at one key size (a single Table III cell)."""
     specs = table3_specs(profile, [name], [key_bits])
@@ -353,7 +352,7 @@ def run_table3(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> list[Table3Row]:
     """Run the full Table III sweep at the given profile."""
     specs = table3_specs(profile, benchmarks, key_sizes)
@@ -418,7 +417,7 @@ def run_table1(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> list[Table1Row]:
     """Break each defense of Table I with its published attack.
 
@@ -532,7 +531,7 @@ def run_flop_scaling(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> list[ScalingRow]:
     """Fixed key width, growing chains: candidates shrink, time grows."""
     specs = scaling_specs(profile, flop_counts, key_bits, n_seeds)
@@ -605,7 +604,7 @@ def run_nonlinear_ablation(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: ResultStore | None = None,
+    store: StoreBackend | None = None,
 ) -> list[AblationRow]:
     """LFSR vs nonlinear filter PRNG: the attack's stated limitation.
 

@@ -5,8 +5,8 @@ scheme x attack x profile x LFSR seed).  This package turns each cell
 into a declarative :class:`~repro.runner.spec.JobSpec` with a stable
 content hash, fans the grid out across cores with
 :func:`~repro.runner.scheduler.run_jobs`, and memoises finished cells in
-an on-disk result store (:mod:`repro.runner.stores` -- per-file JSON,
-sharded JSON, or compressed SQLite) keyed by spec hash
+an on-disk result store (:mod:`repro.runner.stores` -- per-file JSON
+or compressed SQLite) keyed by spec hash
 plus a fingerprint of the source tree -- so re-runs are resumable and
 table regeneration only recomputes stale cells.  Finished grids are
 written out as JSON + CSV artifacts (:mod:`repro.runner.artifacts`) that
@@ -23,7 +23,6 @@ from repro.runner.scheduler import JobOutcome, RunReport, run_jobs
 from repro.runner.spec import JobSpec, code_version
 from repro.runner.stores import (
     BACKENDS,
-    ResultStore,
     StoreBackend,
     migrate,
     open_store,
@@ -34,7 +33,6 @@ __all__ = [
     "BACKENDS",
     "JobOutcome",
     "JobSpec",
-    "ResultStore",
     "StoreBackend",
     "RunReport",
     "code_version",

@@ -9,7 +9,7 @@ nondeterminism.  Features:
 * ``jobs=1`` runs serially in-process (no pickling, easy debugging);
   ``jobs>1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`.
 * A result store (any :class:`~repro.runner.stores.StoreBackend` --
-  JSON, sharded, or SQLite) short-circuits cells whose
+  JSON or SQLite) short-circuits cells whose
   (spec hash, code version) pair is already on disk, and absorbs every
   freshly computed cell -- an interrupted grid resumes where it stopped.
   A result with a true ``timed_out`` (an attack that ran out of its

@@ -1,22 +1,19 @@
 """Pluggable result-store backends for the experiment runner.
 
-Three backends, one contract (:class:`~repro.runner.stores.base
+Two backends, one contract (:class:`~repro.runner.stores.base
 .StoreBackend`):
 
 ``json``
     One JSON file per cell (the default; byte-compatible with every
     pre-existing ``.repro_cache`` tree).
-``sharded``
-    The same files behind a two-level hash fan-out, so a million
-    entries never share one directory.
 ``sqlite``
-    One WAL-mode database with per-row zlib (opportunistically zstd)
-    compression -- the scale-out backend for full sweeps and services.
+    One WAL-mode database with per-row zlib compression -- the
+    scale-out backend for full sweeps and services.
 
 Selection: pass ``backend=`` explicitly, or let :func:`open_store`
 consult ``$REPRO_CACHE_BACKEND`` (the CLI's ``--cache-backend`` flag
 feeds the explicit argument).  All backends store identical entry
-bytes, so :func:`migrate` moves a cache between any two of them
+bytes, so :func:`migrate` moves a cache from one to the other
 byte-for-byte -- and ``dynunlock cache migrate`` is exactly that.
 
 See ``docs/caching.md`` for the backend matrix, layouts, GC policy,
@@ -40,21 +37,16 @@ from repro.runner.stores.base import (
     entry_key,
 )
 from repro.runner.stores.json_file import JsonFileStore
-from repro.runner.stores.sharded import ShardedJsonStore
 from repro.runner.stores.sqlite_store import SqliteStore
 
 #: Registry name -> backend class.  Names are part of the CLI/env surface.
 BACKENDS: dict[str, type[BaseStore]] = {
     JsonFileStore.name: JsonFileStore,
-    ShardedJsonStore.name: ShardedJsonStore,
     SqliteStore.name: SqliteStore,
 }
 
 DEFAULT_BACKEND = JsonFileStore.name
 ENV_BACKEND = "REPRO_CACHE_BACKEND"
-
-#: Backwards-compatible alias: the original single-backend store class.
-ResultStore = JsonFileStore
 
 
 def resolve_backend(name: str | None = None) -> str:
@@ -97,8 +89,6 @@ __all__ = [
     "EntryMeta",
     "GCReport",
     "JsonFileStore",
-    "ResultStore",
-    "ShardedJsonStore",
     "SqliteStore",
     "StoreBackend",
     "StoreEntry",

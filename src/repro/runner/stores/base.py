@@ -157,7 +157,7 @@ class StoreBackend(Protocol):
 class BaseStore:
     """Shared store surface; backends supply the four raw hooks."""
 
-    #: Registry name; subclasses override ("json", "sharded", "sqlite").
+    #: Registry name; subclasses override ("json", "sqlite").
     name = "base"
 
     def __init__(self, root: str | Path | None = None, *, version: str | None = None):

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from repro.runner.spec import JobSpec
 from repro.runner.stores import BACKENDS, DEFAULT_BACKEND, open_store
-from repro.runner.stores.codecs import zstd_available
 
 BENCH_VERSION = "storebench" + "0" * 10  # fixed: timings, not cache reuse
 
@@ -44,8 +43,8 @@ def synthetic_workload(
     rng = random.Random(seed)
     workload = []
     for index in range(entries):
-        # A handful of experiments so the per-experiment fan-out and the
-        # sharded layout both get exercised, not one giant directory.
+        # A handful of experiments so the per-experiment fan-out gets
+        # exercised, not one giant directory.
         experiment = f"bench{index % 4}"
         spec = JobSpec(
             experiment=experiment,
@@ -151,7 +150,6 @@ def run_store_bench(
         "entries": entries,
         "payload_bytes": payload_bytes,
         "seed": seed,
-        "zstd_available": zstd_available(),
         "backends": metrics,
         "default_backend": DEFAULT_BACKEND,
         # The CI gate metric: regressions of the default backend's

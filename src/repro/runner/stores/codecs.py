@@ -1,12 +1,9 @@
-"""Per-entry payload compression for the binary store backends.
+"""Per-entry payload compression for the SQLite store backend.
 
-Every compressed backend records the codec *per row*, so a cache
-written by a process that had ``zstandard`` importable reads back
-correctly in one that does not (zstd rows simply degrade to misses
-there, zlib/raw rows keep working).  The stdlib ``zlib`` codec is the
-floor every interpreter can decode; ``zstd`` is used opportunistically
-when the optional ``zstandard`` package is importable -- never a hard
-dependency.
+The backend records the codec *per row* and writes stdlib ``zlib``,
+which every interpreter can decode.  A row carrying any other codec
+name (``zstd`` rows from older caches, say) fails to decode with
+:class:`CodecError`, which the backend reads as a cache miss.
 
 Codec names are part of the on-disk format: add new ones, never rename.
 """
@@ -15,13 +12,8 @@ from __future__ import annotations
 
 import zlib
 
-try:  # optional accelerator -- the container may not ship it
-    import zstandard
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    zstandard = None
-
 #: Codec names accepted by :func:`encode_blob` / :func:`decode_blob`.
-KNOWN_CODECS = ("raw", "zlib", "zstd")
+KNOWN_CODECS = ("raw", "zlib")
 
 _ZLIB_LEVEL = 6
 
@@ -30,27 +22,12 @@ class CodecError(ValueError):
     """A blob could not be encoded or decoded (bad codec or bad bytes)."""
 
 
-def zstd_available() -> bool:
-    """Whether the optional ``zstandard`` package imported successfully."""
-    return zstandard is not None
-
-
-def preferred_codec() -> str:
-    """Best codec this interpreter can both write and read back."""
-    return "zstd" if zstd_available() else "zlib"
-
-
-def encode_blob(raw: bytes, codec: str | None = None) -> tuple[str, bytes]:
+def encode_blob(raw: bytes, codec: str = "zlib") -> tuple[str, bytes]:
     """Compress ``raw``; returns ``(codec_name, blob)`` for the row."""
-    codec = codec or preferred_codec()
     if codec == "raw":
         return "raw", bytes(raw)
     if codec == "zlib":
         return "zlib", zlib.compress(raw, _ZLIB_LEVEL)
-    if codec == "zstd":
-        if not zstd_available():
-            raise CodecError("codec 'zstd' requested but zstandard is not importable")
-        return "zstd", zstandard.ZstdCompressor().compress(raw)
     raise CodecError(f"unknown codec {codec!r}; known: {', '.join(KNOWN_CODECS)}")
 
 
@@ -63,11 +40,4 @@ def decode_blob(codec: str, blob: bytes) -> bytes:
             return zlib.decompress(blob)
         except zlib.error as exc:
             raise CodecError(f"zlib payload is corrupt: {exc}") from exc
-    if codec == "zstd":
-        if not zstd_available():
-            raise CodecError("row is zstd-compressed but zstandard is not importable")
-        try:
-            return zstandard.ZstdDecompressor().decompress(blob)
-        except zstandard.ZstdError as exc:
-            raise CodecError(f"zstd payload is corrupt: {exc}") from exc
     raise CodecError(f"unknown codec {codec!r}; known: {', '.join(KNOWN_CODECS)}")

@@ -5,12 +5,12 @@ file per cell, written atomically (temp file + rename) so an interrupted
 or concurrent writer never leaves a torn entry behind -- a reader sees
 either the complete previous entry or the complete new one.  This is
 exactly the layout (and the exact bytes) the original single-backend
-``ResultStore`` wrote, so existing ``.repro_cache`` trees keep working
+store wrote, so existing ``.repro_cache`` trees keep working
 unchanged.
 
 Fine at matrix scale; at 10^5+ entries every cell of an experiment
-shares one directory, which is what :class:`~repro.runner.stores
-.sharded.ShardedJsonStore` exists to fix.
+shares one directory, and :class:`~repro.runner.stores.sqlite_store
+.SqliteStore` is the better fit.
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 One database file (``<root>/cells.sqlite3``) holds every code version's
 entries, keyed ``(version, experiment, spec_hash)``.  Payloads are the
-same canonical entry bytes every backend stores, compressed per row
-through :mod:`repro.runner.stores.codecs` -- zlib always, zstd
-opportunistically -- with the codec recorded in the row so mixed caches
-(written across interpreters with and without ``zstandard``) read back
-correctly.
+same canonical entry bytes every backend stores, zlib-compressed per
+row through :mod:`repro.runner.stores.codecs`, with the codec recorded
+in the row; a row whose codec this code cannot decode reads as a miss.
 
 Concurrency: WAL journal mode plus a generous busy timeout make
 concurrent writer processes safe -- writers queue on the WAL lock
@@ -70,7 +68,7 @@ class SqliteStore(BaseStore):
         self.root.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.db_path), timeout=self.BUSY_TIMEOUT_S)
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}")
             with conn:
@@ -83,6 +81,25 @@ class SqliteStore(BaseStore):
                 raise
         self._conn = conn
         return conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch ``conn`` to WAL, waiting out a concurrent first open.
+
+        On a fresh database two processes can both hold the shared lock
+        and both need the exclusive one to change the journal mode;
+        SQLite then answers "database is locked" at once instead of
+        waiting out the busy timeout.  Retry for as long as that timeout
+        promises, so a writer queues instead of failing.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     # -- raw hooks -----------------------------------------------------------
 

@@ -28,8 +28,10 @@ class IncrementalSolver(CdclSolver):
 
     * ``solve`` result caching — :meth:`value` and :meth:`values` read
       the most recent model without threading the result object around;
-    * clause groups (:meth:`new_group`, :meth:`release_group`) backed by
-      activation literals, enabled per-call via ``solve(groups=...)``;
+    * clause groups backed by activation literals: a fresh variable
+      ``g`` names a group, clauses added with ``add_clause(..., group=g)``
+      bind only while ``g`` is among :meth:`solve`'s assumptions, and
+      :meth:`release_group` retires them for good;
     * :meth:`absorb` for streaming a growing :class:`Cnf` into the
       session without re-adding already-synced clauses.
     """
@@ -42,14 +44,6 @@ class IncrementalSolver(CdclSolver):
     # ------------------------------------------------------------------
     # clause groups
     # ------------------------------------------------------------------
-    def new_group(self) -> int:
-        """Allocate an activation literal naming a retractable clause group.
-
-        Clauses added with ``group=g`` only bind while ``g`` is passed in
-        ``groups`` (or as a positive assumption) to :meth:`solve`.
-        """
-        return self.new_var()
-
     def add_clause(self, lits: Sequence[int], group: int | None = None) -> bool:
         """Add a clause, optionally tagged with an activation group.
 
@@ -78,15 +72,9 @@ class IncrementalSolver(CdclSolver):
     # ------------------------------------------------------------------
     # solving and model access
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        groups: Iterable[int] = (),
-        **kwargs,
-    ) -> SolveResult:
-        """Solve under per-call assumptions with the given groups active."""
-        all_assumptions = list(assumptions) + [g for g in groups]
-        result = super().solve(assumptions=all_assumptions, **kwargs)
+    def solve(self, assumptions: Iterable[int] = (), **kwargs) -> SolveResult:
+        """Solve under per-call assumptions; a group is active when assumed."""
+        result = super().solve(assumptions=list(assumptions), **kwargs)
         self._last_result = result
         return result
 

@@ -246,18 +246,51 @@ class TestFuzzCommand:
         assert "NO LONGER REPRODUCES" in captured.out
         assert "no longer reproduce" in captured.err
 
+    @pytest.mark.parametrize("invariant", ["attack-replay", "crash"])
+    def test_replay_reports_an_unknown_opt_level_as_damage(
+        self, capsys, tmp_path, invariant
+    ):
+        from repro.fuzz.campaign import sample_trial_params
+        from repro.fuzz.corpus import CrashEntry, write_entry
+        from repro.reports.profiles import PROFILES, profile_to_dict
+
+        # A trial recorded at an optimization level this code lacks can
+        # neither reproduce nor retire its failure: the entry is damaged.
+        trial = {**sample_trial_params(0, 0), "opt_level": 2}
+        path = write_entry(
+            tmp_path,
+            CrashEntry(
+                invariant=invariant,
+                detail="recorded at level 2",
+                trial=trial,
+                original_trial=trial,
+                profile=profile_to_dict(PROFILES["quick"]),
+            ),
+        )
+        code = main(["fuzz-replay", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(path) in captured.err
+        assert "optimization level" in captured.err
+
 
 class TestOptCommands:
     def test_opt_level_flags_parse(self):
         args = build_parser().parse_args(["table2", "--no-opt"])
         assert args.opt_level == 0
-        args = build_parser().parse_args(["attack", "s5378", "--opt-level", "2"])
-        assert args.opt_level == 2
-        # Default is None: the attacks resolve the active level themselves.
+        args = build_parser().parse_args(["attack", "s5378", "--opt-level", "1"])
+        assert args.opt_level == 1
+        # Default is None: the attacks resolve the default level themselves.
         assert build_parser().parse_args(["fuzz"]).opt_level is None
         assert build_parser().parse_args(["matrix"]).opt_level is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table2", "--opt-level", "9"])
+        for argv in (
+            ["table2", "--opt-level", "9"],
+            ["table2", "--opt-level", "2"],
+            ["opt", "s5378", "--level", "2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2, argv
 
     def test_opt_stats_command(self, capsys, tmp_path):
         code = main(["opt", "s5378", "--scale", "32", "--emit-json", str(tmp_path)])
@@ -266,10 +299,6 @@ class TestOptCommands:
         assert "structhash" in captured.out and "TOTAL" in captured.out
         assert "effdyn-model" in captured.out
         assert (tmp_path / "BENCH_opt.json").exists()
-
-    def test_opt_command_level2_runs_satsweep(self, capsys):
-        assert main(["opt", "s5378", "--scale", "32", "--level", "2"]) == 0
-        assert "satsweep" in capsys.readouterr().out
 
     def test_attack_with_no_opt(self, capsys):
         code = main(
@@ -297,7 +326,3 @@ class TestOptCommands:
         assert artifact["meta"]["outcome_mismatches"] == []
         assert artifact["meta"]["total_no_opt_time_s"] > 0
         assert len(artifact["rows"]) == 1
-
-    def test_opt_bench_rejects_level_zero(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["opt-bench", "--level", "0"])

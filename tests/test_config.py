@@ -252,10 +252,12 @@ class TestCliCheck:
     def test_invalid_file_exits_1_with_dotted_paths(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"
         path.write_text(
+            "opt_level = 2\n"
             "[fuzz]\nconcurrency = -3\ntrails = 500\n[farm]\nseed = -1\n"
         )
         assert main(["config", "check", "--strict", str(path)]) == 1
         out = capsys.readouterr().out
+        assert f"{path}: opt_level: must be between 0 and 1, got 2" in out
         assert f"{path}: fuzz.concurrency:" in out
         assert f"{path}: fuzz.trails: unknown key" in out
         assert f"{path}: farm.seed:" in out

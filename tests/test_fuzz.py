@@ -172,9 +172,9 @@ class TestCampaignDeterminism:
         assert campaign_rows(a) == campaign_rows(b) == campaign_rows(c)
 
     def test_resume_through_store_is_byte_identical(self, tmp_path):
-        from repro.runner.store import ResultStore
+        from repro.runner.stores import JsonFileStore
 
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         fresh = run_campaign(QUICK, trials=8, seed=5, jobs=1, store=store)
         cached = run_campaign(QUICK, trials=8, seed=5, jobs=1, store=store)
         assert cached.n_cached == 8 and cached.n_computed == 0

@@ -34,7 +34,7 @@ from repro.matrix.registry import (
 )
 from repro.reports.profiles import ExperimentProfile
 from repro.runner.scheduler import run_jobs
-from repro.runner.store import ResultStore
+from repro.runner.stores import JsonFileStore
 
 TINY = ExperimentProfile(
     name="tiny",
@@ -247,14 +247,14 @@ class TestGridExecution:
         ]
 
     def test_jobs1_and_jobsN_byte_identical_through_store(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         serial, first = self._run(jobs=1, store=store)
         parallel, second = self._run(jobs=2, store=store)
         assert serial == parallel  # dataclass equality, time column included
         assert first.n_computed == 4 and second.n_cached == 4
 
     def test_resume_from_partially_completed_grid(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         specs = matrix_specs(
             TINY, attacks=SUB_ATTACKS, defenses=SUB_DEFENSES, benchmarks=SUB_BENCH
         )

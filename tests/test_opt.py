@@ -12,7 +12,6 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate_netlist
 from repro.opt import DEFAULT_LEVEL, MAX_LEVEL, optimize, resolve_level
-from repro.opt.satsweep import sat_sweep
 from repro.opt.structhash import structural_hash
 from repro.opt.sweep import sweep
 from repro.sim.logicsim import evaluate
@@ -245,92 +244,6 @@ class TestSweep:
 
 
 # ----------------------------------------------------------------------
-# SAT sweeping
-# ----------------------------------------------------------------------
-class TestSatSweep:
-    def duplicated_cone(self):
-        """Two structurally *different* but equivalent cones."""
-        netlist = Netlist()
-        for net in ("a", "b"):
-            netlist.add_input(net)
-        # y1 = a XOR b built directly; y2 = the AND/OR expansion.
-        netlist.add_gate("y1", GateType.XOR, ["a", "b"])
-        netlist.add_gate("na", GateType.NOT, ["a"])
-        netlist.add_gate("nb", GateType.NOT, ["b"])
-        netlist.add_gate("t1", GateType.AND, ["a", "nb"])
-        netlist.add_gate("t2", GateType.AND, ["na", "b"])
-        netlist.add_gate("y2", GateType.OR, ["t1", "t2"])
-        netlist.add_output("y1")
-        netlist.add_output("y2")
-        return netlist
-
-    def test_proves_equivalence_cse_cannot_see(self):
-        netlist = self.duplicated_cone()
-        # Structural hashing alone cannot merge the two encodings...
-        hashed, _ = structural_hash(netlist, frozenset(netlist.outputs))
-        assert hashed.n_gates == netlist.n_gates
-        # ...but the SAT sweep proves y2 == y1.
-        substitutions, stats = sat_sweep(netlist, frozenset(netlist.outputs))
-        assert substitutions.get("y2") == "y1"
-        assert stats["proven_pairs"] >= 1
-
-    def test_level2_merges_and_preserves_behaviour(self):
-        netlist = self.duplicated_cone()
-        result = optimize(netlist, level=2)
-        assert result.netlist.n_gates < netlist.n_gates
-        assert_replay_equal(netlist, result.netlist)
-        # y2 survives as a pinned alias of the representative.
-        assert result.netlist.gates["y2"].gtype is GateType.BUF
-
-    def test_constant_net_detected(self):
-        netlist = Netlist()
-        netlist.add_input("a")
-        netlist.add_gate("na", GateType.NOT, ["a"])
-        # taut = a OR NOT a, hidden behind an extra NOT pair so plain
-        # folding cannot reach it.
-        netlist.add_gate("taut", GateType.OR, ["a", "na"])
-        netlist.add_gate("y", GateType.XOR, ["taut", "a"])
-        netlist.add_output("y")
-        substitutions, _ = sat_sweep(netlist, frozenset(netlist.outputs))
-        assert substitutions.get("taut") == 1
-
-    def test_const_detection_survives_a_refuted_check(self):
-        # A 12-input AND simulates all-zero on random lanes with high
-        # probability, so its const-0 check runs first and is refuted
-        # (it is satisfiable); the counterexample refines every
-        # signature.  The tautology examined afterwards must still be
-        # proposed and proven constant-1 -- a regression for refinement
-        # words being appended at 1-bit width and breaking the
-        # full-mask all-ones comparison.
-        netlist = Netlist()
-        nets = [f"i{k}" for k in range(12)]
-        for net in nets:
-            netlist.add_input(net)
-        netlist.add_gate("wide", GateType.AND, nets)
-        netlist.add_gate("n0", GateType.NOT, ["i0"])
-        netlist.add_gate("taut", GateType.OR, ["i0", "n0"])
-        netlist.add_gate("y", GateType.XOR, ["wide", "taut"])
-        netlist.add_output("y")
-        substitutions, stats = sat_sweep(netlist, frozenset(netlist.outputs))
-        assert substitutions.get("taut") == 1, stats
-        assert stats["refuted"] >= 1, stats  # the wide AND check ran
-
-    def test_refuted_candidates_are_not_merged(self):
-        # a AND b and a OR b agree on 3 of 4 input patterns; with few
-        # unlucky lanes they may class together, but SAT must refute.
-        netlist = Netlist()
-        for net in ("a", "b"):
-            netlist.add_input(net)
-        netlist.add_gate("g1", GateType.AND, ["a", "b"])
-        netlist.add_gate("g2", GateType.OR, ["a", "b"])
-        netlist.add_output("g1")
-        netlist.add_output("g2")
-        substitutions, _ = sat_sweep(netlist, frozenset(netlist.outputs))
-        assert "g2" not in substitutions
-        assert "g1" not in substitutions
-
-
-# ----------------------------------------------------------------------
 # pipeline surface
 # ----------------------------------------------------------------------
 class TestPipeline:
@@ -340,28 +253,27 @@ class TestPipeline:
         assert result.netlist is netlist
         assert result.stats.passes == []
 
-    def test_resolve_level_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OPT_LEVEL", raising=False)
-        assert resolve_level(None) == DEFAULT_LEVEL
-        monkeypatch.setenv("REPRO_OPT_LEVEL", "2")
-        assert resolve_level(None) == 2
-        assert resolve_level(0) == 0  # explicit always wins
-        monkeypatch.setenv("REPRO_OPT_LEVEL", "7")
+    def test_resolve_level_ignores_the_environment(self, monkeypatch):
+        # The level is chosen per call; no variable overrides the default.
+        monkeypatch.setenv("REPRO_OPT_LEVEL", "0")
+        assert resolve_level(None) == DEFAULT_LEVEL == 1
+        assert resolve_level(0) == 0
+        assert MAX_LEVEL == 1
         with pytest.raises(ValueError):
-            resolve_level(None)
+            resolve_level(2)
 
     def test_stats_are_json_safe(self):
         netlist = sampled_netlist(5)
-        stats = optimize(netlist, level=2).stats
+        stats = optimize(netlist, level=1).stats
         import json
 
         payload = json.dumps(stats.as_dict())
-        assert '"level": 2' in payload
+        assert '"level": 1' in payload
 
     def test_input_netlist_never_mutated(self):
         netlist = sampled_netlist(7)
         gates_before = dict(netlist.gates)
-        optimize(netlist, level=2)
+        optimize(netlist, level=1)
         assert netlist.gates == gates_before
 
     def test_extra_pin_survives(self):

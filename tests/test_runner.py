@@ -22,7 +22,7 @@ from repro.reports.profiles import (
 from repro.runner.artifacts import load_artifact, write_artifact
 from repro.runner.scheduler import RunnerError, run_jobs
 from repro.runner.spec import JobSpec, _fingerprint_source_tree, code_version
-from repro.runner.store import ResultStore
+from repro.runner.stores import JsonFileStore
 
 QUICK = PROFILES["quick"]
 
@@ -107,7 +107,7 @@ class TestJobSpec:
 
 class TestResultStore:
     def test_miss_then_hit(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         spec = spec_of()
         assert store.get(spec) is None
         store.put(spec, {"value": 42}, duration_s=0.1)
@@ -115,19 +115,19 @@ class TestResultStore:
         assert len(store) == 1
 
     def test_profile_change_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         store.put(JobSpec.make("e", TINY, x=1), {"value": 1})
         assert store.get(JobSpec.make("e", QUICK, x=1)) is None
 
     def test_code_version_change_is_a_miss(self, tmp_path):
-        old = ResultStore(tmp_path, version="a" * 20)
+        old = JsonFileStore(tmp_path, version="a" * 20)
         old.put(spec_of(), {"value": 1})
-        new = ResultStore(tmp_path, version="b" * 20)
+        new = JsonFileStore(tmp_path, version="b" * 20)
         assert new.get(spec_of()) is None
         assert len(new) == 0
 
     def test_invalidate(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         spec = spec_of()
         store.put(spec, {"value": 1})
         assert store.invalidate(spec)
@@ -135,21 +135,21 @@ class TestResultStore:
         assert not store.invalidate(spec)
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         spec = spec_of()
         store.put(spec, {"value": 1})
         store.path_for(spec).write_text("{not json")
         assert store.get(spec) is None
 
     def test_non_dict_json_degrades_to_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         spec = spec_of()
         store.put(spec, {"value": 1})
         store.path_for(spec).write_text("[1, 2]")
         assert store.get(spec) is None
 
     def test_tampered_spec_degrades_to_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         spec = spec_of()
         store.put(spec, {"value": 1})
         entry = json.loads(store.path_for(spec).read_text())
@@ -158,9 +158,9 @@ class TestResultStore:
         assert store.get(spec) is None
 
     def test_prune_drops_other_versions_only(self, tmp_path):
-        old = ResultStore(tmp_path, version="a" * 20)
+        old = JsonFileStore(tmp_path, version="a" * 20)
         old.put(spec_of(), {"value": 1})
-        new = ResultStore(tmp_path, version="b" * 20)
+        new = JsonFileStore(tmp_path, version="b" * 20)
         new.put(spec_of(), {"value": 2})
         assert new.prune() == 1
         assert new.get(spec_of()) == {"value": 2}
@@ -173,7 +173,7 @@ class TestResultStoreEdgeCases:
     must not take down the grid that trips over it."""
 
     def test_truncated_entry_degrades_to_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         spec = spec_of()
         store.put(spec, {"value": 1})
         path = store.path_for(spec)
@@ -186,13 +186,13 @@ class TestResultStoreEdgeCases:
         assert store.get(spec) == {"value": 1}
 
     def test_invalidate_of_a_never_stored_spec(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         assert store.invalidate(spec_of()) is False
         # Must not conjure directories as a side effect.
         assert not (tmp_path / store.version).exists()
 
     def test_prune_a_foreign_version_tree_with_nesting(self, tmp_path):
-        mine = ResultStore(tmp_path, version="m" * 20)
+        mine = JsonFileStore(tmp_path, version="m" * 20)
         mine.put(spec_of(), {"value": 1})
         # A foreign version left behind by another checkout: nested
         # experiment directories, entries, and a stray non-JSON file.
@@ -207,7 +207,7 @@ class TestResultStoreEdgeCases:
         assert mine.get(spec_of()) == {"value": 1}
 
     def test_prune_ignores_stray_files_in_the_root(self, tmp_path):
-        store = ResultStore(tmp_path, version="m" * 20)
+        store = JsonFileStore(tmp_path, version="m" * 20)
         store.put(spec_of(), {"value": 1})
         stray = tmp_path / "README.txt"
         stray.write_text("not a version directory")
@@ -215,16 +215,16 @@ class TestResultStoreEdgeCases:
         assert stray.exists()
 
     def test_prune_on_a_missing_root(self, tmp_path):
-        store = ResultStore(tmp_path / "never-created")
+        store = JsonFileStore(tmp_path / "never-created")
         assert store.prune() == 0
 
     def test_len_on_a_missing_version_dir(self, tmp_path):
-        assert len(ResultStore(tmp_path, version="x" * 20)) == 0
+        assert len(JsonFileStore(tmp_path, version="x" * 20)) == 0
 
 
 class TestScheduler:
     def test_serial_runs_and_stores(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         specs = [spec_of(payload=i) for i in range(3)]
         report = run_jobs(specs, jobs=1, store=store)
         assert report.n_computed == 3 and report.n_cached == 0
@@ -267,7 +267,7 @@ class TestScheduler:
         assert report.wall_s < 8.0
 
     def test_resume_after_interrupt(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         specs = [spec_of(payload=i) for i in range(4)]
         # Simulated interrupt: only half the grid finished last time.
         run_jobs(specs[:2], jobs=1, store=store)
@@ -303,7 +303,7 @@ class TestTable2ThroughRunner:
         assert [self._key(r) for r in serial] == [self._key(r) for r in parallel]
 
     def test_cached_rerun_is_identical_including_times(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         first = run_table2(QUICK, self.BENCH, store=store)
         events = []
         second = run_table2(QUICK, self.BENCH, store=store, progress=events.append)
@@ -311,7 +311,7 @@ class TestTable2ThroughRunner:
         assert events and all("[cached]" in e for e in events)
 
     def test_profile_change_misses_the_cache(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         run_table2(QUICK, self.BENCH, store=store)
         specs = table2_specs(TINY, self.BENCH)
         assert all(store.get(s) is None for s in specs)
@@ -335,7 +335,7 @@ class TestTimedOutCellsAreNotStored:
         from repro.attack import satattack
 
         monkeypatch.setattr(satattack, "time", self.RacingClock())
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         specs = table2_specs(QUICK, ["s5378"])
         report = run_jobs(specs, jobs=1, store=store)
         assert report.n_computed == len(specs)
@@ -347,7 +347,7 @@ class TestTimedOutCellsAreNotStored:
         assert len(store) == 0
 
     def test_cell_within_budget_is_stored(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonFileStore(tmp_path)
         specs = table2_specs(QUICK, ["s5378"])
         report = run_jobs(specs, jobs=1, store=store)
         for outcome in report.outcomes:

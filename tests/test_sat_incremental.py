@@ -91,21 +91,21 @@ class TestLearnedClausePersistence:
     def test_learned_clauses_persist_and_speed_up_repeat_solves(self):
         cnf = pigeonhole_cnf(5)
         session = IncrementalSolver()
-        guard = session.new_group()
+        guard = session.new_var()
         shift = guard  # pigeonhole vars come after the guard variable
         for clause in cnf.clauses:
             session.add_clause(
                 [lit + shift if lit > 0 else lit - shift for lit in clause],
                 group=guard,
             )
-        first = session.solve(groups=[guard])
+        first = session.solve(assumptions=[guard])
         assert first.satisfiable is False
         learned_after_first = session.stats.learned - session.stats.deleted
         conflicts_first = session.stats.conflicts
         assert conflicts_first > 0
         assert learned_after_first > 0
 
-        second = session.solve(groups=[guard])
+        second = session.solve(assumptions=[guard])
         assert second.satisfiable is False
         # The database was not wiped between calls...
         assert session.stats.learned - session.stats.deleted >= 1
@@ -122,20 +122,20 @@ class TestClauseGroups:
     def test_group_clauses_only_bind_when_active(self):
         session = IncrementalSolver()
         x = session.new_var()
-        g = session.new_group()
+        g = session.new_var()
         session.add_clause([-x], group=g)
         session.add_clause([x])
-        assert session.solve(groups=[g]).satisfiable is False
+        assert session.solve(assumptions=[g]).satisfiable is False
         assert session.solve().satisfiable is True
 
     def test_release_group_retires_clauses_forever(self):
         session = IncrementalSolver()
         x = session.new_var()
-        g = session.new_group()
+        g = session.new_var()
         session.add_clause([-x], group=g)
         session.add_clause([x])
         session.release_group(g)
-        assert session.solve(groups=[g]).satisfiable is False  # g pinned false
+        assert session.solve(assumptions=[g]).satisfiable is False  # g pinned false
         assert session.solve().satisfiable is True
         # Clauses added to a released group are dropped outright.
         assert session.add_clause([-x], group=g) is True
