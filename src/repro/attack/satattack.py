@@ -166,11 +166,14 @@ class SatAttack:
             self._copy_count = 0
             self._build_miter()
         # Seed information carried over from earlier attack rounds (the
-        # paper's restart step) enters as unit clauses on both key copies.
+        # paper's restart step) enters as unit clauses on both key copies,
+        # through the CNF so that its snapshots and sizes include them.
         if fixed_key_bits:
+            cnf = self.encoder.cnf
             for index, value in sorted(fixed_key_bits.items()):
                 for var in (self.key_vars_a[index], self.key_vars_b[index]):
-                    self.solver.add_clause([var if value else -var])
+                    cnf.add_clause([var if value else -var])
+            self._sync_solver()
 
     # ------------------------------------------------------------------
     def _encode_copy(self, prefix: str, share_keys_with: str | None) -> dict[str, int]:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.attack.satattack import IterationRecord
-from repro.sat.cnf import Cnf
 from repro.sat.solver import CdclSolver
 
 
@@ -95,9 +94,7 @@ class CnfDumper:
         path: Path | None = None
         if self._dir is not None:
             path = self._dir / f"iteration_{record.iteration:04d}.cnf"
-            cnf = Cnf(self._attack.encoder.cnf.n_vars)
-            cnf.clauses = list(self._attack.encoder.cnf.clauses)
-            cnf.save(path)
+            self._attack.encoder.cnf.save(path)
         revealed: dict[int, int] = {}
         if self._probe:
             revealed = probe_fixed_key_bits(

@@ -4,10 +4,11 @@ The paper runs the Subramanyan et al. SAT attack on top of the lingeling
 solver.  Neither is available here, so this package implements the whole
 stack from scratch:
 
-* :mod:`repro.sat.cnf` — clause container with DIMACS import/export;
+* :mod:`repro.sat.cnf` — flat clause container (literal and length
+  buffers) with DIMACS import/export;
 * :mod:`repro.sat.tseitin` — Tseitin encoding of netlists into CNF, with
   per-netlist compiled templates (:func:`encoding_for`) so repeated
-  copies stamp in O(clauses) integer translation;
+  copies stamp by one array gather through a literal table;
 * :mod:`repro.sat.solver` — a conflict-driven clause-learning (CDCL)
   solver with two-literal watching, VSIDS decisions, phase saving, 1-UIP
   learning, Luby restarts, LBD-ranked learned-clause reduction and

@@ -35,9 +35,10 @@ import tempfile
 import time
 import weakref
 from array import array
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.sat.solver import SolveResult, SolverStats
 
@@ -149,6 +150,23 @@ def _address(buffer: array) -> int:
     return buffer.buffer_info()[0]
 
 
+def _clause_buffers(lits, lengths) -> tuple[int, int, int]:
+    """Addresses of a clause intake's buffers, and its clause count.
+
+    Both must be 1-D contiguous C ints, the lengths non-negative and
+    summing to the number of literals, so the C core reads only inside
+    them.  No view of either outlives the call: the caller's buffers
+    stay free to grow once the C call is done.
+    """
+    flat, sizes = np.asarray(lits), np.asarray(lengths)
+    for array in (flat, sizes):
+        if array.dtype != np.intc or array.ndim != 1 or not array.flags.c_contiguous:
+            raise TypeError("clause buffers must be 1-D contiguous C ints")
+    if (sizes < 0).any() or int(sizes.sum()) != flat.size:
+        raise ValueError("clause lengths do not match the literal buffer")
+    return flat.ctypes.data, sizes.ctypes.data, sizes.size
+
+
 def _check(status: int) -> int:
     if status < 0:
         raise ValueError(_ERRORS[status])
@@ -191,12 +209,15 @@ class NativeCore:
     def new_var(self) -> int:
         return self._lib.cdcl_new_var(self._handle)
 
-    def add_clauses(self, clauses: Sequence[Sequence[int]], n_vars: int) -> None:
-        """Create variables up to ``n_vars``, then add every clause."""
-        flat = array("i", chain.from_iterable(clauses))
-        lengths = array("i", map(len, clauses))
+    def add_clauses(self, lits, lengths, n_vars: int) -> None:
+        """Create variables up to ``n_vars``, then add every clause.
+
+        ``lits`` and ``lengths`` are flat buffers of C ints, passed to
+        the C core in place.
+        """
+        lits_address, lengths_address, n_clauses = _clause_buffers(lits, lengths)
         status = self._lib.cdcl_add_clauses(
-            self._handle, _address(flat), _address(lengths), len(lengths), n_vars
+            self._handle, lits_address, lengths_address, n_clauses, n_vars
         )
         self._sync()
         _check(status)

@@ -102,13 +102,13 @@ class IncrementalSolver(CdclSolver):
     # bulk intake
     # ------------------------------------------------------------------
     def absorb(self, cnf: Cnf, already_synced: int = 0) -> int:
-        """Stream ``cnf.clauses[already_synced:]`` into the session.
+        """Stream the clauses of ``cnf`` from index ``already_synced`` on.
 
         Callers that keep growing one :class:`Cnf` (the Tseitin encoder's
         output) pass the previous return value back in, so each call
-        transfers only the new suffix, in one call into the core.
-        Returns the new synced count.
+        transfers only the new suffix of its flat buffers, in one call
+        into the core.  Returns the new synced count.
         """
-        clauses = cnf.clauses
-        self._core.add_clauses(clauses[already_synced:], cnf.n_vars)
-        return len(clauses)
+        with cnf.suffix(already_synced) as (lits, lengths):
+            self._core.add_clauses(lits, lengths, cnf.n_vars)
+        return cnf.n_clauses

@@ -134,7 +134,8 @@ class CdclSolver:
         return self._core.new_var()
 
     def add_cnf(self, cnf: Cnf) -> None:
-        self._core.add_clauses(cnf.clauses, cnf.n_vars)
+        with cnf.suffix(0) as (lits, lengths):
+            self._core.add_clauses(lits, lengths, cnf.n_vars)
 
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a clause of DIMACS literals.
@@ -231,11 +232,20 @@ class PythonCore:
         while self.n_vars < max_var:
             self.new_var()
 
-    def add_clauses(self, clauses: Sequence[Sequence[int]], n_vars: int) -> None:
-        """Create variables up to ``n_vars``, then add every clause."""
+    def add_clauses(self, lits, lengths, n_vars: int) -> None:
+        """Create variables up to ``n_vars``, then add every clause.
+
+        ``lits`` and ``lengths`` are flat buffers of C ints (memoryviews,
+        arrays or numpy arrays): every clause's literals in order, and
+        the clause lengths.
+        """
         self._ensure_vars(n_vars)
-        for clause in clauses:
-            self.add_clause(clause)
+        flat = lits.tolist()
+        start = 0
+        for length in lengths.tolist():
+            end = start + length
+            self.add_clause(flat[start:end])
+            start = end
 
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a clause of DIMACS literals.

@@ -13,17 +13,21 @@ Two layers:
   cached per netlist object, so the incremental SAT attack pays the
   gate-walk and dict churn a single time per circuit.
 * :class:`CircuitEncoder` stamps template copies into a shared
-  :class:`Cnf`.  Stamping is pure integer translation (one fresh-variable
-  block plus a signed literal lookup table per copy, indexed directly by
-  each local literal), which is what makes per-DIP miter extension
+  :class:`Cnf`.  Stamping is pure integer translation: one fresh-variable
+  block plus a signed literal lookup table per copy, which one numpy
+  gather applies to the template's flat literal buffer, appended to the
+  :class:`Cnf` as one block.  That is what makes per-DIP miter extension
   cheap.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist
@@ -33,12 +37,16 @@ from repro.sat.cnf import Cnf
 # ----------------------------------------------------------------------
 # gate clause emission (shared by template compilation and ad-hoc use)
 # ----------------------------------------------------------------------
-def encode_gate_clauses(cnf: Cnf, gate: Gate, out: int, ins: list[int]) -> None:
+def encode_gate_clauses(
+    cnf: "Cnf | _FlatClauses", gate: Gate, out: int, ins: list[int]
+) -> None:
     """Append the clause set for ``out <-> gate(ins)`` to ``cnf``.
 
-    Clause order is part of the template contract: every stamped copy of
-    a :class:`NetlistEncoding` replays it verbatim, so the solver sees
-    the same CNF for the same netlist on every run.
+    ``cnf`` is any clause sink with ``add_clause`` and ``new_var`` (a
+    :class:`Cnf`, or template compilation's unchecked buffer).  Clause
+    and literal order are part of the template contract: every stamped
+    copy of a :class:`NetlistEncoding` replays them verbatim, so the
+    solver sees the same CNF for the same netlist on every run.
     """
     gtype = gate.gtype
     add = cnf.add_clause
@@ -127,24 +135,61 @@ def _encode_xor2(cnf: Cnf, out: int, a: int, b: int) -> None:
 # ----------------------------------------------------------------------
 # compiled per-netlist templates
 # ----------------------------------------------------------------------
+_INT_SIZE = np.dtype(np.intc).itemsize
+
+
 @dataclass(frozen=True)
 class NetlistEncoding:
     """A netlist compiled to CNF over local variables ``1..n_locals``.
 
-    ``net_local`` maps every named net (primary inputs, gate outputs,
-    gate operand nets and primary outputs) to its local variable; the
-    remaining locals are Tseitin auxiliaries.  Templates are immutable
-    and shared between all stamped copies.
+    The clauses are held flat and immutable: ``lits`` is every clause's
+    literals in order and ``lengths`` the clause lengths, both as bytes
+    of C ints (read with ``np.frombuffer``, which gives read-only
+    arrays).  ``net_local`` maps every named net (primary inputs, gate
+    outputs, gate operand nets and primary outputs) to its local
+    variable; the remaining locals are Tseitin auxiliaries.  Templates
+    are shared between all stamped copies.
     """
 
     name: str
     n_locals: int
-    clauses: tuple[tuple[int, ...], ...]
+    lits: bytes
+    lengths: bytes
     net_local: Mapping[str, int]
 
     @property
     def n_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.lengths) // _INT_SIZE
+
+    @property
+    def clauses(self) -> tuple[tuple[int, ...], ...]:
+        """The clauses over local variables, as tuples."""
+        cnf = Cnf(self.n_locals)
+        cnf.append_block(self.lits, self.lengths)
+        return tuple(cnf.clauses)
+
+
+class _FlatClauses:
+    """The clause sink of :func:`compile_encoding`: flat lists, unchecked.
+
+    Compilation allocates every variable itself, so the per-literal
+    checks of :meth:`Cnf.add_clause` have nothing to catch.
+    """
+
+    __slots__ = ("n_vars", "lits", "lengths")
+
+    def __init__(self) -> None:
+        self.n_vars = 0
+        self.lits: list[int] = []
+        self.lengths: list[int] = []
+
+    def new_var(self) -> int:
+        self.n_vars += 1
+        return self.n_vars
+
+    def add_clause(self, clause: list[int]) -> None:
+        self.lits += clause
+        self.lengths.append(len(clause))
 
 
 #: netlist -> (the ``Netlist.version`` it was compiled at, template).
@@ -160,7 +205,7 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
             "cannot Tseitin-encode a sequential netlist; "
             "build a combinational model first"
         )
-    cnf = Cnf()
+    cnf = _FlatClauses()
     net_local: dict[str, int] = {}
 
     def var_for(net: str) -> int:
@@ -181,7 +226,8 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
     return NetlistEncoding(
         name=netlist.name,
         n_locals=cnf.n_vars,
-        clauses=tuple(cnf.clauses),
+        lits=array("i", cnf.lits).tobytes(),
+        lengths=array("i", cnf.lengths).tobytes(),
         net_local=net_local,
     )
 
@@ -251,28 +297,25 @@ class CircuitEncoder:
         """Instantiate a compiled template under ``prefix``."""
         cnf = self.cnf
         net_vars = self._net_vars
-        # Local -> global lookup table; slot 0 unused.
-        lut = [0] * (template.n_locals + 1)
-        for net, local in template.net_local.items():
-            bound = net_vars.get(prefix + net)
-            if bound is not None:
-                lut[local] = bound
-        next_var = cnf.n_vars
-        for local in range(1, template.n_locals + 1):
-            if lut[local] == 0:
-                next_var += 1
-                lut[local] = next_var
-        cnf.n_vars = next_var
+        nets = template.net_local
+        keys = [prefix + net for net in nets]
+        locals_ = np.fromiter(nets.values(), dtype=np.intp, count=len(nets))
+        # Local -> global lookup table, slot 0 unused: nets already bound
+        # keep their variables, every other local takes the next fresh
+        # variable in local order.
+        lut = np.zeros(template.n_locals + 1, dtype=np.intc)
+        lut[locals_] = [net_vars.get(key, 0) for key in keys]
+        fresh = np.flatnonzero(lut == 0)[1:]
+        lut[fresh] = np.arange(cnf.n_vars + 1, cnf.n_vars + 1 + fresh.size)
+        cnf.n_vars += fresh.size
 
-        mapping: dict[str, int] = {}
-        for net, local in template.net_local.items():
-            var = lut[local]
-            net_vars[prefix + net] = var
-            mapping[net] = var
+        variables = lut[locals_].tolist()
+        net_vars.update(zip(keys, variables))
+        mapping = dict(zip(nets, variables))
 
-        # Signed table: append the negated entries in reverse, so Python's
-        # negative indexing maps literal -l to lut[-l] == -lut[l].
-        lut += [-var for var in lut[:0:-1]]
-        get = lut.__getitem__
-        cnf.clauses.extend([tuple(map(get, clause)) for clause in template.clauses])
+        # Signed table: the negated entries appended in reverse, so
+        # negative indexing maps literal -l to -lut[l].
+        signed = np.concatenate((lut, -lut[:0:-1]))
+        literals = np.frombuffer(template.lits, dtype=np.intc)
+        cnf.append_block(signed.take(literals), template.lengths)
         return mapping

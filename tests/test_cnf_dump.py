@@ -77,6 +77,35 @@ class TestCnfDumper:
             sizes.append(cnf.n_clauses)
         assert sizes == sorted(sizes)
 
+    def test_snapshot_holds_carried_seed_bits(self, tmp_path):
+        # A restart round carries seed bit 0, here as the complement of
+        # the true bit: the attack's solver and the last dumped CNF must
+        # both refuse K_A[0] = true bit with the miter off.
+        from repro.api import resolve_profile
+        from repro.core.dynunlock import DynUnlock
+        from repro.reports.cells import build_table2_lock
+
+        netlist, lock, _ = build_table2_lock(resolve_profile("quick"), "s5378", 0)
+        unlocker = DynUnlock(netlist, lock.public_view(), lock.make_oracle())
+        model = unlocker._build_model(1)
+        true_bit = lock.seed[0]
+        attack = SatAttack(
+            model.netlist,
+            model.key_inputs,
+            unlocker._oracle_fn(model, 1),
+            fixed_key_bits={0: 1 - true_bit},
+        )
+        dumper = CnfDumper(attack, directory=tmp_path)
+        attack.config.iteration_hook = dumper
+        attack.run()
+        key_a0 = attack.key_vars_a[0]
+        assumptions = [-attack.act_var, key_a0 if true_bit else -key_a0]
+        assert attack.solver.solve(assumptions).satisfiable is False
+        last = dumper.snapshots[-1]
+        dumped = Cnf.load(last.path)
+        assert dumped.n_clauses == last.n_clauses
+        assert CdclSolver(dumped).solve(assumptions).satisfiable is False
+
     def test_probe_reveals_bits_consistent_with_final_candidates(self):
         attack, lock = make_attack(seed=5)
         dumper = CnfDumper(attack, directory=None, probe=True)

@@ -44,6 +44,33 @@ class TestCnf:
         with pytest.raises(ValueError):
             Cnf().add_clause([1, 0])
 
+    @pytest.mark.parametrize("lit", [2**31, -(2**31) - 1, 2**40])
+    def test_literal_beyond_32_bits_rejected_by_name(self, lit):
+        cnf = Cnf()
+        cnf.add_clause([1, -2])
+        with pytest.raises(ValueError, match=str(lit)):
+            cnf.add_clause([3, lit])
+        assert (cnf.n_vars, cnf.clauses) == (2, [(1, -2)])
+
+    def test_clauses_is_a_read_only_view(self):
+        cnf = Cnf()
+        cnf.add_clause([1, -2])
+        cnf.clauses.append((3,))
+        assert cnf.clauses == [(1, -2)]
+        with pytest.raises(AttributeError):
+            cnf.clauses = []
+
+    def test_suffix_views_the_clauses_from_an_index(self):
+        cnf = Cnf()
+        for clause in ([1, -2], [3], [], [-1, 2, 4]):
+            cnf.add_clause(clause)
+        with cnf.suffix(1) as (lits, lengths):
+            assert (lits.tolist(), lengths.tolist()) == ([3, -1, 2, 4], [1, 0, 3])
+            assert lits.readonly and lengths.readonly
+        cnf.add_clause([5])  # the views are released: the buffers can grow
+        with cnf.suffix(cnf.n_clauses) as (lits, lengths):
+            assert (len(lits), len(lengths)) == (0, 0)
+
     def test_extend(self):
         a = Cnf()
         a.add_clause([1, 2])
@@ -73,6 +100,24 @@ class TestCnf:
         parsed = Cnf.from_dimacs("c a comment\np cnf 3 1\n1 -3 0\n")
         assert parsed.n_vars == 3
         assert parsed.clauses == [(1, -3)]
+
+    @pytest.mark.parametrize(
+        "text,clauses",
+        [
+            # 0 ends a clause, not a newline.
+            ("p cnf 3 1\n1 2\n-3 0\n", [(1, 2, -3)]),
+            ("p cnf 3 2\n1 2 0 -3 0\n", [(1, 2), (-3,)]),
+            # The SATLIB trailer ends the formula.
+            ("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n", [(1, -2), (2, 3)]),
+            # A lone 0 is the empty clause, as to_dimacs writes it.
+            ("p cnf 2 2\n1 2 0\n0\n", [(1, 2), ()]),
+        ],
+        ids=["clause-across-lines", "clauses-on-one-line", "satlib-trailer", "empty"],
+    )
+    def test_dimacs_clauses_end_at_zero(self, text, clauses):
+        parsed = Cnf.from_dimacs(text)
+        assert parsed.clauses == clauses
+        assert parsed.n_vars == int(text.split()[2])
 
     def test_dimacs_bad_header(self):
         with pytest.raises(ValueError):

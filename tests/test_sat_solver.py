@@ -4,6 +4,7 @@ hard instances, incrementality, assumptions, and enumeration."""
 import itertools
 import random
 import shutil
+from array import array
 import signal
 import time
 
@@ -518,6 +519,27 @@ class TestNativeMatchesReference:
             self.same(native, reference, "add_clause", clause)
         assert self.same(native, reference, "solve", [1]) == (False, None, [])
 
+    def test_flat_intake(self, pair):
+        # Both cores take a suffix of the CNF's flat buffers: the first
+        # absorb, then only the clauses added since, then an empty clause.
+        native, reference = pair()
+        cnf = Cnf()
+        for clause in ([1, -2], [2, 3, -4], [-1, 4]):
+            cnf.add_clause(clause)
+        synced = self.same(native, reference, "absorb", cnf)
+        with pytest.raises(ValueError, match=str(2**31)):
+            cnf.add_clause([5, 2**31])
+        assert (cnf.n_clauses, cnf.n_vars) == (3, 4)
+        for clause in ([4, -5], [-3, 5, 1], [6]):
+            cnf.add_clause(clause)
+        synced = self.same(native, reference, "absorb", cnf, synced)
+        assert synced == 6
+        assert self.same(native, reference, "solve", [-6])[0] is False
+        assert self.same(native, reference, "solve")[0] is True
+        cnf.add_clause([])
+        self.same(native, reference, "absorb", cnf, synced)
+        assert self.same(native, reference, "solve") == (False, None, [])
+
     def test_literal_errors(self, pair):
         native, reference = pair()
         for solver_ in (native, reference):
@@ -528,6 +550,11 @@ class TestNativeMatchesReference:
             native.add_clause([1, -(2**30)])
         with pytest.raises(ValueError, match="out of range"):
             native.solve(assumptions=[2**30])
+        # The flat intake checks its buffers before the C core reads them.
+        with pytest.raises(ValueError, match="lengths"):
+            native._core.add_clauses(array("i", [1, 2]), array("i", [3]), 2)
+        with pytest.raises(TypeError, match="C ints"):
+            native._core.add_clauses(array("q", [1]), array("i", [1]), 1)
         assert native.solve(assumptions=[1]).model[1] == 1
 
     def test_table2_cell_cnf_dump(self, pair, tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +25,31 @@ def single_gate_netlist(gtype: GateType, n_inputs: int) -> Netlist:
         ins.append(net)
     netlist.add_gate("y", gtype, ins)
     netlist.add_output("y")
+    return netlist
+
+
+#: (min, max) operand count per gate type; the rest take 2 to 4.
+ARITY = {
+    GateType.NOT: (1, 1), GateType.BUF: (1, 1), GateType.MUX: (3, 3),
+    GateType.CONST0: (0, 0), GateType.CONST1: (0, 0),
+    GateType.XOR: (2, 5), GateType.XNOR: (2, 5),
+}
+
+
+def random_netlist(rng: random.Random, n_gates: int) -> Netlist:
+    """A random combinational netlist with a gate of every type."""
+    netlist = Netlist("mix")
+    nets = [f"i{k}" for k in range(4)]
+    for net in nets:
+        netlist.add_input(net)
+    types = list(GateType) + [rng.choice(list(GateType)) for _ in range(n_gates)]
+    for k, gtype in enumerate(types):
+        low, high = ARITY.get(gtype, (2, 4))
+        operands = [rng.choice(nets) for _ in range(rng.randint(low, high))]
+        netlist.add_gate(f"g{k}", gtype, operands)
+        nets.append(f"g{k}")
+    for net in rng.sample(nets[4:], 3):
+        netlist.add_output(net)
     return netlist
 
 
@@ -115,6 +141,46 @@ class TestSharing:
         solver.add_clause([-map_a["y"], -map_b["y"]])  # y_a != y_b
         assert solver.solve().satisfiable is False
 
+    def test_stamp_is_the_table_translation_of_the_template(self):
+        # Reference: the per-clause translation through a local -> global
+        # table (bound nets keep their variables, the other locals take
+        # fresh ones in local order), checked clause for clause.
+        for seed in range(8):
+            rng = random.Random(seed)
+            template = encoding_for(random_netlist(rng, rng.randint(2, 20)))
+            encoder = CircuitEncoder()
+            encoder.cnf.new_vars(3)
+            for prefix in ("", "A::", "B::", "A::", "A1::"):
+                for net in rng.sample(sorted(template.net_local), 4):
+                    if not encoder.has_net(prefix + net):
+                        var = rng.randint(1, encoder.cnf.n_vars)
+                        encoder.alias(prefix + net, var)
+                bound = {
+                    local: encoder.var_for(prefix + net)
+                    for net, local in template.net_local.items()
+                    if encoder.has_net(prefix + net)
+                }
+                before, next_var = encoder.cnf.n_clauses, encoder.cnf.n_vars
+                lut = [bound.get(local, 0) for local in range(template.n_locals + 1)]
+                for local in range(1, template.n_locals + 1):
+                    if lut[local] == 0:
+                        next_var += 1
+                        lut[local] = next_var
+                expected = [
+                    tuple(lut[l] if l > 0 else -lut[-l] for l in clause)
+                    for clause in template.clauses
+                ]
+                mapping = encoder.stamp(template, prefix=prefix)
+                assert encoder.cnf.clauses[before:] == expected
+                assert encoder.cnf.n_vars == next_var
+                assert mapping == {
+                    net: lut[local] for net, local in template.net_local.items()
+                }
+                assert all(
+                    encoder.var_for(prefix + net) == var
+                    for net, var in mapping.items()
+                )
+
     def test_alias_conflict_rejected(self):
         encoder = CircuitEncoder()
         v = encoder.var_for("a")
@@ -138,3 +204,12 @@ class TestTemplateCache:
         assert fresh is not stale
         assert fresh == compile_encoding(netlist)
         assert fresh.clauses != stale.clauses
+
+    def test_cached_template_buffers_cannot_be_written(self):
+        template = encoding_for(single_gate_netlist(GateType.XOR, 3))
+        assert template.clauses  # non-empty buffers
+        for buffer in (template.lits, template.lengths):
+            with pytest.raises(TypeError):
+                buffer[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                np.frombuffer(buffer, dtype=np.intc)[0] = 0
