@@ -7,9 +7,11 @@
 #                           floor (benchmarks/baselines/coverage_floor.txt);
 #                           requires pytest-cov
 #   make matrix           - the attack x defense resilience grid (quick)
-#   make fuzz             - a seeded differential-fuzzing campaign (quick);
-#                           fails on any invariant violation and writes
-#                           shrunk repro cases to .fuzz_corpus
+#   make fuzz             - a seeded differential-fuzzing campaign (quick):
+#                           one budgetless farm round against a fresh
+#                           .fuzz_state, so reruns repeat the same round;
+#                           fails on any invariant violation and leaves
+#                           shrunk repro cases in .fuzz_state/corpus
 #                           (FUZZ_TRIALS / FUZZ_SEED override the defaults)
 #   make farm             - budgeted rounds of the continuous fuzz farm
 #                           (examples/configs/quick-smoke.toml): coverage
@@ -94,10 +96,13 @@ matrix:
 	PYTHONPATH=src $(PYTHON) -m repro.cli matrix --profile quick \
 	  --jobs $${REPRO_JOBS:-1}
 
+# Fresh state dir each run: a rerun repeats the same seeded round, and
+# a new FUZZ_SEED never meets a state dir holding another seed.
 fuzz:
-	PYTHONPATH=src $(PYTHON) -m repro.cli fuzz --profile quick \
-	  --trials $${FUZZ_TRIALS:-100} --seed $${FUZZ_SEED:-0} \
-	  --jobs $${REPRO_JOBS:-1} --corpus .fuzz_corpus
+	rm -rf .fuzz_state
+	PYTHONPATH=src $(PYTHON) -m repro.cli farm run --profile quick \
+	  --round-trials $${FUZZ_TRIALS:-100} --seed $${FUZZ_SEED:-0} \
+	  --jobs $${REPRO_JOBS:-1} --state .fuzz_state
 
 # Checkpointed: a second `make farm` resumes the same state dir and
 # keeps exploring where the first stopped (delete .repro_farm to reset).

@@ -20,9 +20,9 @@ The surface is deliberately small and typed:
 ``submit_jobs``
     The raw scheduler surface: run any spec list, return a
     :class:`~repro.runner.scheduler.RunReport`.
-``run_grid`` / ``run_matrix`` / ``run_fuzz`` / ``run_attack``
+``run_grid`` / ``run_matrix`` / ``run_farm`` / ``run_attack``
     One call per workload family, each returning a structured result
-    (rows + the scheduler report, a campaign report, an attack record).
+    (rows + the scheduler report, a farm report, an attack record).
 
 Everything here is deterministic given (specs, profile, store): the
 facade adds no randomness and no hidden state beyond what the runner
@@ -230,38 +230,6 @@ def check_matrix_against_paper(rows) -> list[str]:
     return check_against_paper(rows)
 
 
-def run_fuzz(
-    *,
-    profile: str | ExperimentProfile | None = None,
-    trials: int = 100,
-    seed: int = 0,
-    jobs: int = 1,
-    store: StoreBackend | None = None,
-    time_budget_s: float | None = None,
-    corpus_dir: str | None = None,
-    progress: ProgressFn | None = None,
-    shrink_limit: int = 8,
-    opt_level: int | None = None,
-    observer=None,
-):
-    """Run one seeded differential-fuzzing campaign; returns the report."""
-    from repro.fuzz.campaign import run_campaign
-
-    return run_campaign(
-        resolve_profile(profile),
-        trials=trials,
-        seed=seed,
-        jobs=jobs,
-        store=store,
-        time_budget_s=time_budget_s,
-        corpus_dir=corpus_dir,
-        progress=progress,
-        shrink_limit=shrink_limit,
-        opt_level=opt_level,
-        observer=observer,
-    )
-
-
 def run_farm(
     *,
     profile: str | ExperimentProfile | None = None,
@@ -374,7 +342,6 @@ __all__ = [
     "resolve_profile",
     "run_attack",
     "run_farm",
-    "run_fuzz",
     "run_grid",
     "run_matrix",
     "submit_jobs",

@@ -6,12 +6,13 @@ original benchmark flop counts).  The functional logic is synthetic (see
 DESIGN.md substitutions); primary input/output counts follow the original
 benchmark documentation where known and are otherwise plausible.
 
-Scaling: the paper ran on a 24-core Xeon with lingeling; this repo runs a
-pure-Python CDCL solver.  ``build_benchmark_netlist(..., scale=...)``
-divides the flop count (and the experiment harness shrinks the key size)
-so the full table regenerates in minutes by default; ``scale=1`` gives
-paper-size instances for patient runs (``REPRO_PROFILE=paper`` in the
-benches, see :mod:`repro.reports.profiles`).
+Scaling: the paper ran on a 24-core Xeon with lingeling; this repo runs
+its own CDCL solver (a native C search core).
+``build_benchmark_netlist(..., scale=...)`` divides the flop count (and
+the experiment harness shrinks the key size) so the full table
+regenerates in about a second by default; ``scale=1`` gives paper-size
+instances (``REPRO_PROFILE=paper`` in the benches, see
+:mod:`repro.reports.profiles`).
 """
 
 from __future__ import annotations

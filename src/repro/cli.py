@@ -9,6 +9,8 @@ Subcommands mirror the library's main entry points::
     dynunlock scaling                     # Section IV scalability study
     dynunlock ablation                    # Section V nonlinear-PRNG study
     dynunlock matrix                      # attack x defense resilience grid
+    dynunlock farm run --round-trials 200 # one seeded differential-fuzz round
+    dynunlock fuzz-replay                 # re-demonstrate crash-corpus entries
     dynunlock opt s5378                   # netlist-optimization statistics
     dynunlock opt-bench --emit-json out   # opt vs raw attack-pipeline bench
     dynunlock run table2 scaling --jobs 4 # several grids through the runner
@@ -38,12 +40,12 @@ stale cells -- pass ``--no-resume`` to force recomputation; and
 artifacts that CI uploads and diffs against the checked-in baseline.
 
 The result store is pluggable: ``--cache-backend json|sqlite``
-(or ``$REPRO_CACHE_BACKEND``) selects the backend on every grid/fuzz
+(or ``$REPRO_CACHE_BACKEND``) selects the backend on every grid/farm
 command, ``dynunlock cache`` inspects, garbage-collects, prunes, and
 migrates caches, and ``dynunlock store-bench`` measures the backends
 head-to-head (see ``docs/caching.md``).
 
-Observability (``docs/observability.md``): every grid/attack/fuzz
+Observability (``docs/observability.md``): every grid/attack/farm
 command accepts ``--metrics-dir DIR`` (per-job spans, a Prometheus
 ``metrics.prom``, and a ``BENCH_obs.json`` summary land in DIR;
 ``$REPRO_METRICS_DIR`` sets a default) and ``--log-json PATH``
@@ -53,19 +55,22 @@ instrumented run.  With neither flag, instrumentation is fully off:
 no spans are collected, and results/cache bytes are identical.
 
 Declarative configs (``docs/configs.md``): ``--config FILE`` on
-``fuzz``, ``farm``, ``matrix`` and every grid command resolves flags
+``farm run``, ``matrix`` and every grid command resolves flags
 through a checked TOML/JSON profile (explicit CLI flags win; the
 resolved config is stamped into artifact provenance).  ``dynunlock
 config check --strict`` validates profiles, rejecting unknown keys,
 type mismatches and policy-violating values with dotted-path errors.
 
-The continuous fuzz farm (``docs/fuzzing.md``): ``dynunlock farm run
---budget 10m --config farm.toml`` runs time-budgeted rolling rounds
-that persist a deduplicating corpus plus coverage-scheduler state
-under ``--state`` and checkpoint after every round, so a killed farm
-resumes byte-identically; ``dynunlock farm status`` summarizes a
-state dir, and ``dynunlock fuzz-replay <state>/corpus`` replays the
-farmed corpus as a regression suite.
+Differential fuzzing runs through the farm (``docs/fuzzing.md``):
+``dynunlock farm run --budget 10m --config farm.toml`` runs
+time-budgeted rolling rounds that persist a deduplicating corpus plus
+coverage-scheduler state under ``--state`` and checkpoint after every
+round, so a killed farm resumes byte-identically.  With neither
+``--budget`` nor ``--max-rounds`` it runs exactly one round, so
+``farm run --round-trials N --seed S`` on a fresh ``--state`` is the
+seeded N-trial campaign.  ``dynunlock farm status`` summarizes a state
+dir, and ``dynunlock fuzz-replay <state>/corpus`` replays the farmed
+corpus as a regression suite.
 """
 
 from __future__ import annotations
@@ -461,82 +466,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
-    """``dynunlock fuzz``: run a seeded differential-fuzzing campaign."""
-    from repro.fuzz.campaign import FUZZ_HEADERS, campaign_rows
-
-    _resolve_config(args, "fuzz")
-    profile = _profile_from_args(args)
-    with _observation(args, "fuzz") as observer:
-        report = api.run_fuzz(
-            profile=profile,
-            trials=args.trials,
-            seed=args.seed,
-            jobs=_jobs_from_args(args),
-            store=_store_from_args(args),
-            time_budget_s=args.time_budget,
-            corpus_dir=args.corpus,
-            progress=_progress,
-            shrink_limit=args.shrink_limit,
-            opt_level=args.opt_level,
-            observer=observer,
-        )
-        if observer is not None:
-            # Campaign-level outcomes the per-trial spans cannot see.
-            counters = observer.session.metrics
-            counters.counter(
-                "repro_fuzz_trials_total", "Fuzz trials by disposition"
-            ).inc(len(report.outcomes), disposition="ran")
-            counters.counter(
-                "repro_fuzz_trials_total", "Fuzz trials by disposition"
-            ).inc(report.n_not_run, disposition="not_run")
-            counters.counter(
-                "repro_fuzz_violations_total", "Invariant violations found"
-            ).inc(len(report.violations))
-        title = (
-            f"Differential fuzz campaign (seed={args.seed}, "
-            f"profile={profile.name})"
-        )
-        rows = campaign_rows(report)
-        print(render_table(FUZZ_HEADERS, rows, title=title))
-        print(f"  [=] {report.summary()}", file=sys.stderr)
-        for violation in report.violations:
-            where = violation.get("corpus_path")
-            suffix = f" -> {where}" if where else ""
-            print(
-                f"  [!] trial {violation['index']} violated "
-                f"{violation['invariant']}: {violation['detail']}{suffix}",
-                file=sys.stderr,
-            )
-        _emit_artifact(
-            args,
-            "fuzz",
-            FUZZ_HEADERS,
-            rows,
-            title=title,
-            profile_name=profile.name,
-            report=_FuzzArtifactReport(report),
-            extra_meta={
-                "campaign_seed": args.seed,
-                "n_trials": report.n_trials,
-                "n_not_run": report.n_not_run,
-                "n_unbuildable": report.n_skipped_builds,
-                "violations": report.violations,
-            },
-        )
-    return 0 if report.ok else 1
-
-
-class _FuzzArtifactReport:
-    """Adapter giving :func:`_emit_artifact` the RunReport surface it reads."""
-
-    def __init__(self, report):
-        self.outcomes = [o for o in report.outcomes if o.ok]
-        self.wall_s = report.wall_s
-        self.n_cached = report.n_cached
-        self.n_computed = report.n_computed
-
-
 def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     """``dynunlock fuzz-replay``: re-demonstrate every crash-corpus entry.
 
@@ -546,6 +475,7 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     directory is damaged (unreadable or malformed entries).
     """
     from repro.fuzz.corpus import CorpusError, load_corpus, replay_entry
+    from repro.fuzz.invariants import CACHE_STABILITY, EXEC_STABILITY
 
     try:
         entries = load_corpus(args.corpus)
@@ -561,7 +491,11 @@ def cmd_fuzz_replay(args: argparse.Namespace) -> int:
     for path, entry in entries:
         reproduced = replay_entry(entry, profile)
         if reproduced is None:
-            status = "SKIP (needs a pool/store to reproduce)"
+            status = (
+                "SKIP (needs a pool/store to reproduce)"
+                if entry.invariant in (EXEC_STABILITY, CACHE_STABILITY)
+                else "SKIP (records no failure)"
+            )
             skipped += 1
         elif reproduced:
             status = "reproduced"
@@ -1452,48 +1386,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser(
-        "fuzz", help="run a seeded differential-fuzzing campaign"
-    )
-    p.add_argument(
-        "--trials", type=int, default=None, metavar="N",
-        help="number of sampled trials in the campaign (default 100)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=None, metavar="S",
-        help="campaign seed; same seed + trials => identical campaign "
-             "(default 0)",
-    )
-    p.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop dispatching new trials after this many seconds",
-    )
-    p.add_argument(
-        "--corpus", default=None, metavar="DIR",
-        help="write shrunk failing trials here (e.g. .fuzz_corpus); "
-             "omit to skip corpus persistence",
-    )
-    p.add_argument(
-        "--shrink-limit", type=int, default=None, metavar="N",
-        help="minimize at most N violations (default 8)",
-    )
-    add_profile(p)
-    add_runner(p)
-    add_opt(p)
-    add_obs(p)
-    p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser(
         "fuzz-replay",
         help="re-demonstrate every crash-corpus entry",
-        description="Replay a crash corpus (flat fuzz corpus or a farm's "
-                    "<state>/corpus). Exit 0: every replayable entry still "
-                    "reproduces (or the corpus is empty); exit 1: at least "
-                    "one entry no longer reproduces; exit 2: the corpus is "
-                    "damaged.",
+        description="Replay a farm's crash corpus (<state>/corpus). "
+                    "Exit 0: every replayable entry still reproduces (or "
+                    "the corpus is empty); exit 1: at least one entry no "
+                    "longer reproduces; exit 2: the corpus is damaged.",
     )
     p.add_argument(
-        "corpus", nargs="?", default=".fuzz_corpus",
-        help="corpus directory (default .fuzz_corpus)",
+        "corpus", nargs="?", default=".repro_farm/corpus",
+        help="corpus directory (default .repro_farm/corpus)",
     )
     p.add_argument(
         "--profile", choices=sorted(PROFILES), default=None,
@@ -1524,6 +1426,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run coverage-scheduled fuzz rounds, persisting a "
                     "deduplicating corpus and checkpointing state after "
                     "every round (a killed run resumes byte-identically). "
+                    "With neither --budget nor --max-rounds, run exactly "
+                    "one round: on a fresh --state that is the seeded "
+                    "--round-trials campaign. "
                     "Exit 0: no violations this run; 1: violations found; "
                     "2: usage/state error.",
     )
@@ -1587,7 +1492,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate config profiles against the schema",
         description="Validate TOML/JSON config profiles. Every problem "
                     "is reported with its dotted key path (e.g. "
-                    "fuzz.concurrency). Exit 0: all valid; 1: any issue.",
+                    "farm.concurrency). Exit 0: all valid; 1: any issue.",
     )
     cfp.add_argument(
         "files", nargs="+", metavar="FILE",

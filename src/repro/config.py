@@ -1,25 +1,26 @@
 """Declarative experiment config profiles (TOML/JSON).
 
 A config file is a small table of dotted keys -- ``profile``,
-``opt_level``, plus the ``[cache]``, ``[filters]``, ``[fuzz]``,
-``[farm]`` and ``[grid]`` sections -- that captures everything a large
-campaign needs to be reproducible as one reviewable artifact: seeds,
-trial counts, concurrency, time budgets, cache backend, optimization
-level, and attack/defense/benchmark filters.
+``opt_level``, plus the ``[cache]``, ``[filters]``, ``[farm]`` and
+``[grid]`` sections -- that captures everything a large campaign needs
+to be reproducible as one reviewable artifact: seeds, trial counts,
+concurrency, time budgets, cache backend, optimization level, and
+attack/defense/benchmark filters.
 
 Three layers, strictly ordered::
 
     explicit CLI flag  >  config file value  >  built-in default
 
-``dynunlock fuzz/farm/matrix/table*/run --config FILE`` resolves every
+``dynunlock farm/matrix/table*/run --config FILE`` resolves every
 covered flag through that chain; flag-vs-file conflicts are reported as
-dotted paths (``fuzz.trials``) and the resolved config -- file path,
-values, overrides -- is stamped into artifact provenance.
+dotted paths (``farm.round_trials``) and the resolved config -- file
+path, values, overrides -- is stamped into artifact provenance.
 
 Validation is schema-driven and collects *every* problem, each tagged
 with its precise dotted path (``farm.round_trials: must be >= 1``).
 ``dynunlock config check --strict`` additionally rejects unknown keys,
-so a typo'd ``[fuzz] trails = 500`` cannot silently run the default.
+so a typo'd ``[farm] round_trails = 500`` cannot silently run the
+default.
 
 TOML parsing uses :mod:`tomllib` where available (Python >= 3.11) and
 falls back to a minimal single-line-value subset parser on 3.10 -- the
@@ -168,21 +169,6 @@ SCHEMA: dict[str, Field] = {
     ),
     "filters.benchmarks": Field(
         "str_list", "restrict to these benchmarks", _known_benchmarks
-    ),
-    "fuzz.trials": Field(
-        "int", "trials per campaign", _int_range(1, 1_000_000)
-    ),
-    "fuzz.seed": Field("int", "campaign seed", _int_range(0, MAX_SEED)),
-    "fuzz.concurrency": Field(
-        "int", "worker processes (0 = per core)",
-        _int_range(0, MAX_CONCURRENCY),
-    ),
-    "fuzz.time_budget_s": Field(
-        "float", "stop dispatching after this many seconds", _positive
-    ),
-    "fuzz.corpus": Field("str", "crash-corpus directory"),
-    "fuzz.shrink_limit": Field(
-        "int", "minimize at most N violations", _int_range(0, 10_000)
     ),
     "farm.seed": Field("int", "farm seed", _int_range(0, MAX_SEED)),
     "farm.concurrency": Field(
@@ -489,15 +475,6 @@ _COMMON = [
 ]
 
 COMMAND_MAPS: dict[str, list[tuple[str, str, Any]]] = {
-    "fuzz": _COMMON
-    + [
-        ("jobs", "fuzz.concurrency", 1),
-        ("trials", "fuzz.trials", 100),
-        ("seed", "fuzz.seed", 0),
-        ("time_budget", "fuzz.time_budget_s", None),
-        ("corpus", "fuzz.corpus", None),
-        ("shrink_limit", "fuzz.shrink_limit", 8),
-    ],
     "farm": _COMMON
     + [
         ("jobs", "farm.concurrency", 1),

@@ -3,11 +3,11 @@
 A farm run is a sequence of *rounds*.  Each round: decay the
 scheduler's hot scores, plan ``round_trials`` trials from the frozen
 weights, execute them as ordinary ``"fuzz"`` JobSpecs through the
-cached parallel scheduler, collect violations exactly like the one-shot
-campaign (including the stability meta-probes), shrink and route every
-finding into the deduplicating :class:`~repro.farm.corpus.FarmCorpus`
-(plus near-miss and novel-shape entries the one-shot campaign would
-discard), account the outcomes back into the scheduler, and only then
+cached parallel scheduler, collect violations (including the stability
+meta-probes, :func:`~repro.fuzz.campaign.collect_violations`), shrink
+and route every finding into the deduplicating
+:class:`~repro.farm.corpus.FarmCorpus` (plus near-miss and novel-shape
+entries), account the outcomes back into the scheduler, and only then
 atomically commit ``state.json``.
 
 Because the commit is the last step and every corpus write is
@@ -20,7 +20,10 @@ Budgets: ``budget_s`` bounds one invocation's wall clock (the farm
 stops *starting* rounds past it); ``max_rounds`` bounds the farm's
 lifetime total round count and is the deterministic budget -- two
 invocations with the same (seed, max_rounds) produce the same state no
-matter how they were interrupted.
+matter how they were interrupted.  With neither budget set, one
+invocation runs exactly one round: ``farm run --round-trials N --seed S``
+on a fresh state dir is the seeded N-trial campaign, byte-identical at
+any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -377,7 +380,6 @@ class FarmDriver:
         )
         report = CampaignReport(
             seed=self.config.seed,
-            n_trials=len(specs),
             outcomes=chunk.outcomes,
             n_cached=chunk.n_cached,
             n_computed=chunk.n_computed,
@@ -387,12 +389,18 @@ class FarmDriver:
         shrink_and_persist(
             report,
             self.profile,
-            None,
             self.config.shrink_limit,
             self.config.shrink_evals,
             self.say,
             sink=self._corpus_sink(index, dispositions),
         )
+        for violation in report.violations:
+            where = violation.get("corpus_path")
+            self.say(
+                f"round {index}: trial {violation['index']} violated "
+                f"{violation['invariant']}: {violation['detail']}"
+                + (f" -> {where}" if where else "")
+            )
         self._harvest_shapes(report, index, dispositions)
 
         per_index = Counter(v["index"] for v in report.violations)

@@ -16,29 +16,17 @@ metamorphic invariants on every trial:
   result byte-for-byte.
 
 Failing trials are minimized by a greedy shrinker
-(:mod:`repro.fuzz.shrink`) and persisted to a reproducible crash corpus
-(:mod:`repro.fuzz.corpus`); campaigns run as ``JobSpec``s through the
-cached parallel scheduler (:mod:`repro.fuzz.campaign`), surfaced as
-``dynunlock fuzz`` / ``dynunlock fuzz-replay`` and gated in CI by the
-``fuzz-smoke`` job.
+(:mod:`repro.fuzz.shrink`) and persisted as replayable crash-corpus
+entries (:mod:`repro.fuzz.corpus`).  Trials run as ``"fuzz"``
+``JobSpec``s (:mod:`repro.fuzz.campaign`) through the cached parallel
+scheduler; the driver is the farm (:mod:`repro.farm`), surfaced as
+``dynunlock farm run`` / ``dynunlock fuzz-replay`` and gated in CI by
+the ``fuzz-smoke`` job, whose budgetless invocation is one seeded
+round.
 """
 
-from repro.fuzz.campaign import (
-    CampaignReport,
-    FUZZ_HEADERS,
-    campaign_rows,
-    fuzz_cell,
-    fuzz_trial_specs,
-    run_campaign,
-    sample_trial_params,
-)
-from repro.fuzz.corpus import (
-    DEFAULT_CORPUS_DIR,
-    CrashEntry,
-    load_corpus,
-    replay_entry,
-    write_entry,
-)
+from repro.fuzz.campaign import CampaignReport, fuzz_cell, sample_trial_params
+from repro.fuzz.corpus import CrashEntry, load_corpus, replay_entry
 from repro.fuzz.invariants import (
     InvariantViolation,
     check_attack_replay,
@@ -49,18 +37,12 @@ from repro.fuzz.shrink import shrink_trial
 __all__ = [
     "CampaignReport",
     "CrashEntry",
-    "DEFAULT_CORPUS_DIR",
-    "FUZZ_HEADERS",
     "InvariantViolation",
-    "campaign_rows",
     "check_attack_replay",
     "check_key_equivalence",
     "fuzz_cell",
-    "fuzz_trial_specs",
     "load_corpus",
     "replay_entry",
-    "run_campaign",
     "sample_trial_params",
     "shrink_trial",
-    "write_entry",
 ]

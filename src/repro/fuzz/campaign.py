@@ -1,20 +1,18 @@
-"""The seeded differential-fuzzing campaign driver.
+"""The fuzz trial cell and the per-round collection steps.
 
-One campaign = ``trials`` independent trials drawn from a single seeded
-RNG stream: trial ``i``'s circuit shape, key width and (attack, defense)
-pair are all derived from ``hash_label(seed, "fuzz/trial/i")``, so a
-campaign is fully described by ``(profile, trials, seed)`` -- rerunning
-it reproduces every trial, every violation, and every corpus entry
-byte-for-byte, regardless of ``--jobs``.
+A trial is one flat, JSON-safe parameter dict: circuit shape, key width
+and an applicable (attack, defense) pair.  :func:`sample_trial_params`
+derives trial ``i`` of a seeded stream from ``hash_label(seed,
+"fuzz/trial/i")``; the farm's scheduler (:mod:`repro.farm.schedule`)
+draws the same shape from its own coverage-weighted stream.  Either way
+the trial runs as a ``"fuzz"`` :class:`~repro.runner.spec.JobSpec`
+whose cell is :func:`fuzz_cell`.  Trial results deliberately contain
+*no wall-clock fields*: determinism is the product being tested, so the
+cell's output must be a pure function of its spec.
 
-Trials execute as ``"fuzz"`` :class:`~repro.runner.spec.JobSpec`s
-through the cached parallel scheduler, which makes campaigns parallel,
-resumable and memoised like every other experiment grid.  Trial results
-deliberately contain *no wall-clock fields*: determinism is the product
-being tested, so the cell's output must be a pure function of its spec.
-
-On top of the per-trial invariants (checked inside the cell), the driver
-itself runs two meta-invariants on a deterministic subsample of trials:
+One farm round (:mod:`repro.farm.driver`) hands its scheduler outcomes
+to :func:`collect_violations`, which also runs two meta-invariants on a
+deterministic subsample of trials:
 
 * ``exec-stability``  -- the scheduler-returned result must equal an
   in-process re-execution of the same spec (covers serial vs ``--jobs
@@ -22,15 +20,15 @@ itself runs two meta-invariants on a deterministic subsample of trials:
 * ``cache-stability`` -- a result-store round-trip must hand back the
   fresh result byte-for-byte.
 
-Failing trials are shrunk (:mod:`repro.fuzz.shrink`) and persisted to
-the crash corpus (:mod:`repro.fuzz.corpus`).
+:func:`shrink_and_persist` then minimizes failing trials
+(:mod:`repro.fuzz.shrink`) and hands each one, as a
+:class:`~repro.fuzz.corpus.CrashEntry`, to the caller's corpus sink.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,7 +38,7 @@ from repro.bench_suite.generator import (
     generate_circuit,
     sample_config,
 )
-from repro.fuzz.corpus import CrashEntry, write_entry
+from repro.fuzz.corpus import CrashEntry
 from repro.fuzz.invariants import (
     CACHE_STABILITY,
     CRASH,
@@ -56,17 +54,13 @@ from repro.matrix.registry import (
     get_defense,
     sample_applicable_pair,
 )
-from repro.runner.scheduler import JobOutcome, run_jobs
-from repro.runner.spec import JobSpec
+from repro.runner.scheduler import JobOutcome
 from repro.util.rng import hash_label
 
 #: Widest key the fuzzer samples.  Keys beyond this blow up the
 #: exhaustive attacks (brute force, point-function SAT) without adding
 #: shape diversity, which is what the fuzzer is for.
 FUZZ_MAX_KEY_BITS = 6
-
-#: Every how many trials the driver runs the stability meta-checks.
-STABILITY_EVERY = 8
 
 
 def sample_trial_params(
@@ -103,16 +97,6 @@ def sample_trial_params(
         # the cache key, and the crash corpus.
         **config_to_dict(config),
     }
-
-
-def fuzz_trial_specs(
-    profile, trials: int, seed: int, opt_level: int | None = None
-) -> list[JobSpec]:
-    """Enumerate a whole campaign as scheduler specs."""
-    return [
-        JobSpec.make("fuzz", profile, **sample_trial_params(seed, i, opt_level))
-        for i in range(trials)
-    ]
 
 
 def fuzz_cell(
@@ -210,173 +194,16 @@ def _canonical(result: dict | None) -> str:
 
 @dataclass
 class CampaignReport:
-    """Everything one campaign produced, in trial order."""
+    """One round's trial outcomes and the violations found in them."""
 
     seed: int
-    n_trials: int
     outcomes: list[JobOutcome] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
-    n_not_run: int = 0  # trials skipped by the time budget
     n_cached: int = 0
     n_computed: int = 0
-    wall_s: float = 0.0
-    corpus_paths: list[str] = field(default_factory=list)
-
-    @property
-    def n_skipped_builds(self) -> int:
-        """Trials whose lock was structurally impossible at that shape."""
-        return sum(
-            1
-            for o in self.outcomes
-            if o.ok and not o.result.get("built", False)
-        )
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        # outcomes holds only dispatched trials; n_not_run is the rest.
-        ran = len(self.outcomes)
-        parts = [
-            f"{ran}/{self.n_trials} trial(s) run "
-            f"({self.n_computed} computed, {self.n_cached} cached, "
-            f"{self.n_skipped_builds} unbuildable)",
-            f"{len(self.violations)} violation(s)",
-            f"{self.wall_s:.2f}s wall",
-        ]
-        if self.n_not_run:
-            parts.insert(1, f"{self.n_not_run} not run (time budget)")
-        return "; ".join(parts)
-
-
-FUZZ_HEADERS = [
-    "Defense",
-    "Attack",
-    "Trials",
-    "Unbuildable",
-    "Broken",
-    "Violations",
-]
-
-
-def campaign_rows(report: CampaignReport) -> list[list]:
-    """Aggregate trial outcomes per (defense, attack) pair, sampled order."""
-    grouped: dict[tuple[str, str], dict[str, int]] = {}
-    for outcome in report.outcomes:
-        if not outcome.ok or outcome.result is None:
-            continue
-        key = (
-            outcome.spec.params["defense"],
-            outcome.spec.params["attack"],
-        )
-        stats = grouped.setdefault(
-            key, {"trials": 0, "unbuildable": 0, "broken": 0, "violations": 0}
-        )
-        stats["trials"] += 1
-        if not outcome.result.get("built", False):
-            stats["unbuildable"] += 1
-        if outcome.result.get("success") and outcome.result.get("verified"):
-            stats["broken"] += 1
-        stats["violations"] += len(outcome.result.get("violations", []))
-    for violation in report.violations:
-        # Cell-level violations were already counted out of the result
-        # dicts above; driver-level ones (stability pair, crashes) are
-        # added here.  A pair whose every trial crashed has no ok
-        # outcome, so the group may not exist yet -- create it rather
-        # than silently dropping the row from the table and artifact.
-        if violation["invariant"] not in (
-            EXEC_STABILITY,
-            CACHE_STABILITY,
-            CRASH,
-        ):
-            continue
-        trial = violation.get("trial", {})
-        key = (trial.get("defense", "?"), trial.get("attack", "?"))
-        stats = grouped.setdefault(
-            key, {"trials": 0, "unbuildable": 0, "broken": 0, "violations": 0}
-        )
-        stats["violations"] += 1
-        if violation["invariant"] == CRASH:
-            # A crashed trial produced no ok outcome, so the first loop
-            # never counted it; keep the Trials column honest.
-            stats["trials"] += 1
-    return [
-        [defense, attack, s["trials"], s["unbuildable"], s["broken"], s["violations"]]
-        for (defense, attack), s in sorted(grouped.items())
-    ]
 
 
 ProgressFn = Callable[[str], None]
-
-
-def run_campaign(
-    profile,
-    *,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-    store=None,
-    time_budget_s: float | None = None,
-    corpus_dir: str | None = None,
-    progress: ProgressFn | None = None,
-    stability_every: int = STABILITY_EVERY,
-    shrink_limit: int = 8,
-    shrink_evals: int = 48,
-    opt_level: int | None = None,
-    observer=None,
-) -> CampaignReport:
-    """Run one seeded campaign end to end; see the module docstring.
-
-    ``time_budget_s`` bounds *scheduling*: the driver dispatches trials
-    in chunks and stops starting new ones once the budget is spent
-    (already-dispatched chunks finish).  Violations are shrunk (up to
-    ``shrink_limit`` of them) and written to ``corpus_dir`` when given.
-    ``opt_level`` overrides the optimization level recorded into every
-    trial (None = the default level).  ``observer`` (a
-    :class:`~repro.observability.session.RunObserver`) instruments the
-    trial scheduling; the invariant checks and shrinking run in-process
-    and are reported only through campaign-level metrics.
-    """
-    started = time.perf_counter()
-    say = progress if progress is not None else (lambda _msg: None)
-    specs = fuzz_trial_specs(profile, trials, seed, opt_level)
-    report = CampaignReport(seed=seed, n_trials=trials)
-
-    from repro.reports.experiments import adapt_progress
-
-    # Without a budget there is no reason to pay per-chunk pool spin-up.
-    chunk_size = max(1, jobs) * 4 if time_budget_s is not None else len(specs)
-    cursor = 0
-    while cursor < len(specs):
-        if (
-            time_budget_s is not None
-            and cursor > 0
-            and time.perf_counter() - started > time_budget_s
-        ):
-            break
-        chunk = specs[cursor : cursor + chunk_size]
-        chunk_report = run_jobs(
-            chunk,
-            jobs=jobs,
-            store=store,
-            progress=adapt_progress(say),
-            observer=observer,
-        )
-        for outcome in chunk_report.outcomes:
-            outcome.index += cursor  # chunk-local -> campaign-global
-        report.outcomes.extend(chunk_report.outcomes)
-        report.n_cached += chunk_report.n_cached
-        report.n_computed += chunk_report.n_computed
-        cursor += len(chunk)
-    report.n_not_run = len(specs) - len(report.outcomes)
-
-    collect_violations(report, stability_every, say)
-    shrink_and_persist(
-        report, profile, corpus_dir, shrink_limit, shrink_evals, say
-    )
-    report.wall_s = time.perf_counter() - started
-    return report
 
 
 def collect_violations(
@@ -387,7 +214,7 @@ def collect_violations(
     """Gather cell-level violations, crashes, and stability mismatches.
 
     The cache-stability probe deliberately uses an isolated throwaway
-    store (not the campaign's own): resume state must not be able to
+    store (not the run's own): resume state must not be able to
     mask a JSON-encoding instability.
     """
     from repro.reports.cells import run_cell
@@ -421,7 +248,7 @@ def collect_violations(
             except Exception as exc:
                 # The pool run succeeded but the in-process rerun
                 # raised: a nondeterministic crash is itself a finding,
-                # not a reason to abort the campaign.
+                # not a reason to abort the round.
                 report.violations.append(
                     {
                         "invariant": EXEC_STABILITY,
@@ -457,9 +284,9 @@ def collect_violations(
                 continue
             # Store round-trip: byte-stability of the JSON encoding,
             # checked against an isolated throwaway store so the
-            # campaign's own resume state cannot mask a mismatch.  The
-            # probe honours REPRO_CACHE_BACKEND, so a campaign run on
-            # the sqlite backend also fuzzes the sqlite round-trip.
+            # run's own resume state cannot mask a mismatch.  The probe
+            # honours REPRO_CACHE_BACKEND, so a farm run on the sqlite
+            # backend also fuzzes the sqlite round-trip.
             import tempfile
 
             with tempfile.TemporaryDirectory() as scratch:
@@ -481,36 +308,25 @@ def collect_violations(
 def shrink_and_persist(
     report: CampaignReport,
     profile,
-    corpus_dir: str | None,
     shrink_limit: int,
     shrink_evals: int,
     say: ProgressFn,
-    sink: Callable[[CrashEntry], str | None] | None = None,
+    sink: Callable[[CrashEntry], str | None],
 ) -> None:
-    """Minimize violations and persist them.
+    """Minimize violations and hand each one to ``sink``.
 
-    The default destination is the flat crash corpus under
-    ``corpus_dir`` (:func:`repro.fuzz.corpus.write_entry`); callers
-    with their own store -- the farm's deduplicating
-    :class:`~repro.farm.corpus.FarmCorpus` -- pass ``sink``, a
-    callable from entry to the path written (or ``None`` when the
-    entry was dropped, e.g. as a duplicate).
+    ``sink`` is a callable from entry to the path written, or ``None``
+    when the entry was dropped (e.g. as a duplicate); the farm passes
+    its deduplicating :class:`~repro.farm.corpus.FarmCorpus`.  A path
+    written is recorded on its violations as ``corpus_path``.
     """
     from repro.reports.profiles import profile_to_dict
-
-    if sink is None and corpus_dir is not None:
-        directory = corpus_dir
-
-        def sink(entry: CrashEntry) -> str | None:
-            return str(write_entry(directory, entry))
 
     # One trial can violate the same invariant in several ways (e.g. a
     # missing verified bit AND a diverging key); those share a corpus
     # file and one shrink, so group before spending any budget.
     grouped: dict[tuple[int, str], list[dict]] = {}
     for violation in report.violations:
-        violation["shrunk_trial"] = dict(violation["trial"])
-        violation["shrink_evals"] = 0
         key = (violation["index"], violation["invariant"])
         grouped.setdefault(key, []).append(violation)
 
@@ -524,22 +340,17 @@ def shrink_and_persist(
             shrunk, evals = shrink_trial(
                 trial, invariant, profile, max_evals=shrink_evals
             )
+        entry = CrashEntry(
+            invariant=invariant,
+            detail="; ".join(v["detail"] for v in group),
+            trial=shrunk,
+            original_trial=trial,
+            profile=profile_to_dict(profile),
+            shrink_evals=evals,
+            meta={"campaign_seed": report.seed, "index": index},
+        )
+        path = sink(entry)
+        if path is None:
+            continue
         for violation in group:
-            violation["shrunk_trial"] = shrunk
-            violation["shrink_evals"] = evals
-        if sink is not None:
-            entry = CrashEntry(
-                invariant=invariant,
-                detail="; ".join(v["detail"] for v in group),
-                trial=shrunk,
-                original_trial=trial,
-                profile=profile_to_dict(profile),
-                shrink_evals=evals,
-                meta={"campaign_seed": report.seed, "index": index},
-            )
-            path = sink(entry)
-            if path is None:
-                continue
-            for violation in group:
-                violation["corpus_path"] = str(path)
-            report.corpus_paths.append(str(path))
+            violation["corpus_path"] = str(path)

@@ -1,31 +1,27 @@
-"""The reproducible crash corpus.
+"""The reproducible crash corpus: entry format, loading and replay.
 
-Layout: ``<root>/<invariant>/<trial-seed>.json``, one file per
-(invariant, trial) pair, written atomically (temp file + rename, the
-same idiom as :mod:`repro.runner.stores.json_file`) so an interrupted
-campaign never leaves a torn entry.  Every entry carries the *shrunk*
-trial params (what ``replay`` runs), the original sampled params (for
-forensics), the profile the failure was observed under, and the
-invariant + detail -- enough to re-demonstrate the failure on a clean
-checkout with no campaign state.
+A corpus is a directory tree of JSON files, one :class:`CrashEntry`
+each.  The farm (:class:`~repro.farm.corpus.FarmCorpus`) writes them
+as ``<state>/corpus/<invariant>/<content-hash>.json``, atomically
+(temp file + rename) so an interrupted run never leaves a torn entry.
+Every entry carries the *shrunk* trial params (what ``replay`` runs),
+the original sampled params (for forensics), the profile the failure
+was observed under, and the invariant + detail -- enough to
+re-demonstrate the failure on a clean checkout with no farm state.
 
 Entries are deterministic byte-for-byte: trial params, shrink results
 and violation details contain no wall-clock or per-process values, so
-rerunning the same seeded campaign rewrites identical files.
+rerunning the same seeded round rewrites identical files.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.fuzz.invariants import REPLAYABLE_INVARIANTS
 from repro.opt import resolve_level
-
-DEFAULT_CORPUS_DIR = ".fuzz_corpus"
 
 
 class CorpusError(ValueError):
@@ -76,31 +72,6 @@ class CrashEntry:
         return entry
 
 
-def entry_path(root: str | Path, entry: CrashEntry) -> Path:
-    """Deterministic file for ``entry``: keyed by invariant + trial seed."""
-    seed = int(entry.original_trial.get("trial_seed", 0))
-    return Path(root) / entry.invariant / f"{seed:016x}.json"
-
-
-def write_entry(root: str | Path, entry: CrashEntry) -> Path:
-    """Atomically persist ``entry``; returns the file written."""
-    path = entry_path(root, entry)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(entry.to_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def load_corpus(root: str | Path) -> list[tuple[Path, CrashEntry]]:
     """Every entry under ``root``, sorted by path (missing root = empty)."""
     root = Path(root)
@@ -124,10 +95,12 @@ def load_corpus(root: str | Path) -> list[tuple[Path, CrashEntry]]:
 def replay_entry(entry: CrashEntry, profile=None) -> bool | None:
     """Re-run one entry's shrunk trial; did the failure reproduce?
 
-    Returns ``True``/``False`` for replayable invariants, ``None`` for
-    the stability pair (their failure mode needs a worker pool or a
-    store round-trip, which a single-process replay cannot exercise).
-    ``profile`` defaults to the profile recorded in the entry.
+    Returns ``True``/``False`` for replayable invariants and ``None``
+    for the rest: the stability pair (their failure mode needs a worker
+    pool or a store round-trip, which a single-process replay cannot
+    exercise) and the farm's near-miss/novel-shape entries, which
+    record no failure at all.  ``profile`` defaults to the profile
+    recorded in the entry.
     """
     from repro.fuzz.shrink import trial_fails
     from repro.reports.profiles import profile_from_dict

@@ -139,19 +139,35 @@ class LfsrUnrolling:
         return self._newbit_net(creation_update)
 
     def _newbit_net(self, update: int) -> str:
-        existing = self._newbit_nets.get(update)
-        if existing is not None:
-            return existing
-        operands = [
-            self._state_bit_net(updates=update - 1, bit=tap) for tap in self.taps
-        ]
-        net = self._namer.fresh(hint=f"k{update}_")
-        if len(operands) == 1:
-            self.netlist.add_gate(net, GateType.BUF, operands)
-        else:
-            self.netlist.add_gate(net, GateType.XOR, operands)
-        self._newbit_nets[update] = net
-        return net
+        """Net of update ``update``'s new bit, creating missing gates.
+
+        A depth-first walk on an explicit stack, because paper-scale
+        chains nest thousands of updates: each update's operands are
+        resolved in tap order and its gate is created after theirs --
+        the order, and so the net names, a recursive walk gives.
+        """
+        stack = [[update, 0]]
+        while stack:
+            frame = stack[-1]
+            pending, next_tap = frame
+            if pending in self._newbit_nets:
+                stack.pop()
+            elif next_tap < len(self.taps):
+                frame[1] += 1
+                operand_update = pending - 1 - self.taps[next_tap]
+                if operand_update > 0:
+                    stack.append([operand_update, 0])
+            else:
+                stack.pop()
+                operands = [
+                    self._state_bit_net(updates=pending - 1, bit=tap)
+                    for tap in self.taps
+                ]
+                net = self._namer.fresh(hint=f"k{pending}_")
+                gate = GateType.BUF if len(operands) == 1 else GateType.XOR
+                self.netlist.add_gate(net, gate, operands)
+                self._newbit_nets[pending] = net
+        return self._newbit_nets[update]
 
     @property
     def n_gates_created(self) -> int:

@@ -1,16 +1,23 @@
 """Experiment size profiles.
 
 The paper ran a 24-core Xeon with the lingeling C solver; this repo runs
-a pure-Python CDCL.  Profiles keep the experiment *structure* identical
-while shrinking instance sizes so the whole table regenerates on a
-laptop:
+its own CDCL solver, whose search runs in a native C core
+(``repro/sat/_cdcl.c``, built with the system ``cc`` on first use).
+Profiles keep the experiment *structure* identical while shrinking
+instance sizes.  Wall times below are cache-less ``--jobs 2`` runs on a
+2-vCPU Xeon container under Python 3.11:
 
 * ``quick`` (default): circuits at 1/16 of the paper's scan-flop counts,
-  16-bit keys, one LFSR seed per circuit.  Minutes for all of Table II.
-* ``full``: 1/8 scale, 16-bit keys, two seeds.  Under an hour.
+  16-bit keys, one LFSR seed per circuit.  Table II takes about 1 s,
+  Table III (18-22 bits) about 1.5 s.
+* ``full``: 1/8 scale, 16-bit keys, two seeds.  Table II takes about
+  2 s; Table III's sweep up to 30-bit keys about 100 s, nearly all of it
+  in the 30-bit cells.
 * ``paper``: the paper's sizes (128-bit keys, full flop counts, ten
-  seeds).  Provided for completeness; expect *days* with a Python solver
-  -- the substitution is documented in DESIGN.md/EXPERIMENTS.md.
+  seeds).  Provided for completeness: at these key widths the native
+  core hits a wall (a paper-scale s5378 cell at 128 bits had not
+  finished after 60 s), so expect cells to run into their one-day
+  timeout -- the substitution is documented in DESIGN.md/EXPERIMENTS.md.
 
 Select with the ``REPRO_PROFILE`` environment variable.
 """

@@ -30,11 +30,8 @@ from repro.sat.tseitin import (
 from repro.sat.solver import CdclSolver, SolveResult, SolverStats
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.enumerate import enumerate_models
-from repro.sat.preprocess import preprocess, PreprocessResult
 
 __all__ = [
-    "preprocess",
-    "PreprocessResult",
     "Cnf",
     "lit_of",
     "var_of",

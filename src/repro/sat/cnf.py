@@ -10,7 +10,7 @@ and one buffer of clause lengths.  Encoders append to it without
 building a Python object per clause, and the solver takes a suffix of
 both buffers in one call (:meth:`Cnf.suffix`).  ``clauses`` is a
 tuple-per-clause view for the cold paths (DIMACS output, evaluation,
-preprocessing, tests).
+tests).
 """
 
 from __future__ import annotations

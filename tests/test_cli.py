@@ -171,41 +171,31 @@ class TestFuzzCommand:
     def test_parser_defaults(self):
         from repro.config import apply_config
 
-        args = build_parser().parse_args(["fuzz"])
-        assert args.trials is None and args.seed is None
-        apply_config(args, "fuzz")
-        assert args.trials == 100 and args.seed == 0
-        assert args.time_budget is None and args.corpus is None
+        args = build_parser().parse_args(["farm", "run"])
+        assert args.round_trials is None and args.seed is None
+        apply_config(args, "farm")
+        assert args.round_trials == 24 and args.seed == 0
+        assert args.budget is None and args.max_rounds == 0
         replay = build_parser().parse_args(["fuzz-replay"])
-        assert replay.corpus == ".fuzz_corpus"
+        assert replay.corpus == ".repro_farm/corpus"
+        # The one-shot command is gone: farm run is the only driver.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fuzz"])
+        assert excinfo.value.code == 2
 
     def test_small_campaign_is_green(self, capsys, tmp_path):
+        state = tmp_path / "farm"
         code = main(
-            ["fuzz", "--trials", "6", "--seed", "0",
-             "--cache-dir", str(tmp_path / "cache"),
-             "--corpus", str(tmp_path / "corpus")]
+            ["farm", "run", "--round-trials", "6", "--seed", "0",
+             "--cache-dir", str(tmp_path / "cache"), "--state", str(state)]
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "Differential fuzz campaign" in captured.out
-        assert "0 violation(s)" in captured.err
-        # Green campaign => no corpus directory is conjured.
-        assert not (tmp_path / "corpus").exists()
-
-    def test_emit_json_writes_campaign_artifact(self, capsys, tmp_path):
-        import json
-
-        code = main(
-            ["fuzz", "--trials", "4", "--seed", "1", "--no-resume",
-             "--emit-json", str(tmp_path)]
-        )
-        assert code == 0
-        from repro.runner.artifacts import load_artifact
-
-        artifact = load_artifact(tmp_path / "BENCH_fuzz.json")
-        assert artifact["meta"]["campaign_seed"] == 1
-        assert artifact["meta"]["n_trials"] == 4
-        assert artifact["meta"]["violations"] == []
+        assert "Fuzz farm" in captured.out
+        assert "(6 trials, 0 violations)" in captured.err
+        # A green round files no violation or crash entries.
+        kinds = {path.parent.name for path in state.rglob("corpus/*/*.json")}
+        assert kinds <= {"near-miss", "novel-shape"}
 
     def test_replay_of_a_missing_corpus_is_clean(self, capsys, tmp_path):
         assert main(["fuzz-replay", str(tmp_path / "none")]) == 0
@@ -223,15 +213,15 @@ class TestFuzzCommand:
     def test_replay_flags_entries_that_no_longer_reproduce(
         self, capsys, tmp_path
     ):
+        from repro.farm.corpus import FarmCorpus
         from repro.fuzz.campaign import sample_trial_params
-        from repro.fuzz.corpus import CrashEntry, write_entry
+        from repro.fuzz.corpus import CrashEntry
         from repro.reports.profiles import PROFILES, profile_to_dict
 
         # A healthy trial filed as if it once violated attack-replay:
         # replay must notice the failure is gone and exit non-zero.
         trial = sample_trial_params(0, 0)
-        write_entry(
-            tmp_path,
+        FarmCorpus(tmp_path).add(
             CrashEntry(
                 invariant="attack-replay",
                 detail="stale",
@@ -240,7 +230,7 @@ class TestFuzzCommand:
                 profile=profile_to_dict(PROFILES["quick"]),
             ),
         )
-        code = main(["fuzz-replay", str(tmp_path), "--verbose"])
+        code = main(["fuzz-replay", str(tmp_path / "corpus"), "--verbose"])
         captured = capsys.readouterr()
         assert code == 1
         assert "NO LONGER REPRODUCES" in captured.out
@@ -250,23 +240,25 @@ class TestFuzzCommand:
     def test_replay_reports_an_unknown_opt_level_as_damage(
         self, capsys, tmp_path, invariant
     ):
+        import json
+
         from repro.fuzz.campaign import sample_trial_params
-        from repro.fuzz.corpus import CrashEntry, write_entry
+        from repro.fuzz.corpus import CrashEntry
         from repro.reports.profiles import PROFILES, profile_to_dict
 
         # A trial recorded at an optimization level this code lacks can
         # neither reproduce nor retire its failure: the entry is damaged.
         trial = {**sample_trial_params(0, 0), "opt_level": 2}
-        path = write_entry(
-            tmp_path,
-            CrashEntry(
-                invariant=invariant,
-                detail="recorded at level 2",
-                trial=trial,
-                original_trial=trial,
-                profile=profile_to_dict(PROFILES["quick"]),
-            ),
+        entry = CrashEntry(
+            invariant=invariant,
+            detail="recorded at level 2",
+            trial=trial,
+            original_trial=trial,
+            profile=profile_to_dict(PROFILES["quick"]),
         )
+        path = tmp_path / invariant / "level2.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(entry.to_dict()))
         code = main(["fuzz-replay", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 2
@@ -281,7 +273,7 @@ class TestOptCommands:
         args = build_parser().parse_args(["attack", "s5378", "--opt-level", "1"])
         assert args.opt_level == 1
         # Default is None: the attacks resolve the default level themselves.
-        assert build_parser().parse_args(["fuzz"]).opt_level is None
+        assert build_parser().parse_args(["farm", "run"]).opt_level is None
         assert build_parser().parse_args(["matrix"]).opt_level is None
         for argv in (
             ["table2", "--opt-level", "9"],

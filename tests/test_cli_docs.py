@@ -29,5 +29,8 @@ def test_cli_reference_is_current():
 
 def test_reference_covers_every_subcommand():
     text = (REPO / "docs" / "cli.md").read_text()
-    for command in ("attack", "table2", "matrix", "fuzz", "cache migrate", "top"):
+    for command in (
+        "attack", "table2", "matrix", "farm run", "fuzz-replay",
+        "cache migrate", "top",
+    ):
         assert f"## `dynunlock {command}`" in text

@@ -3,7 +3,7 @@
 The contract pinned here:
 
 * every validation failure is tagged with its precise dotted key path
-  (``fuzz.concurrency``, not "bad value somewhere");
+  (``farm.concurrency``, not "bad value somewhere");
 * strict mode rejects unknown keys/sections, non-strict ignores them
   but still checks the known ones;
 * resolution order is explicit CLI flag > config file > built-in
@@ -14,7 +14,6 @@ The contract pinned here:
   shipped profile.
 """
 
-import argparse
 import json
 from pathlib import Path
 
@@ -47,7 +46,7 @@ class TestSchemaValidation:
             {
                 "profile": "quick",
                 "opt_level": 1,
-                "fuzz": {"trials": 50, "seed": 3},
+                "farm": {"round_trials": 50, "seed": 3},
                 "cache": {"resume": False},
             }
         )
@@ -55,8 +54,8 @@ class TestSchemaValidation:
         assert values == {
             "profile": "quick",
             "opt_level": 1,
-            "fuzz.trials": 50,
-            "fuzz.seed": 3,
+            "farm.round_trials": 50,
+            "farm.seed": 3,
             "cache.resume": False,
         }
 
@@ -78,26 +77,26 @@ class TestSchemaValidation:
         assert "bogus" not in str(values)
 
     def test_wrong_type_names_the_path(self):
-        _, issues = check_config({"fuzz": {"trials": "lots"}})
-        assert issue_paths(issues) == ["fuzz.trials"]
+        _, issues = check_config({"farm": {"round_trials": "lots"}})
+        assert issue_paths(issues) == ["farm.round_trials"]
         assert "expected an integer" in issues[0].message
 
     def test_bool_is_not_an_integer(self):
         # isinstance(True, int) holds in Python; the schema must not
-        # let a stray `trials = true` slip through as 1.
-        _, issues = check_config({"fuzz": {"trials": True}})
-        assert issue_paths(issues) == ["fuzz.trials"]
+        # let a stray `round_trials = true` slip through as 1.
+        _, issues = check_config({"farm": {"round_trials": True}})
+        assert issue_paths(issues) == ["farm.round_trials"]
 
     def test_out_of_range_seed(self):
-        _, issues = check_config({"fuzz": {"seed": -1}})
-        assert issue_paths(issues) == ["fuzz.seed"]
+        _, issues = check_config({"farm": {"seed": -1}})
+        assert issue_paths(issues) == ["farm.seed"]
         assert "between" in issues[0].message
 
     def test_out_of_range_concurrency(self):
-        _, issues = check_config({"fuzz": {"concurrency": -3}})
-        assert issue_paths(issues) == ["fuzz.concurrency"]
-        _, issues = check_config({"farm": {"concurrency": 100_000}})
+        _, issues = check_config({"farm": {"concurrency": -3}})
         assert issue_paths(issues) == ["farm.concurrency"]
+        _, issues = check_config({"grid": {"concurrency": 100_000}})
+        assert issue_paths(issues) == ["grid.concurrency"]
 
     def test_round_trials_floor(self):
         _, issues = check_config({"farm": {"round_trials": 0}})
@@ -126,17 +125,17 @@ class TestSchemaValidation:
         assert "table" in issues[0].message
 
     def test_nested_tables_rejected(self):
-        _, issues = check_config({"fuzz": {"deep": {"trials": 1}}})
-        assert issue_paths(issues) == ["fuzz.deep"]
+        _, issues = check_config({"farm": {"deep": {"round_trials": 1}}})
+        assert issue_paths(issues) == ["farm.deep"]
 
     def test_all_issues_collected_not_just_first(self):
         _, issues = check_config(
-            {"fuzz": {"trials": "x", "seed": -1, "concurrency": 9999}}
+            {"farm": {"round_trials": "x", "seed": -1, "concurrency": 9999}}
         )
         assert sorted(issue_paths(issues)) == [
-            "fuzz.concurrency",
-            "fuzz.seed",
-            "fuzz.trials",
+            "farm.concurrency",
+            "farm.round_trials",
+            "farm.seed",
         ]
 
     def test_non_table_root_rejected(self):
@@ -147,17 +146,17 @@ class TestSchemaValidation:
 class TestLoading:
     def test_json_config_loads(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"fuzz": {"trials": 7}}))
-        assert load_config_file(path) == {"fuzz": {"trials": 7}}
+        path.write_text(json.dumps({"farm": {"round_trials": 7}}))
+        assert load_config_file(path) == {"farm": {"round_trials": 7}}
         resolved = load_and_check(path)
-        assert resolved.values == {"fuzz.trials": 7}
+        assert resolved.values == {"farm.round_trials": 7}
 
     def test_toml_config_loads(self, tmp_path):
         path = tmp_path / "c.toml"
-        path.write_text('profile = "quick"\n[fuzz]\ntrials = 7\n')
+        path.write_text('profile = "quick"\n[farm]\nround_trials = 7\n')
         assert load_config_file(path) == {
             "profile": "quick",
-            "fuzz": {"trials": 7},
+            "farm": {"round_trials": 7},
         }
 
     def test_unsupported_suffix_raises(self, tmp_path):
@@ -174,10 +173,10 @@ class TestLoading:
 
     def test_load_and_check_raises_with_paths(self, tmp_path):
         path = tmp_path / "c.toml"
-        path.write_text("[fuzz]\nseed = -1\n")
+        path.write_text("[farm]\nseed = -1\n")
         with pytest.raises(ConfigError) as excinfo:
             load_and_check(path)
-        assert "fuzz.seed" in str(excinfo.value)
+        assert "farm.seed" in str(excinfo.value)
 
 
 class TestMinimalTomlParser:
@@ -253,51 +252,38 @@ class TestCliCheck:
         path = tmp_path / "bad.toml"
         path.write_text(
             "opt_level = 2\n"
-            "[fuzz]\nconcurrency = -3\ntrails = 500\n[farm]\nseed = -1\n"
+            "[farm]\nconcurrency = -3\nround_trails = 500\nseed = -1\n"
         )
         assert main(["config", "check", "--strict", str(path)]) == 1
         out = capsys.readouterr().out
         assert f"{path}: opt_level: must be between 0 and 1, got 2" in out
-        assert f"{path}: fuzz.concurrency:" in out
-        assert f"{path}: fuzz.trails: unknown key" in out
+        assert f"{path}: farm.concurrency:" in out
+        assert f"{path}: farm.round_trails: unknown key" in out
         assert f"{path}: farm.seed:" in out
 
     def test_non_strict_allows_unknown_keys(self, tmp_path, capsys):
         path = tmp_path / "fwd.toml"
-        path.write_text("[fuzz]\ntrials = 5\nfuture_knob = 1\n")
+        path.write_text("[farm]\nround_trials = 5\nfuture_knob = 1\n")
         assert main(["config", "check", str(path)]) == 0
         assert main(["config", "check", "--strict", str(path)]) == 1
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.toml"
-        path.write_text("[fuzz\ntrials = 5\n")
+        path.write_text("[farm\nround_trials = 5\n")
         assert main(["config", "check", str(path)]) == 1
         assert "<parse>" in capsys.readouterr().out
 
     def test_show_prints_flat_values(self, tmp_path, capsys):
         path = tmp_path / "c.toml"
-        path.write_text('profile = "quick"\n[fuzz]\ntrials = 9\n')
+        path.write_text('profile = "quick"\n[farm]\nround_trials = 9\n')
         assert main(["config", "show", str(path)]) == 0
         shown = json.loads(capsys.readouterr().out)
-        assert shown == {"profile": "quick", "fuzz.trials": 9}
+        assert shown == {"profile": "quick", "farm.round_trials": 9}
 
 
-def _fuzz_namespace(**overrides):
-    """A namespace shaped like parsed ``dynunlock fuzz`` args."""
-    ns = argparse.Namespace(
-        config=None,
-        profile=None,
-        opt_level=None,
-        resume=None,
-        cache_dir=None,
-        cache_backend=None,
-        jobs=None,
-        trials=None,
-        seed=None,
-        time_budget=None,
-        corpus=None,
-        shrink_limit=None,
-    )
+def _farm_namespace(**overrides):
+    """A namespace shaped like parsed ``dynunlock farm run`` args."""
+    ns = build_parser().parse_args(["farm", "run"])
     for key, value in overrides.items():
         setattr(ns, key, value)
     return ns
@@ -305,48 +291,48 @@ def _fuzz_namespace(**overrides):
 
 class TestResolution:
     def test_defaults_applied_without_a_file(self):
-        ns = _fuzz_namespace()
-        assert apply_config(ns, "fuzz") is None
-        assert ns.trials == 100 and ns.seed == 0 and ns.jobs == 1
+        ns = _farm_namespace()
+        assert apply_config(ns, "farm") is None
+        assert ns.round_trials == 24 and ns.seed == 0 and ns.jobs == 1
         assert ns.resume is True and ns.profile is None
 
     def test_file_values_fill_unset_flags(self, tmp_path):
         path = tmp_path / "c.toml"
         path.write_text(
-            'profile = "quick"\n[fuzz]\ntrials = 12\nconcurrency = 2\n'
+            'profile = "quick"\n[farm]\nround_trials = 12\nconcurrency = 2\n'
         )
-        ns = _fuzz_namespace(config=str(path))
-        provenance = apply_config(ns, "fuzz")
-        assert ns.trials == 12 and ns.jobs == 2 and ns.profile == "quick"
+        ns = _farm_namespace(config=str(path))
+        provenance = apply_config(ns, "farm")
+        assert ns.round_trials == 12 and ns.jobs == 2 and ns.profile == "quick"
         assert ns.seed == 0  # untouched by the file -> built-in default
         assert provenance["path"] == str(path)
         assert provenance["overrides"] == []
-        assert provenance["values"]["fuzz.trials"] == 12
+        assert provenance["values"]["farm.round_trials"] == 12
 
     def test_explicit_flag_overrides_file_and_is_recorded(self, tmp_path):
         path = tmp_path / "c.toml"
-        path.write_text("[fuzz]\ntrials = 12\nseed = 5\n")
+        path.write_text("[farm]\nround_trials = 12\nseed = 5\n")
         warnings = []
-        ns = _fuzz_namespace(config=str(path), trials=3)
-        provenance = apply_config(ns, "fuzz", warn=warnings.append)
-        assert ns.trials == 3  # the CLI wins
+        ns = _farm_namespace(config=str(path), round_trials=3)
+        provenance = apply_config(ns, "farm", warn=warnings.append)
+        assert ns.round_trials == 3  # the CLI wins
         assert ns.seed == 5  # the file still fills the rest
-        assert provenance["overrides"] == ["fuzz.trials"]
-        assert any("fuzz.trials" in message for message in warnings)
+        assert provenance["overrides"] == ["farm.round_trials"]
+        assert any("farm.round_trials" in message for message in warnings)
 
     def test_flag_equal_to_file_value_is_not_an_override(self, tmp_path):
         path = tmp_path / "c.toml"
-        path.write_text("[fuzz]\ntrials = 12\n")
-        ns = _fuzz_namespace(config=str(path), trials=12)
-        provenance = apply_config(ns, "fuzz")
+        path.write_text("[farm]\nround_trials = 12\n")
+        ns = _farm_namespace(config=str(path), round_trials=12)
+        provenance = apply_config(ns, "farm")
         assert provenance["overrides"] == []
 
     def test_invalid_file_raises_config_error(self, tmp_path):
         path = tmp_path / "c.toml"
-        path.write_text("[fuzz]\nseed = -1\n")
-        ns = _fuzz_namespace(config=str(path))
-        with pytest.raises(ConfigError, match="fuzz.seed"):
-            apply_config(ns, "fuzz")
+        path.write_text("[farm]\nseed = -1\n")
+        ns = _farm_namespace(config=str(path))
+        with pytest.raises(ConfigError, match="farm.seed"):
+            apply_config(ns, "farm")
 
     def test_grid_command_resolves_filters_and_concurrency(self, tmp_path):
         path = tmp_path / "c.toml"

@@ -25,6 +25,8 @@ from repro.locking.dos import lock_with_dos
 from repro.locking.eff import lock_with_eff
 from repro.locking.effdyn import lock_with_effdyn
 from repro.netlist.validate import validate_netlist
+from repro.reports.cells import build_table2_lock
+from repro.reports.profiles import PROFILES
 from repro.scan.chain import ScanChainSpec
 from repro.sim.logicsim import CombinationalSimulator
 from repro.util.bitvec import random_bits
@@ -189,24 +191,20 @@ class TestModelAgainstOracle:
 
 
 class TestEncodingEquivalence:
-    @pytest.mark.parametrize("trial", range(4))
-    def test_dense_and_unrolled_models_agree(self, trial):
-        rng = random.Random(900 + trial)
-        config = GeneratorConfig(n_flops=7, n_inputs=3, n_outputs=2)
-        netlist = generate_circuit(config, rng, name=f"e{trial}")
-        lock = lock_with_effdyn(netlist, key_bits=4, rng=rng)
+    @staticmethod
+    def assert_models_agree(netlist, lock, key_bits, rng, n_patterns=6):
         dense = build_combinational_model(
-            netlist, lock.spec, lock.lfsr_taps, 4, encoding="dense"
+            netlist, lock.spec, lock.lfsr_taps, key_bits, encoding="dense"
         )
         unrolled = build_combinational_model(
-            netlist, lock.spec, lock.lfsr_taps, 4, encoding="unrolled"
+            netlist, lock.spec, lock.lfsr_taps, key_bits, encoding="unrolled"
         )
         sim_d = CombinationalSimulator(dense.netlist)
         sim_u = CombinationalSimulator(unrolled.netlist)
-        for _ in range(6):
-            pattern = random_bits(7, rng)
-            pis = random_bits(3, rng)
-            seed = random_bits(4, rng)
+        for _ in range(n_patterns):
+            pattern = random_bits(len(dense.a_inputs), rng)
+            pis = random_bits(len(dense.pi_inputs), rng)
+            seed = random_bits(key_bits, rng)
             inputs_d = dict(zip(dense.a_inputs, pattern))
             inputs_d.update(zip(dense.pi_inputs, pis))
             inputs_d.update(zip(dense.key_inputs, seed))
@@ -218,6 +216,26 @@ class TestEncodingEquivalence:
             assert [out_d[n] for n in dense.b_outputs] == [
                 out_u[n] for n in unrolled.b_outputs
             ]
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_dense_and_unrolled_models_agree(self, trial):
+        rng = random.Random(900 + trial)
+        config = GeneratorConfig(n_flops=7, n_inputs=3, n_outputs=2)
+        netlist = generate_circuit(config, rng, name=f"e{trial}")
+        lock = lock_with_effdyn(netlist, key_bits=4, rng=rng)
+        self.assert_models_agree(netlist, lock, 4, rng)
+
+    def test_unrolled_model_builds_at_paper_scale(self):
+        # Paper-scale s35932 (1,728 flops) at 16 bits chains thousands
+        # of LFSR updates, one per referenced new bit: the unrolling
+        # must not recurse per update.
+        netlist, lock, key_bits = build_table2_lock(
+            PROFILES["paper"], "s35932", 0, key_bits=16
+        )
+        assert netlist.n_dffs == 1728
+        self.assert_models_agree(
+            netlist, lock, key_bits, random.Random(5), n_patterns=3
+        )
 
 
 class TestModelValidation:

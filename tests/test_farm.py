@@ -54,7 +54,7 @@ from repro.farm.schedule import (
     shape_bucket,
 )
 from repro.fuzz.campaign import sample_trial_params
-from repro.fuzz.corpus import CrashEntry, write_entry
+from repro.fuzz.corpus import CrashEntry
 from repro.fuzz.invariants import KEY_EQUIVALENCE
 from repro.matrix.registry import (
     AttackOutcome,
@@ -235,8 +235,8 @@ class TestScheduler:
         assert first != FarmScheduler(
             applicable_pairs(None, None)
         ).plan_round(1, 0, 4, 1)
-        # Same flat JSON-safe shape as the one-shot campaign's trials,
-        # so farm trials run and replay through identical machinery.
+        # Same flat JSON-safe shape as sample_trial_params' trials, so
+        # farm trials run and replay through identical machinery.
         campaign_keys = set(sample_trial_params(0, 0))
         for params in first:
             assert set(params) == campaign_keys
@@ -481,6 +481,20 @@ class TestFarmEndToEnd:
             assert resumed.total_rounds == 3
             assert len(resumed.rounds) == 2
 
+    def test_budgetless_run_is_exactly_one_round(self, tmp_path):
+        # No --budget and no --max-rounds: each invocation runs one
+        # round, the next one resuming at the following round index.
+        state = tmp_path / "farm"
+        with temporary_registrations():
+            register_attack("liar", _liar, applicable_to=("eff",))
+            first = run_farm(QUICK, liar_config(state))
+            assert [r.index for r in first.rounds] == [0]
+            assert first.total_rounds == 1 and first.stopped == "rounds"
+            second = run_farm(QUICK, liar_config(state))
+            assert [r.index for r in second.rounds] == [1]
+            assert second.total_rounds == 2
+        assert load_status(state)["rounds"] == 2
+
     def test_corpus_replays_through_fuzz_replay(self, tmp_path, capsys):
         # The farm corpus is CrashEntry-compatible: attack-replay
         # entries reproduce, near-miss/novel-shape entries are skipped.
@@ -493,6 +507,19 @@ class TestFarmEndToEnd:
         out = capsys.readouterr().out
         assert "reproduced" in out
         assert "0 stale" in out
+
+    def test_replay_skips_a_novel_shape_for_recording_no_failure(
+        self, tmp_path, capsys
+    ):
+        entry = make_entry(invariant="novel-shape", detail="first shape")
+        FarmCorpus(tmp_path).add(
+            entry, kind="novel-shape", identity="novel-shape|sig"
+        )
+        assert main(["fuzz-replay", str(tmp_path / "corpus")]) == 0
+        out = capsys.readouterr().out
+        assert "novel-shape ... SKIP (records no failure)" in out
+        assert "pool/store" not in out
+        assert "1 skipped" in out
 
     def test_farm_cli_run_emits_artifact_and_metrics(self, tmp_path, capsys):
         # Full CLI path: --config supplies the farm section, the run
@@ -565,7 +592,8 @@ class TestFarmEndToEnd:
             profile=profile_to_dict(QUICK),
             meta={},
         )
-        path = write_entry(corpus, entry)
+        assert FarmCorpus(tmp_path).add(entry, cell="a|b|small") == "new"
+        [path] = list(corpus.rglob("*.json"))
         assert main(["fuzz-replay", str(corpus)]) == 1
         captured = capsys.readouterr()
         assert "NO LONGER REPRODUCES" in captured.out

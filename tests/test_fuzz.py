@@ -3,9 +3,11 @@
 The properties pinned here are the subsystem's contract:
 
 * sampling and trial cells are pure functions of (seed, index, params);
-* campaigns aggregate identically at any ``jobs`` level and on reruns;
+* a farm round -- the seeded single-round campaign -- leaves a
+  byte-identical state dir at any ``jobs`` level, on reruns, and when
+  served from a shared result store;
 * all built-in defenses/attacks satisfy the invariants at fuzz sizes
-  (a green quick campaign);
+  (a green quick round);
 * planted soundness bugs -- a lying attack, a broken oracle, a crashing
   cell -- are detected, minimized by the shrinker, persisted to the
   corpus, and reproduced by replay;
@@ -13,6 +15,8 @@ The properties pinned here are the subsystem's contract:
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,21 +27,14 @@ from repro.bench_suite.generator import (
     config_to_dict,
     sample_config,
 )
-from repro.fuzz.campaign import (
-    CampaignReport,
-    campaign_rows,
-    fuzz_cell,
-    fuzz_trial_specs,
-    run_campaign,
-    sample_trial_params,
-)
+from repro.farm.corpus import FarmCorpus, content_hash
+from repro.farm.driver import FarmConfig, run_farm
+from repro.fuzz.campaign import fuzz_cell, sample_trial_params
 from repro.fuzz.corpus import (
     CorpusError,
     CrashEntry,
-    entry_path,
     load_corpus,
     replay_entry,
-    write_entry,
 )
 from repro.fuzz.invariants import (
     ATTACK_REPLAY,
@@ -64,6 +61,7 @@ from repro.matrix.registry import (
     temporary_registrations,
 )
 from repro.reports.profiles import PROFILES
+from repro.runner.spec import JobSpec
 from repro.scan.oracle import ScanResponse
 
 import random
@@ -73,6 +71,36 @@ QUICK = PROFILES["quick"]
 
 def canonical(result) -> str:
     return json.dumps(result, sort_keys=True, separators=(",", ":"))
+
+
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under ``root`` as relative-path -> exact bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def farm_round(state_dir, *, trials, seed, progress=None, store=None, **config):
+    """One budgetless farm round: the seeded ``trials``-trial campaign."""
+    return run_farm(
+        QUICK,
+        FarmConfig(
+            seed=seed, round_trials=trials, state_dir=str(state_dir), **config
+        ),
+        store=store,
+        progress=progress,
+    )
+
+
+def findings(state_dir) -> list[tuple]:
+    """(path, entry) for every violation or crash a round filed."""
+    return [
+        (path, entry)
+        for path, entry in load_corpus(state_dir / "corpus")
+        if entry.invariant not in ("near-miss", "novel-shape")
+    ]
 
 
 class TestSampling:
@@ -99,10 +127,15 @@ class TestSampling:
         assert p0 != sample_trial_params(1, 0)
 
     def test_specs_are_flat_and_hash_stable(self):
-        specs = fuzz_trial_specs(QUICK, 3, 42)
-        again = fuzz_trial_specs(QUICK, 3, 42)
-        assert [s.spec_hash for s in specs] == [s.spec_hash for s in again]
-        for spec in specs:
+        def specs():
+            return [
+                JobSpec.make("fuzz", QUICK, **sample_trial_params(42, index))
+                for index in range(3)
+            ]
+
+        first, again = specs(), specs()
+        assert [s.spec_hash for s in first] == [s.spec_hash for s in again]
+        for spec in first:
             assert spec.experiment == "fuzz"
             json.dumps(spec.params)  # flat and JSON-safe
 
@@ -142,11 +175,11 @@ class TestFuzzCell:
 
 
 class TestBuiltinsSatisfyInvariants:
-    def test_quick_campaign_is_green(self):
-        report = run_campaign(QUICK, trials=16, seed=0, jobs=1)
-        assert report.ok, report.violations
-        assert report.n_trials == 16
-        assert len(report.outcomes) == 16
+    def test_quick_campaign_is_green(self, tmp_path):
+        report = farm_round(tmp_path, trials=16, seed=0)
+        assert report.violations_this_run == 0
+        assert report.trials_this_run == 16
+        assert findings(tmp_path) == []
 
     def test_key_equivalence_across_all_defenses(self):
         from repro.bench_suite.generator import generate_circuit
@@ -163,35 +196,36 @@ class TestBuiltinsSatisfyInvariants:
 
 
 class TestCampaignDeterminism:
-    def test_serial_equals_parallel_equals_rerun(self):
-        a = run_campaign(QUICK, trials=10, seed=3, jobs=1)
-        b = run_campaign(QUICK, trials=10, seed=3, jobs=2)
-        c = run_campaign(QUICK, trials=10, seed=3, jobs=1)
-        keys = lambda r: [canonical(o.result) for o in r.outcomes]  # noqa: E731
-        assert keys(a) == keys(b) == keys(c)
-        assert campaign_rows(a) == campaign_rows(b) == campaign_rows(c)
+    def test_serial_equals_parallel_equals_rerun(self, tmp_path, capsys):
+        # A budgetless `farm run` is one seeded round; its whole state
+        # dir -- corpus, journal, checkpoint -- must not depend on
+        # --jobs, nor change on a rerun.
+        from repro.cli import main
+
+        trees = []
+        for run, jobs in enumerate((1, 2, 1)):
+            state = tmp_path / f"run{run}"
+            assert main(
+                ["farm", "run", "--profile", "quick", "--round-trials", "10",
+                 "--seed", "3", "--jobs", str(jobs), "--no-resume",
+                 "--state", str(state)]
+            ) == 0
+            trees.append(tree_bytes(state))
+        capsys.readouterr()
+        assert trees[0] == trees[1] == trees[2]
+        assert "state.json" in trees[0] and "journal.jsonl" in trees[0]
 
     def test_resume_through_store_is_byte_identical(self, tmp_path):
         from repro.runner.stores import JsonFileStore
 
-        store = JsonFileStore(tmp_path)
-        fresh = run_campaign(QUICK, trials=8, seed=5, jobs=1, store=store)
-        cached = run_campaign(QUICK, trials=8, seed=5, jobs=1, store=store)
-        assert cached.n_cached == 8 and cached.n_computed == 0
-        assert [canonical(o.result) for o in fresh.outcomes] == [
-            canonical(o.result) for o in cached.outcomes
-        ]
-        assert fresh.ok and cached.ok
-
-    def test_time_budget_stops_dispatch_after_a_chunk(self):
-        report = run_campaign(
-            QUICK, trials=20, seed=1, jobs=1, time_budget_s=0.0
-        )
-        assert 0 < len(report.outcomes) < 20
-        assert report.n_not_run == 20 - len(report.outcomes)
-        # The run count is the dispatched count, never a negative
-        # double-subtraction of the not-run tail.
-        assert f"{len(report.outcomes)}/20 trial(s) run" in report.summary()
+        store = JsonFileStore(tmp_path / "cache")
+        fresh = farm_round(tmp_path / "fresh", trials=8, seed=5, store=store)
+        cached = farm_round(tmp_path / "cached", trials=8, seed=5, store=store)
+        assert fresh.rounds[0].n_computed == 8
+        assert cached.rounds[0].n_cached == 8
+        assert cached.rounds[0].n_computed == 0
+        assert fresh.violations_this_run == cached.violations_this_run == 0
+        assert tree_bytes(tmp_path / "fresh") == tree_bytes(tmp_path / "cached")
 
 
 class _LyingAttack:
@@ -252,43 +286,36 @@ def _crashing_attack(lock, *, profile, timeout_s):
 
 
 class TestPlantedBugsAreCaught:
-    def _campaign_with(self, register, trials=24, seed=7, **kwargs):
+    """Each planted bug runs one farm round pinned to its own pair."""
+
+    def _round_with(self, state_dir, register, attack, **config):
         with temporary_registrations():
             register()
-            return run_campaign(
-                QUICK, trials=trials, seed=seed, jobs=1, **kwargs
+            return farm_round(
+                state_dir, trials=6, seed=7, attacks=[attack], **config
             )
 
     def test_lying_attack_fails_attack_replay(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        report = self._campaign_with(
-            lambda: register_attack(
-                "liar", _LyingAttack.run, applicable_to=("eff", "effdyn")
-            ),
-            corpus_dir=str(corpus),
-        )
-        liar_violations = [
-            v for v in report.violations if v["trial"]["attack"] == "liar"
-        ]
-        assert liar_violations
-        assert all(
-            v["invariant"] == ATTACK_REPLAY for v in liar_violations
-        )
-        # Shrunk trials are no larger than the originals, floors hold.
-        for violation in liar_violations:
-            shrunk, original = violation["shrunk_trial"], violation["trial"]
-            for name, floor in PARAM_FLOORS.items():
-                assert floor <= shrunk[name] <= original[name]
-        # Corpus entries exist and replay to the same failure.
-        entries = load_corpus(corpus)
-        assert entries
-        with temporary_registrations():
+        def register():
             register_attack(
                 "liar", _LyingAttack.run, applicable_to=("eff", "effdyn")
             )
+
+        report = self._round_with(tmp_path, register, "liar")
+        assert report.violations_this_run
+        entries = findings(tmp_path)
+        assert entries
+        assert all(entry.invariant == ATTACK_REPLAY for _p, entry in entries)
+        # Shrunk trials are no larger than the originals, floors hold.
+        for _path, entry in entries:
+            shrunk, original = entry.trial, entry.original_trial
+            for name, floor in PARAM_FLOORS.items():
+                assert floor <= shrunk[name] <= original[name]
+        # Corpus entries replay to the same failure.
+        with temporary_registrations():
+            register()
             for _path, entry in entries:
-                if entry.original_trial["attack"] == "liar":
-                    assert replay_entry(entry) is True
+                assert replay_entry(entry) is True
 
     def test_broken_oracle_fails_key_equivalence(self):
         # Direct cell call (no sampling) so the planted pair is always hit.
@@ -324,28 +351,27 @@ class TestPlantedBugsAreCaught:
         )
 
     def test_crashing_attack_is_a_crash_violation_and_shrinks(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        report = self._campaign_with(
-            lambda: register_attack(
-                "boom", _crashing_attack, applicable_to=("eff", "effdyn")
-            ),
-            corpus_dir=str(corpus),
-        )
-        crashes = [v for v in report.violations if v["invariant"] == CRASH]
-        assert crashes
-        with temporary_registrations():
+        def register():
             register_attack(
                 "boom", _crashing_attack, applicable_to=("eff", "effdyn")
             )
-            for violation in crashes:
-                assert trial_fails(violation["shrunk_trial"], CRASH, QUICK)
+
+        report = self._round_with(tmp_path, register, "boom")
+        assert report.violations_this_run
+        crashes = [e for _p, e in findings(tmp_path) if e.invariant == CRASH]
+        assert crashes
+        with temporary_registrations():
+            register()
+            for entry in crashes:
+                assert trial_fails(entry.trial, CRASH, QUICK)
 
     def test_double_violations_share_one_shrink_and_corpus_entry(
         self, tmp_path
     ):
         # success=True + verified=False yields TWO attack-replay
         # violations from one trial (missing verified bit, diverging
-        # key); they must share one shrink and one corpus file.
+        # key); they must share one shrink and one corpus file.  The
+        # round's progress log names each violation and its file.
         def lying_unverified(lock, *, profile, timeout_s):
             return AttackOutcome(
                 success=True,
@@ -357,31 +383,41 @@ class TestPlantedBugsAreCaught:
                 detail="planted",
             )
 
-        corpus = tmp_path / "corpus"
-        with temporary_registrations():
-            register_attack(
+        messages: list[str] = []
+        self._round_with(
+            tmp_path,
+            lambda: register_attack(
                 "liar2", lying_unverified, applicable_to=("eff", "effdyn")
+            ),
+            "liar2",
+            progress=messages.append,
+        )
+        groups: dict[str, list] = {}
+        for message in messages:
+            found = re.match(
+                r"round 0: trial (\d+) violated attack-replay: .*?"
+                r"(?: -> (\S+))?$",
+                message,
             )
-            report = run_campaign(
-                QUICK, trials=24, seed=7, jobs=1, corpus_dir=str(corpus)
-            )
-        groups: dict[int, list] = {}
-        for violation in report.violations:
-            if violation["trial"]["attack"] == "liar2":
-                groups.setdefault(violation["index"], []).append(violation)
-        assert groups
-        assert any(len(g) >= 2 for g in groups.values())
-        for group in groups.values():
-            assert len({v["corpus_path"] for v in group}) == 1
-            assert len({canonical(v["shrunk_trial"]) for v in group}) == 1
-        entries = load_corpus(corpus)
-        assert len(entries) == len(groups)  # one file per (trial, invariant)
-        by_index = {e.meta["index"]: e for _p, e in entries}
-        for index, group in groups.items():
-            if len(group) >= 2:
-                assert "; " in by_index[index].detail
+            if found:
+                groups.setdefault(found[1], []).append(found[2])
+        assert any(len(paths) >= 2 for paths in groups.values())
+        for paths in groups.values():
+            assert len(set(paths)) == 1  # one file (or none: deduped)
+        shared = [
+            paths[0] for paths in groups.values() if len(paths) >= 2
+        ]
+        assert any(shared)
+        for path in filter(None, shared):
+            detail = json.loads(Path(path).read_text())["detail"]
+            assert "; " in detail
+        entries = findings(tmp_path)
+        assert entries
+        assert all(entry.invariant == ATTACK_REPLAY for _p, entry in entries)
 
-    def test_nondeterministic_cell_fails_exec_stability(self, monkeypatch):
+    def test_nondeterministic_cell_fails_exec_stability(
+        self, monkeypatch, tmp_path
+    ):
         from repro.reports import cells
 
         calls = {"n": 0}
@@ -391,14 +427,16 @@ class TestPlantedBugsAreCaught:
             return {"tick": calls["n"], "violations": []}
 
         monkeypatch.setitem(cells.CELL_RUNNERS, "fuzz", flaky_cell)
-        report = run_campaign(
-            QUICK, trials=2, seed=0, jobs=1, stability_every=1
-        )
+        report = farm_round(tmp_path, trials=2, seed=0, stability_every=1)
+        assert report.violations_this_run
         assert any(
-            v["invariant"] == EXEC_STABILITY for v in report.violations
+            entry.invariant == EXEC_STABILITY
+            for _p, entry in findings(tmp_path)
         )
 
-    def test_rerun_crash_is_a_violation_not_an_abort(self, monkeypatch):
+    def test_rerun_crash_is_a_violation_not_an_abort(
+        self, monkeypatch, tmp_path
+    ):
         from repro.reports import cells
 
         calls = {"n": 0}
@@ -410,16 +448,15 @@ class TestPlantedBugsAreCaught:
             return {"violations": []}
 
         monkeypatch.setitem(cells.CELL_RUNNERS, "fuzz", crash_on_rerun)
-        report = run_campaign(
-            QUICK, trials=1, seed=0, jobs=1, stability_every=1
-        )
+        report = farm_round(tmp_path, trials=1, seed=0, stability_every=1)
+        assert report.rounds[0].index == 0  # the round committed
         stability = [
-            v
-            for v in report.violations
-            if v["invariant"] == EXEC_STABILITY
+            entry
+            for _p, entry in findings(tmp_path)
+            if entry.invariant == EXEC_STABILITY
         ]
         assert stability
-        assert "raised although" in stability[0]["detail"]
+        assert "raised although" in stability[0].detail
 
 
 class TestShrinker:
@@ -473,19 +510,22 @@ class TestCorpus:
 
     def test_write_load_round_trip(self, tmp_path):
         entry = self._entry()
-        path = write_entry(tmp_path, entry)
-        assert path == entry_path(tmp_path, entry)
-        assert path.parent.name == ATTACK_REPLAY
-        [(loaded_path, loaded)] = load_corpus(tmp_path)
-        assert loaded_path == path
+        assert FarmCorpus(tmp_path).add(entry, cell="a|b|small") == "new"
+        [(loaded_path, loaded)] = load_corpus(tmp_path / "corpus")
+        digest = content_hash(entry.invariant, entry.trial)
+        assert loaded_path == tmp_path / "corpus" / ATTACK_REPLAY / (
+            f"{digest}.json"
+        )
         assert loaded.to_dict() == entry.to_dict()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         entry = self._entry()
-        path = write_entry(tmp_path, entry)
-        first = path.read_bytes()
-        write_entry(tmp_path, entry)
-        assert path.read_bytes() == first
+        first, second = tmp_path / "first", tmp_path / "second"
+        FarmCorpus(first).add(entry, cell="a|b|small", round_index=0)
+        FarmCorpus(second).add(entry, cell="a|b|small", round_index=0)
+        # Re-adding to a reloaded corpus is a no-op, not a rewrite.
+        assert FarmCorpus(first).add(entry, cell="a|b|small") == "duplicate"
+        assert tree_bytes(first) == tree_bytes(second)
 
     def test_missing_root_is_empty(self, tmp_path):
         assert load_corpus(tmp_path / "nope") == []
@@ -504,17 +544,3 @@ class TestCorpus:
         entry = self._entry(invariant=EXEC_STABILITY)
         assert entry.replayable is False
         assert replay_entry(entry) is None
-
-
-class TestCampaignReportSurface:
-    def test_summary_mentions_the_interesting_counts(self):
-        report = CampaignReport(seed=0, n_trials=4, n_not_run=2)
-        text = report.summary()
-        assert "2 not run" in text and "0 violation(s)" in text
-
-    def test_rows_group_by_pair(self):
-        report = run_campaign(QUICK, trials=12, seed=0, jobs=1)
-        rows = campaign_rows(report)
-        assert rows == sorted(rows)
-        assert sum(r[2] for r in rows) == 12
-        assert sum(r[3] for r in rows) == report.n_skipped_builds

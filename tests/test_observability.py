@@ -408,14 +408,17 @@ class TestRealAttackSpan:
     def test_fuzz_metrics(self, tmp_path, capsys):
         code = main(
             [
-                "fuzz",
+                "farm",
+                "run",
                 "--profile",
                 "quick",
-                "--trials",
+                "--round-trials",
                 "2",
                 "--seed",
                 "0",
                 "--no-resume",
+                "--state",
+                str(tmp_path / "farm"),
                 "--metrics-dir",
                 str(tmp_path / "m"),
             ]

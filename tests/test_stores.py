@@ -9,8 +9,8 @@ of that: LRU garbage-collection policy units, hypothesis property tests
 (round-trip identity for arbitrary JSON-safe payloads; GC never evicts
 below the survivor set nor out of age order), byte-for-byte migration
 between every ordered backend pair, and the acceptance pins that
-``dynunlock matrix`` / ``dynunlock fuzz`` produce byte-identical rows
-and artifacts no matter which backend serves the cache.
+``dynunlock matrix`` / ``dynunlock farm run`` produce byte-identical
+rows and artifacts no matter which backend serves the cache.
 """
 
 import itertools
@@ -349,7 +349,8 @@ class TestBackendResolution:
     def test_env_drives_cli_store_selection(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
         root = tmp_path / "cache"
-        assert main(["fuzz", "--trials", "2", "--seed", "0",
+        assert main(["farm", "run", "--round-trials", "2", "--seed", "0",
+                     "--state", str(tmp_path / "farm"),
                      "--cache-dir", str(root)]) == 0
         assert (root / SqliteStore.DB_FILENAME).is_file()
 
@@ -609,24 +610,33 @@ class TestCrossBackendRuns:
     def test_fuzz_rows_and_artifacts_identical_across_backends(
         self, tmp_path, capsys
     ):
-        # Fuzz rows carry no wall-clock fields, so even *freshly
-        # computed* campaigns must emit identical bytes per backend.
-        tables, artifacts = {}, {}
+        # Fuzz results carry no wall-clock fields, so even *freshly
+        # computed* farm rounds must emit identical rows and state per
+        # backend.
+        tables, artifacts, states = {}, {}, {}
         for name in ALL_BACKENDS:
             out = tmp_path / f"out-{name}"
+            state = tmp_path / f"farm-{name}"
             argv = [
-                "fuzz", "--trials", "5", "--seed", "2",
+                "farm", "run", "--round-trials", "5", "--seed", "2",
+                "--state", str(state),
                 "--cache-dir", str(tmp_path / f"cache-{name}"),
                 "--cache-backend", name, "--emit-json", str(out),
             ]
             assert main(argv) == 0
             tables[name] = capsys.readouterr().out
-            data = load_artifact(out / "BENCH_fuzz.json")
+            data = load_artifact(out / "BENCH_farm.json")
             artifacts[name] = (
-                data["headers"], data["rows"], data["meta"]["violations"]
+                data["headers"], data["rows"], data["meta"]["corpus"]
             )
+            states[name] = {
+                str(path.relative_to(state)): path.read_bytes()
+                for path in sorted(state.rglob("*"))
+                if path.is_file()
+            }
         assert tables["json"] == tables["sqlite"]
         assert artifacts["json"] == artifacts["sqlite"]
+        assert states["json"] == states["sqlite"]
 
 
 class TestFingerprintSharing:
