@@ -24,19 +24,11 @@
 #                           BENCH_opt.json to $(OPT_BENCH_DIR) and fails
 #                           when optimization slows the total attack time
 #                           by >10% or changes any attack outcome
-#   make store-bench      - head-to-head result-store benchmark (json vs
-#                           sqlite backends); writes
-#                           BENCH_store.json to $(STORE_BENCH_DIR) and
-#                           fails when the default json backend's
-#                           put+get path regresses >25% against
-#                           benchmarks/baselines/store_quick.json
 #   make refresh-baseline - regenerate the Table II timing baseline from
 #                           three clean (cache-less) quick runs and install
 #                           the one with the median total at
 #                           benchmarks/baselines/table2_quick.json; review
 #                           the diff and commit it to bless the new budget
-#   make refresh-store-baseline - same blessing dance for the store bench
-#                           baseline (benchmarks/baselines/store_quick.json)
 #   make service-smoke    - end-to-end attack-as-a-service check: boots a
 #                           ReproService on a free port, drives a small
 #                           grid through the batching client twice, and
@@ -66,15 +58,12 @@ RUFF ?= ruff
 COVERAGE_FLOOR = benchmarks/baselines/coverage_floor.txt
 BASELINE_DIR = .bench_refresh
 OPT_BENCH_DIR ?= results
-STORE_BENCH_DIR ?= results
-STORE_BASELINE = benchmarks/baselines/store_quick.json
 SERVICE_SMOKE_DIR ?= .service_smoke
 PERF_DIR ?= results/perf
 PERF_WORKLOADS ?= table2-quick keysweep-b17 fuzz-mix
 
 .PHONY: verify bench test-all coverage matrix fuzz farm opt-bench \
-  store-bench service-smoke perf refresh-baseline \
-  refresh-store-baseline docs lint
+  service-smoke perf refresh-baseline docs lint
 
 verify:
 	$(PYTEST) -x -q
@@ -115,15 +104,6 @@ opt-bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli opt-bench --profile quick \
 	  --jobs $${REPRO_JOBS:-1} --emit-json $(OPT_BENCH_DIR)
 
-# Same workload as the checked-in baseline (1500 entries x 1 KiB), so
-# the default_total_s comparison is apples-to-apples.
-store-bench:
-	PYTHONPATH=src $(PYTHON) -m repro.cli store-bench \
-	  --emit-json $(STORE_BENCH_DIR)
-	$(PYTHON) scripts/check_bench_regression.py \
-	  $(STORE_BASELINE) $(STORE_BENCH_DIR)/BENCH_store.json \
-	  --threshold 0.25 --metric default_total_s
-
 # Fresh workdir each run: the dedupe arithmetic assumes an empty store.
 service-smoke:
 	rm -rf $(SERVICE_SMOKE_DIR)
@@ -163,13 +143,6 @@ refresh-baseline:
 	  benchmarks/baselines/table2_quick.json $(BASELINE_DIR)/run*/BENCH_table2.json
 	rm -rf $(BASELINE_DIR)
 	@echo "baseline updated: review 'git diff benchmarks/baselines' and commit"
-
-refresh-store-baseline:
-	rm -rf $(BASELINE_DIR)
-	PYTHONPATH=src $(PYTHON) -m repro.cli store-bench --emit-json $(BASELINE_DIR)
-	cp $(BASELINE_DIR)/BENCH_store.json $(STORE_BASELINE)
-	rm -rf $(BASELINE_DIR)
-	@echo "store baseline updated: review 'git diff benchmarks/baselines' and commit"
 
 docs:
 	PYTHONPATH=src $(PYTHON) scripts/gen_cli_docs.py docs/cli.md

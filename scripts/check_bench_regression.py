@@ -6,9 +6,9 @@ Usage::
     python scripts/check_bench_regression.py \
         benchmarks/baselines/table2_quick.json \
         run1/BENCH_table2.json [run2/BENCH_table2.json ...] \
-        [--threshold 0.25] [--metric total_attack_time_s]
+        [--threshold 0.25]
 
-Compares the chosen metric of one or more freshly emitted runner
+Compares ``total_attack_time_s`` of one or more freshly emitted runner
 artifacts (the ``meta`` block of a ``BENCH_*.json`` written by
 ``dynunlock ... --emit-json``) against a checked-in baseline JSON of the
 same shape.  Given several artifacts of repeated runs, the gate takes
@@ -32,6 +32,9 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+#: The ``meta`` key the gate compares.
+METRIC = "total_attack_time_s"
 
 
 def load_meta(path: Path) -> dict:
@@ -84,25 +87,20 @@ def main(argv: list[str] | None = None) -> int:
         default=0.25,
         help="allowed fractional slowdown (default 0.25 = +25%%)",
     )
-    parser.add_argument(
-        "--metric",
-        default="total_attack_time_s",
-        help="meta key to compare (default total_attack_time_s)",
-    )
     args = parser.parse_args(argv)
 
     baseline = load_meta(args.baseline)
-    base_value = baseline["meta"].get(args.metric)
+    base_value = baseline["meta"].get(METRIC)
     if base_value is None:
-        raise SystemExit(f"metric {args.metric!r} missing from {args.baseline}")
+        raise SystemExit(f"metric {METRIC!r} missing from {args.baseline}")
 
     failures = []
     values = []
     for path in args.current:
         current = load_meta(path)
-        value = current["meta"].get(args.metric)
+        value = current["meta"].get(METRIC)
         if value is None:
-            raise SystemExit(f"metric {args.metric!r} missing from {path}")
+            raise SystemExit(f"metric {METRIC!r} missing from {path}")
         values.append(value)
         if row_shape(baseline) != row_shape(current):
             failures.append(
@@ -127,13 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     ratio = cur_value / base_value if base_value else float("inf")
     runs = ", ".join(f"{v:.2f}s" for v in values)
     print(
-        f"{args.metric}: baseline={base_value:.2f}s current={cur_value:.2f}s "
+        f"{METRIC}: baseline={base_value:.2f}s current={cur_value:.2f}s "
         f"(median of {len(values)}: {runs}; {ratio:.2f}x, "
         f"limit {limit:.2f}s at +{args.threshold:.0%})"
     )
     if cur_value > limit:
         failures.append(
-            f"{args.metric} regressed: median {cur_value:.2f}s > {limit:.2f}s "
+            f"{METRIC} regressed: median {cur_value:.2f}s > {limit:.2f}s "
             f"(baseline {base_value:.2f}s + {args.threshold:.0%})"
         )
 

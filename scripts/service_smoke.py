@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from repro import api
-from repro.runner.stores import open_store
+from repro.runner.stores import JsonFileStore
 from repro.service import BatchingClient, ReproService, ServiceClient
 
 FAILURES: list[str] = []
@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         f"benchmarks={','.join(args.benchmarks)}): {len(specs)} spec(s)"
     )
 
-    store = open_store(args.workdir / "cache", backend="json")
+    store = JsonFileStore(args.workdir / "cache")
     service = ReproService(
         port=0,
         jobs=args.jobs,

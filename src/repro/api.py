@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 from repro.reports.profiles import PROFILES, ExperimentProfile, active_profile
 from repro.runner.scheduler import JobOutcome, RunReport, run_jobs
 from repro.runner.spec import JobSpec
-from repro.runner.stores import StoreBackend
+from repro.runner.stores import JsonFileStore
 
 ProgressFn = Callable[[str], None]
 
@@ -107,7 +107,7 @@ def submit_jobs(
     specs: Sequence[JobSpec],
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
     progress: ProgressFn | None = None,
     observer=None,
     timeout_s: float | None = None,
@@ -152,7 +152,7 @@ def run_grid(
     *,
     profile: str | ExperimentProfile | None = None,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
     progress: ProgressFn | None = None,
     observer=None,
     **spec_kwargs,
@@ -185,7 +185,7 @@ def run_matrix(
     *,
     profile: str | ExperimentProfile | None = None,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
     progress: ProgressFn | None = None,
     observer=None,
     attacks: Sequence[str] | None = None,
@@ -234,7 +234,7 @@ def run_farm(
     *,
     profile: str | ExperimentProfile | None = None,
     farm_config=None,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
     progress: ProgressFn | None = None,
     observer=None,
 ):

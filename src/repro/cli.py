@@ -14,8 +14,7 @@ Subcommands mirror the library's main entry points::
     dynunlock opt s5378                   # netlist-optimization statistics
     dynunlock opt-bench --emit-json out   # opt vs raw attack-pipeline bench
     dynunlock run table2 scaling --jobs 4 # several grids through the runner
-    dynunlock cache stats|gc|prune|migrate  # manage the result store
-    dynunlock store-bench --emit-json out # head-to-head backend benchmark
+    dynunlock cache stats|gc|prune        # manage the result store
     dynunlock top results/metrics         # live view over a run's metrics
 
 ``dynunlock matrix`` executes every applicable (attack, defense) pair
@@ -39,11 +38,8 @@ stale cells -- pass ``--no-resume`` to force recomputation; and
 ``--emit-json DIR`` writes ``BENCH_<experiment>.json`` + ``.csv``
 artifacts that CI uploads and diffs against the checked-in baseline.
 
-The result store is pluggable: ``--cache-backend json|sqlite``
-(or ``$REPRO_CACHE_BACKEND``) selects the backend on every grid/farm
-command, ``dynunlock cache`` inspects, garbage-collects, prunes, and
-migrates caches, and ``dynunlock store-bench`` measures the backends
-head-to-head (see ``docs/caching.md``).
+The result store keeps one JSON file per cell; ``dynunlock cache``
+inspects, garbage-collects and prunes it (see ``docs/caching.md``).
 
 Observability (``docs/observability.md``): every grid/attack/farm
 command accepts ``--metrics-dir DIR`` (per-job spans, a Prometheus
@@ -94,13 +90,7 @@ from repro.reports.profiles import PROFILES, active_profile
 from repro.reports.tables import render_table
 from repro.runner.artifacts import write_artifact
 from repro.runner.spec import code_version
-from repro.runner.stores import (
-    BACKENDS,
-    StoreBackend,
-    migrate,
-    open_store,
-    resolve_backend,
-)
+from repro.runner.stores import JsonFileStore
 
 #: The ``--opt-level`` / ``opt --level`` choices.
 OPT_LEVELS = tuple(range(MAX_LEVEL + 1))
@@ -176,16 +166,10 @@ def _observation(args: argparse.Namespace, command: str, existing=None):
             print(f"  [=] wrote metrics to {metrics_dir}", file=sys.stderr)
 
 
-def _store_from_args(args: argparse.Namespace) -> StoreBackend | None:
+def _store_from_args(args: argparse.Namespace) -> JsonFileStore | None:
     if not getattr(args, "resume", True):
         return None
-    try:
-        return open_store(
-            getattr(args, "cache_dir", None),
-            backend=getattr(args, "cache_backend", None),
-        )
-    except ValueError as exc:  # a bad $REPRO_CACHE_BACKEND value
-        raise SystemExit(f"dynunlock: {exc}")
+    return JsonFileStore(getattr(args, "cache_dir", None))
 
 
 def _emit_artifact(
@@ -534,10 +518,12 @@ def cmd_farm_run(args: argparse.Namespace) -> int:
 
     Exit codes: 0 -- this invocation's rounds found no violations;
     1 -- at least one violation (reproducers are in the corpus);
-    2 -- usage/state errors (bad config, mismatched state dir).
+    2 -- usage/state errors (bad config, mismatched or damaged state
+    dir, damaged corpus entry).
     """
     from repro.farm import FarmConfig, FarmDriver
     from repro.farm.driver import FarmStateError
+    from repro.fuzz.corpus import CorpusError
 
     _resolve_config(args, "farm")
     profile = _profile_from_args(args)
@@ -575,7 +561,7 @@ def cmd_farm_run(args: argparse.Namespace) -> int:
                     observer=observer,
                     progress=_progress,
                 )
-            except FarmStateError as exc:
+            except (FarmStateError, CorpusError) as exc:
                 print(f"dynunlock: {exc}", file=sys.stderr)
                 return 2
             report = driver.run()
@@ -633,12 +619,21 @@ def cmd_farm_run(args: argparse.Namespace) -> int:
 
 
 def cmd_farm_status(args: argparse.Namespace) -> int:
-    """``dynunlock farm status``: summarize a farm state directory."""
+    """``dynunlock farm status``: summarize a farm state directory.
+
+    Exit codes: 0 -- a farm state was summarized; 1 -- no state there;
+    2 -- the state or corpus is damaged.
+    """
     import json as json_mod
 
-    from repro.farm.driver import load_status
+    from repro.farm.driver import FarmStateError, load_status
+    from repro.fuzz.corpus import CorpusError
 
-    status = load_status(args.state)
+    try:
+        status = load_status(args.state)
+    except (FarmStateError, CorpusError) as exc:
+        print(f"dynunlock: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json_mod.dumps(status, indent=1, sort_keys=True))
         return 0 if status["exists"] else 1
@@ -936,19 +931,11 @@ def _parse_size(text: str) -> int:
     return value
 
 
-def _open_cache(args: argparse.Namespace) -> StoreBackend:
-    try:
-        return open_store(args.cache_dir, backend=args.cache_backend)
-    except ValueError as exc:
-        raise SystemExit(f"dynunlock: {exc}")
-
-
 def cmd_cache_stats(args: argparse.Namespace) -> int:
     """``dynunlock cache stats``: describe the result store."""
     import json as json_mod
 
-    with _open_cache(args) as store:
-        stats = store.stats()
+    stats = JsonFileStore(args.cache_dir).stats()
     if args.json:
         print(json_mod.dumps(stats, indent=1, sort_keys=True))
         return 0
@@ -962,8 +949,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
 def cmd_cache_gc(args: argparse.Namespace) -> int:
     """``dynunlock cache gc``: LRU-evict down to a size bound."""
-    with _open_cache(args) as store:
-        report = store.gc(args.max_bytes, dry_run=args.dry_run)
+    report = JsonFileStore(args.cache_dir).gc(args.max_bytes, dry_run=args.dry_run)
     print(f"  [=] {report.summary()}", file=sys.stderr)
     if args.verbose:
         for experiment, key in report.evicted:
@@ -973,79 +959,8 @@ def cmd_cache_gc(args: argparse.Namespace) -> int:
 
 def cmd_cache_prune(args: argparse.Namespace) -> int:
     """``dynunlock cache prune``: drop entries from other code versions."""
-    with _open_cache(args) as store:
-        removed = store.prune()
+    removed = JsonFileStore(args.cache_dir).prune()
     print(f"  [=] pruned {removed} stale unit(s)", file=sys.stderr)
-    return 0
-
-
-def cmd_cache_migrate(args: argparse.Namespace) -> int:
-    """``dynunlock cache migrate``: copy a cache into another backend.
-
-    Entries move byte-for-byte (mtimes included, so LRU order
-    survives).  Only the current code version's entries migrate --
-    foreign versions are exactly what ``cache prune`` deletes.
-    """
-    source_backend = resolve_backend(args.cache_backend)
-    dest_dir = args.to_dir if args.to_dir is not None else args.cache_dir
-    same_dir = (dest_dir or "") == (args.cache_dir or "")
-    if args.to == source_backend and same_dir:
-        print(
-            "dynunlock: refusing to migrate a store onto itself "
-            f"(backend {args.to!r}, same directory); pass --to-dir",
-            file=sys.stderr,
-        )
-        return 2
-    with _open_cache(args) as source:
-        with open_store(dest_dir, backend=args.to) as dest:
-            copied = migrate(source, dest)
-    print(
-        f"  [=] migrated {copied} entr{'y' if copied == 1 else 'ies'} "
-        f"{source_backend} -> {args.to}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def cmd_store_bench(args: argparse.Namespace) -> int:
-    """``dynunlock store-bench``: head-to-head backend benchmark.
-
-    Pushes one deterministic synthetic workload through every backend
-    and reports put/get/iterate timings plus on-disk size; with
-    ``--emit-json`` the ``BENCH_store.json`` meta block carries
-    ``default_total_s``, the metric CI gates against the checked-in
-    baseline.
-    """
-    import tempfile
-    from pathlib import Path
-
-    from repro.runner.stores.bench import run_store_bench
-
-    def bench_in(workdir: Path):
-        return run_store_bench(
-            workdir,
-            entries=args.entries,
-            payload_bytes=args.payload_bytes,
-            seed=args.seed,
-            backends=args.backends or None,
-        )
-
-    if args.workdir:
-        headers, rows, meta = bench_in(Path(args.workdir))
-    else:
-        with tempfile.TemporaryDirectory(prefix="storebench-") as scratch:
-            headers, rows, meta = bench_in(Path(scratch))
-    title = (
-        f"Result-store head-to-head "
-        f"({args.entries} entries x {args.payload_bytes}B payloads)"
-    )
-    print(render_table(headers, rows, title=title))
-    if args.emit_json:
-        meta["code_version"] = code_version()[:20]
-        path = write_artifact(
-            args.emit_json, "store", headers, rows, title=title, meta=meta
-        )
-        print(f"  [=] wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -1085,10 +1000,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         log_json=args.log_json,
         argv=sys.argv,
     )
-    backend = store.name if store is not None else "none"
     print(
         f"  [=] serving on {service.url} "
-        f"(store={backend}, jobs={_jobs_from_args(args)}; C-c to stop)",
+        f"(store={store.root if store is not None else 'none'}, "
+        f"jobs={_jobs_from_args(args)}; C-c to stop)",
         file=sys.stderr,
     )
     # SIGTERM (e.g. a container runtime stopping the pod) must flush
@@ -1246,11 +1161,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-dir", default=None, metavar="DIR",
             help="result store location (default: $REPRO_CACHE_DIR "
                  "or .repro_cache)",
-        )
-        p.add_argument(
-            "--cache-backend", choices=sorted(BACKENDS), default=None,
-            help="result store backend (default: $REPRO_CACHE_BACKEND "
-                 "or json; see docs/caching.md)",
         )
         p.add_argument(
             "--emit-json", default=None, metavar="DIR",
@@ -1521,11 +1431,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="result store location (default: $REPRO_CACHE_DIR "
                  "or .repro_cache)",
         )
-        cp.add_argument(
-            "--cache-backend", choices=sorted(BACKENDS), default=None,
-            help="result store backend (default: $REPRO_CACHE_BACKEND "
-                 "or json)",
-        )
 
     cp = cache_sub.add_parser("stats", help="describe the store's contents")
     add_cache_args(cp)
@@ -1553,41 +1458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_cache_args(cp)
     cp.set_defaults(func=cmd_cache_prune)
-
-    cp = cache_sub.add_parser(
-        "migrate", help="copy the cache into another backend byte-for-byte"
-    )
-    add_cache_args(cp)
-    cp.add_argument(
-        "--to", choices=sorted(BACKENDS), required=True,
-        help="destination backend",
-    )
-    cp.add_argument(
-        "--to-dir", default=None, metavar="DIR",
-        help="destination store location (default: the source --cache-dir)",
-    )
-    cp.set_defaults(func=cmd_cache_migrate)
-
-    p = sub.add_parser(
-        "store-bench",
-        help="head-to-head result-store backend benchmark",
-    )
-    p.add_argument("--entries", type=int, default=1500, metavar="N",
-                   help="synthetic cells per backend (default 1500)")
-    p.add_argument("--payload-bytes", type=int, default=1024, metavar="B",
-                   help="approximate payload size per cell (default 1024)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload seed (same seed => same bytes)")
-    p.add_argument(
-        "--backends", nargs="*", choices=sorted(BACKENDS), default=[],
-        help="restrict the comparison (default: all backends)",
-    )
-    p.add_argument("--workdir", default=None, metavar="DIR",
-                   help="keep the benchmark stores here instead of a "
-                        "throwaway temp dir")
-    p.add_argument("--emit-json", default=None, metavar="DIR",
-                   help="write BENCH_store.json + .csv artifacts to DIR")
-    p.set_defaults(func=cmd_store_bench)
 
     p = sub.add_parser(
         "run", help="run experiment grids through the parallel runner"
@@ -1626,10 +1496,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="result store location (default: $REPRO_CACHE_DIR "
              "or .repro_cache)",
-    )
-    p.add_argument(
-        "--cache-backend", choices=sorted(BACKENDS), default=None,
-        help="result store backend (default: $REPRO_CACHE_BACKEND or json)",
     )
     add_obs(p)
     p.set_defaults(func=cmd_serve)

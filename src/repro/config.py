@@ -4,7 +4,7 @@ A config file is a small table of dotted keys -- ``profile``,
 ``opt_level``, plus the ``[cache]``, ``[filters]``, ``[farm]`` and
 ``[grid]`` sections -- that captures everything a large campaign needs
 to be reproducible as one reviewable artifact: seeds, trial counts,
-concurrency, time budgets, cache backend, optimization level, and
+concurrency, time budgets, cache location, optimization level, and
 attack/defense/benchmark filters.
 
 Three layers, strictly ordered::
@@ -109,14 +109,6 @@ def _known_profile(value: Any) -> str | None:
     return None
 
 
-def _known_backend(value: Any) -> str | None:
-    from repro.runner.stores import BACKENDS
-
-    if value not in BACKENDS:
-        return f"unknown backend {value!r}; known: {', '.join(sorted(BACKENDS))}"
-    return None
-
-
 def _known_attacks(value: Any) -> str | None:
     from repro.matrix.registry import attack_names
 
@@ -158,7 +150,6 @@ def _known_benchmarks(value: Any) -> str | None:
 SCHEMA: dict[str, Field] = {
     "profile": Field("str", "experiment size profile", _known_profile),
     "opt_level": Field("int", "netlist-optimization level", _opt_level),
-    "cache.backend": Field("str", "result-store backend", _known_backend),
     "cache.dir": Field("str", "result-store location"),
     "cache.resume": Field("bool", "reuse cached cells"),
     "filters.attacks": Field(
@@ -471,7 +462,6 @@ _COMMON = [
     ("opt_level", "opt_level", None),
     ("resume", "cache.resume", True),
     ("cache_dir", "cache.dir", None),
-    ("cache_backend", "cache.backend", None),
 ]
 
 COMMAND_MAPS: dict[str, list[tuple[str, str, Any]]] = {

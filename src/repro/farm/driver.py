@@ -54,7 +54,7 @@ ProgressFn = Callable[[str], None]
 
 
 class FarmStateError(ValueError):
-    """Raised when a state dir disagrees with the requested farm config."""
+    """A state dir is unreadable or disagrees with the requested config."""
 
 
 @dataclass
@@ -168,10 +168,7 @@ class FarmDriver:
     def _load_state(self, pairs: list[tuple[str, str]]) -> None:
         if not self.state_path.is_file():
             return
-        try:
-            data = json.loads(self.state_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise FarmStateError(f"unreadable farm state {self.state_path}: {exc}")
+        data = _read_state(self.state_path)
         if int(data.get("seed", -1)) != self.config.seed:
             raise FarmStateError(
                 f"state dir {self.state_dir} holds a farm with seed "
@@ -492,13 +489,28 @@ def run_farm(
     return driver.run()
 
 
+def _read_state(state_path: Path) -> dict[str, Any]:
+    """Parse a checkpoint; a damaged one is a :class:`FarmStateError`."""
+    try:
+        data = json.loads(state_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise FarmStateError(f"unreadable farm state {state_path}: {exc}")
+    if not isinstance(data, dict):
+        raise FarmStateError(f"farm state {state_path} is not a JSON object")
+    return data
+
+
 def load_status(state_dir: str | Path) -> dict[str, Any]:
-    """Summarize a farm state dir without running anything."""
+    """Summarize a farm state dir without running anything.
+
+    Raises :class:`FarmStateError` for an unreadable ``state.json`` and
+    :class:`~repro.fuzz.corpus.CorpusError` for a damaged corpus entry.
+    """
     state_dir = Path(state_dir)
     state_path = state_dir / "state.json"
     status: dict[str, Any] = {"state_dir": str(state_dir), "exists": False}
     if state_path.is_file():
-        data = json.loads(state_path.read_text())
+        data = _read_state(state_path)
         scheduler = FarmScheduler.from_dict(data["scheduler"])
         covered, total = scheduler.coverage()
         status.update(

@@ -218,7 +218,7 @@ def collect_violations(
     mask a JSON-encoding instability.
     """
     from repro.reports.cells import run_cell
-    from repro.runner.stores import open_store
+    from repro.runner.stores import JsonFileStore
 
     for outcome in report.outcomes:
         trial = dict(outcome.spec.params)
@@ -284,15 +284,13 @@ def collect_violations(
                 continue
             # Store round-trip: byte-stability of the JSON encoding,
             # checked against an isolated throwaway store so the
-            # run's own resume state cannot mask a mismatch.  The probe
-            # honours REPRO_CACHE_BACKEND, so a farm run on the sqlite
-            # backend also fuzzes the sqlite round-trip.
+            # run's own resume state cannot mask a mismatch.
             import tempfile
 
             with tempfile.TemporaryDirectory() as scratch:
-                with open_store(scratch, version="fuzzprobe") as probe:
-                    probe.put(outcome.spec, fresh)
-                    replayed = probe.get(outcome.spec)
+                probe = JsonFileStore(scratch, version="fuzzprobe")
+                probe.put(outcome.spec, fresh)
+                replayed = probe.get(outcome.spec)
             if _canonical(replayed) != _canonical(fresh):
                 report.violations.append(
                     {

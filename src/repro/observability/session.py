@@ -20,7 +20,7 @@ metrics directory is given -- the on-disk artifacts:
 submit times (queue latency), folds finished
 :class:`~repro.runner.scheduler.JobOutcome` spans into metrics, and
 streams the records out.  The session is held in a module global so
-the store backends can report hits/misses through :func:`store_event`
+the result store can report hits/misses through :func:`store_event`
 without any plumbing -- and so that, with no session active, that
 report is a single ``None`` check (the zero-cost-by-default rule).
 The global is parent-process state: pool workers inherit it across
@@ -57,18 +57,18 @@ def current_session() -> ObsSession | None:
     return _SESSION
 
 
-def store_event(backend: str, event: str) -> None:
-    """Count one result-store operation (``hit``/``miss``/``put``/...).
+def store_event(event: str) -> None:
+    """Count one result-store operation (``hit``/``miss``/``put``).
 
-    Called from :class:`~repro.runner.stores.base.BaseStore` on every
+    Called from :class:`~repro.runner.stores.JsonFileStore` on every
     get/put; a bare ``None`` check when no session is active.
     """
     session = _SESSION
     if session is not None:
         session.metrics.counter(
             "repro_store_requests_total",
-            "Result-store operations by backend and outcome",
-        ).inc(backend=backend, event=event)
+            "Result-store operations by outcome",
+        ).inc(event=event)
 
 
 class ObsSession:

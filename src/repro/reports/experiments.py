@@ -12,7 +12,7 @@ cells (one per :mod:`repro.reports.cells` invocation) and push them
 through :func:`repro.runner.scheduler.run_jobs`.  Every runner accepts
 
 * ``jobs`` -- worker processes (1 = serial in-process, the default);
-* ``store`` -- a :class:`~repro.runner.stores.StoreBackend` memoising
+* ``store`` -- a :class:`~repro.runner.stores.JsonFileStore` memoising
   finished cells, making re-runs resumable and incremental.
 
 Parallel and serial runs aggregate identical cell results in identical
@@ -38,7 +38,7 @@ from repro.reports.cells import _TABLE1_DEFENSES, table1_cell
 from repro.reports.profiles import ExperimentProfile
 from repro.runner.scheduler import JobOutcome, run_jobs
 from repro.runner.spec import JobSpec
-from repro.runner.stores import StoreBackend
+from repro.runner.stores import JsonFileStore
 
 ProgressFn = Callable[[str], None]
 
@@ -83,7 +83,7 @@ def _run_grid(
     specs: Sequence[JobSpec],
     progress: ProgressFn,
     jobs: int,
-    store: StoreBackend | None,
+    store: JsonFileStore | None,
 ) -> list[JobOutcome]:
     """Run one experiment's specs, failing loudly if any cell failed."""
     report = run_jobs(
@@ -99,7 +99,7 @@ def run_grid_experiment(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
     observer=None,
     **spec_kwargs,
 ):
@@ -226,7 +226,7 @@ def run_table2_row(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> Table2Row:
     """Attack one benchmark for ``profile.n_seeds`` different LFSR seeds."""
     specs = table2_specs(profile, [name], key_bits=key_bits)
@@ -240,7 +240,7 @@ def run_table2(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> list[Table2Row]:
     """Run every Table II row at the given profile."""
     specs = table2_specs(profile, benchmarks)
@@ -337,7 +337,7 @@ def run_table3_cell(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> Table3Row:
     """Attack one circuit at one key size (a single Table III cell)."""
     specs = table3_specs(profile, [name], [key_bits])
@@ -352,7 +352,7 @@ def run_table3(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> list[Table3Row]:
     """Run the full Table III sweep at the given profile."""
     specs = table3_specs(profile, benchmarks, key_sizes)
@@ -417,7 +417,7 @@ def run_table1(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> list[Table1Row]:
     """Break each defense of Table I with its published attack.
 
@@ -531,7 +531,7 @@ def run_flop_scaling(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> list[ScalingRow]:
     """Fixed key width, growing chains: candidates shrink, time grows."""
     specs = scaling_specs(profile, flop_counts, key_bits, n_seeds)
@@ -604,7 +604,7 @@ def run_nonlinear_ablation(
     progress: ProgressFn = _noop_progress,
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
 ) -> list[AblationRow]:
     """LFSR vs nonlinear filter PRNG: the attack's stated limitation.
 

@@ -5,10 +5,10 @@ scheme x attack x profile x LFSR seed).  This package turns each cell
 into a declarative :class:`~repro.runner.spec.JobSpec` with a stable
 content hash, fans the grid out across cores with
 :func:`~repro.runner.scheduler.run_jobs`, and memoises finished cells in
-an on-disk result store (:mod:`repro.runner.stores` -- per-file JSON
-or compressed SQLite) keyed by spec hash
-plus a fingerprint of the source tree -- so re-runs are resumable and
-table regeneration only recomputes stale cells.  Finished grids are
+an on-disk result store (:mod:`repro.runner.stores`, one JSON file per
+cell) keyed by spec hash plus a fingerprint of the source tree -- so
+re-runs are resumable and table regeneration only recomputes stale
+cells.  Finished grids are
 written out as JSON + CSV artifacts (:mod:`repro.runner.artifacts`) that
 :mod:`repro.reports.tables` can render and that CI diffs against a
 checked-in timing baseline.
@@ -21,26 +21,14 @@ looked up by name inside the worker process.
 from repro.runner.artifacts import load_artifact, normalize_artifact, write_artifact
 from repro.runner.scheduler import JobOutcome, RunReport, run_jobs
 from repro.runner.spec import JobSpec, code_version
-from repro.runner.stores import (
-    BACKENDS,
-    StoreBackend,
-    migrate,
-    open_store,
-    resolve_backend,
-)
 
 __all__ = [
-    "BACKENDS",
     "JobOutcome",
     "JobSpec",
-    "StoreBackend",
     "RunReport",
     "code_version",
     "load_artifact",
-    "migrate",
     "normalize_artifact",
-    "open_store",
-    "resolve_backend",
     "run_jobs",
     "write_artifact",
 ]

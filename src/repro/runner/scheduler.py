@@ -8,9 +8,9 @@ nondeterminism.  Features:
 
 * ``jobs=1`` runs serially in-process (no pickling, easy debugging);
   ``jobs>1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`.
-* A result store (any :class:`~repro.runner.stores.StoreBackend` --
-  JSON or SQLite) short-circuits cells whose
-  (spec hash, code version) pair is already on disk, and absorbs every
+* A result store (:class:`~repro.runner.stores.JsonFileStore`)
+  short-circuits cells whose (spec hash, code version) pair is
+  already on disk, and absorbs every
   freshly computed cell -- an interrupted grid resumes where it stopped.
   A result with a true ``timed_out`` (an attack that ran out of its
   wall-clock budget) is reported but not stored.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.runner.spec import JobSpec
-from repro.runner.stores import StoreBackend
+from repro.runner.stores import JsonFileStore
 from repro.runner.worker import execute_job
 
 ProgressFn = Callable[["JobOutcome"], None]
@@ -126,7 +126,7 @@ def run_jobs(
     specs: Sequence[JobSpec],
     *,
     jobs: int = 1,
-    store: StoreBackend | None = None,
+    store: JsonFileStore | None = None,
     timeout_s: float | None = None,
     retries: int = 0,
     progress: ProgressFn | None = None,
@@ -166,7 +166,7 @@ def _finish(
     report: RunReport,
     index: int,
     payload: dict,
-    store: StoreBackend | None,
+    store: JsonFileStore | None,
     progress: ProgressFn | None,
     observer=None,
 ) -> None:
@@ -204,7 +204,7 @@ def _collect_spans(observer) -> bool:
 def _run_serial(
     report: RunReport,
     pending: Sequence[int],
-    store: StoreBackend | None,
+    store: JsonFileStore | None,
     timeout_s: float | None,
     retries: int,
     progress: ProgressFn | None,
@@ -234,7 +234,7 @@ def _run_parallel(
     report: RunReport,
     pending: Sequence[int],
     jobs: int,
-    store: StoreBackend | None,
+    store: JsonFileStore | None,
     timeout_s: float | None,
     retries: int,
     progress: ProgressFn | None,

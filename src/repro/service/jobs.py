@@ -12,7 +12,7 @@ single locked lookup:
 * hash unseen -- a new record enters the queue.
 
 Only the in-flight window needs this map: results that already landed
-are also in the shared :class:`~repro.runner.stores.StoreBackend`, so
+are also in the shared :class:`~repro.runner.stores.JsonFileStore`, so
 even a record evicted by a restart re-runs as a store hit.
 
 Execution reuses the scheduler wholesale: batches run through
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from repro import api
 from repro.observability import ObsSession, RunObserver
 from repro.runner.spec import JobSpec
-from repro.runner.stores import StoreBackend
+from repro.runner.stores import JsonFileStore
 
 
 @dataclass
@@ -97,7 +97,7 @@ class JobRegistry:
     def __init__(
         self,
         *,
-        store: StoreBackend | None = None,
+        store: JsonFileStore | None = None,
         session: ObsSession | None = None,
         jobs: int = 1,
     ) -> None:

@@ -45,7 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from repro.observability import ObsSession, end_session, install_session
-from repro.runner.stores import StoreBackend
+from repro.runner.stores import JsonFileStore
 from repro.service.jobs import JobRegistry
 from repro.service.schema import WireError, envelope, decode_body, parse_submission
 
@@ -240,7 +240,7 @@ class ReproService:
         port: int = 0,
         *,
         jobs: int = 1,
-        store: StoreBackend | None = None,
+        store: JsonFileStore | None = None,
         metrics_dir: str | None = None,
         log_json: str | None = None,
         argv: list[str] | None = None,
@@ -298,7 +298,7 @@ class ReproService:
         return self
 
     def close(self) -> None:
-        """Stop serving, drain jobs, close the store, end the session."""
+        """Stop serving, drain jobs, end the session."""
         if self._closed:
             return
         self._closed = True
@@ -308,8 +308,6 @@ class ReproService:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self.registry.close()
-        if self.store is not None:
-            self.store.close()
         end_session(self.session)
 
     def __enter__(self) -> "ReproService":

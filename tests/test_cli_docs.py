@@ -31,6 +31,6 @@ def test_reference_covers_every_subcommand():
     text = (REPO / "docs" / "cli.md").read_text()
     for command in (
         "attack", "table2", "matrix", "farm run", "fuzz-replay",
-        "cache migrate", "top",
+        "cache gc", "top",
     ):
         assert f"## `dynunlock {command}`" in text

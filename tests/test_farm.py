@@ -384,6 +384,34 @@ class TestDriverState:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_junk_corpus_entry_exits_2_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        state = tmp_path / "farm"
+        junk = state / "corpus" / "attack-replay" / "junk.json"
+        junk.parent.mkdir(parents=True)
+        junk.write_text("not json")
+        for argv in (
+            ["farm", "run", "--state", str(state), "--round-trials", "1",
+             "--no-resume"],
+            ["farm", "status", str(state)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert str(junk) in err
+            assert "Traceback" not in err
+
+    def test_malformed_state_json_makes_status_exit_2(self, tmp_path, capsys):
+        (tmp_path / "state.json").write_text("{not json")
+        with pytest.raises(FarmStateError, match="unreadable"):
+            load_status(tmp_path)
+        for argv in (
+            ["farm", "status", str(tmp_path)],
+            ["farm", "status", str(tmp_path), "--json"],
+        ):
+            assert main(argv) == 2, argv
+            assert "state.json" in capsys.readouterr().err
+
     def test_status_of_missing_state(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         assert load_status(missing)["exists"] is False

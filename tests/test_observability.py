@@ -38,7 +38,7 @@ from repro.runner.artifacts import (
 )
 from repro.runner.scheduler import run_jobs
 from repro.runner.spec import JobSpec
-from repro.runner.stores import open_store
+from repro.runner.stores import JsonFileStore
 
 TINY = ExperimentProfile(
     name="tiny",
@@ -205,10 +205,7 @@ class TestJsonLogger:
 
 class TestSessionWithScheduler:
     def run_instrumented(self, tmp_path, *, jobs):
-        # $REPRO_CACHE_BACKEND may pick any backend; the store counter
-        # assertions read the resolved name back.
-        store = open_store(tmp_path / "cache")
-        self.backend = store.name
+        store = JsonFileStore(tmp_path / "cache")
         session = start_session(
             metrics_dir=tmp_path / "metrics",
             log_json=tmp_path / "log.jsonl",
@@ -255,9 +252,9 @@ class TestSessionWithScheduler:
         assert jobs_total.value(experiment="selfcheck", status="computed") == 3
         assert jobs_total.value(experiment="selfcheck", status="cached") == 3
         store_reqs = session.metrics.counter("repro_store_requests_total", "")
-        assert store_reqs.value(backend=self.backend, event="miss") == 3
-        assert store_reqs.value(backend=self.backend, event="put") == 3
-        assert store_reqs.value(backend=self.backend, event="hit") == 3
+        assert store_reqs.value(event="miss") == 3
+        assert store_reqs.value(event="put") == 3
+        assert store_reqs.value(event="hit") == 3
         count, total = session.metrics.histogram(
             "repro_job_duration_seconds", ""
         ).stats(experiment="selfcheck")
@@ -296,22 +293,23 @@ class TestOffByDefaultInvariance:
     @staticmethod
     def entries_of(store):
         out = {}
-        for entry in store.iterate():
-            doc = json.loads(entry.raw.decode())
+        version_dir = store.root / store.version
+        for path in sorted(version_dir.rglob("*.json")):
+            doc = json.loads(path.read_bytes())
             # duration_s is nondeterministic wall time in *every* run,
             # instrumented or not -- exclude it, compare the rest exactly.
             doc.pop("duration_s")
-            out[(entry.experiment, entry.key)] = doc
+            out[path.relative_to(version_dir)] = doc
         return out
 
     def test_results_and_cache_bytes_identical(self, tmp_path):
         specs = tiny_specs()
-        plain_store = open_store(tmp_path / "plain")
+        plain_store = JsonFileStore(tmp_path / "plain")
         plain = run_jobs(specs, jobs=1, store=plain_store)
 
         session = start_session(metrics_dir=tmp_path / "metrics", command="test")
         observed = run_jobs(
-            specs, jobs=1, store=open_store(tmp_path / "obs"), observer=RunObserver(session)
+            specs, jobs=1, store=JsonFileStore(tmp_path / "obs"), observer=RunObserver(session)
         )
         end_session()
 
@@ -319,14 +317,14 @@ class TestOffByDefaultInvariance:
             o.result for o in observed.outcomes
         ]
         plain_entries = self.entries_of(plain_store)
-        obs_entries = self.entries_of(open_store(tmp_path / "obs"))
+        obs_entries = self.entries_of(JsonFileStore(tmp_path / "obs"))
         assert plain_entries == obs_entries
         for doc in obs_entries.values():
             assert set(doc) == {"label", "result", "spec"}  # no span leakage
 
     def test_cache_written_with_metrics_replays_without(self, tmp_path):
         specs = tiny_specs()
-        store = open_store(tmp_path / "cache")
+        store = JsonFileStore(tmp_path / "cache")
         session = start_session(command="test")
         run_jobs(specs, jobs=1, store=store, observer=RunObserver(session))
         end_session()

@@ -17,7 +17,7 @@ import pytest
 from repro import api
 from repro.reports.profiles import ExperimentProfile
 from repro.runner.spec import JobSpec
-from repro.runner.stores import open_store
+from repro.runner.stores import JsonFileStore
 from repro.service import (
     MAX_BATCH_SPECS,
     BatchingClient,
@@ -50,7 +50,7 @@ def spec_of(payload="x", **extra):
 
 @pytest.fixture
 def service(tmp_path):
-    store = open_store(tmp_path / "cache", backend="json")
+    store = JsonFileStore(tmp_path / "cache")
     svc = ReproService(
         port=0, jobs=1, store=store, metrics_dir=str(tmp_path / "metrics")
     ).start()

@@ -1,4 +1,4 @@
-"""Concurrent-writer stress: N processes hammer one store per backend.
+"""Concurrent-writer stress: N processes hammer one result store.
 
 Every worker repeatedly puts and gets the same pool of specs in a
 shuffled order, so writers overlap on identical keys while readers race
@@ -7,8 +7,7 @@ function of its index, every writer writes *identical bytes* -- which
 turns the invariants into sharp assertions:
 
 * no torn reads: every ``get`` is either a miss or exactly the expected
-  result (file backends guarantee this via atomic ``os.replace``; the
-  SQLite backend via WAL transactions);
+  result (the store guarantees this via atomic ``os.replace``);
 * no lost results: after the stampede, every spec is present;
 * byte-identical get-after-put: the surviving raw entry equals
   ``encode_entry`` output exactly.
@@ -17,10 +16,8 @@ turns the invariants into sharp assertions:
 import random
 from concurrent.futures import ProcessPoolExecutor
 
-import pytest
-
 from repro.runner.spec import JobSpec
-from repro.runner.stores import BACKENDS, encode_entry, entry_key, open_store
+from repro.runner.stores import JsonFileStore, encode_entry
 
 VERSION = "w" * 20
 N_WORKERS = 4
@@ -42,53 +39,51 @@ def _expected(index: int) -> dict:
     return {"cell": index, "keystream": "ab" * (8 * (index + 1))}
 
 
-def _hammer(root: str, backend: str, worker_seed: int) -> list[str]:
+def _hammer(root: str, worker_seed: int) -> list[str]:
     """One worker process; returns observed anomalies (empty == clean)."""
     rng = random.Random(worker_seed)
     anomalies: list[str] = []
-    with open_store(root, backend=backend, version=VERSION) as store:
-        for round_index in range(ROUNDS):
-            order = list(range(N_SPECS))
-            rng.shuffle(order)
-            for index in order:
-                spec = _spec(index)
-                store.put(spec, _expected(index), duration_s=1.0)
-                got = store.get(spec)
-                if got != _expected(index):
-                    anomalies.append(
-                        f"worker {worker_seed} round {round_index}: "
-                        f"get-after-put for cell {index} returned {got!r}"
-                    )
-            for index in range(N_SPECS):
-                got = store.get(_spec(index))
-                if got is not None and got != _expected(index):
-                    anomalies.append(
-                        f"worker {worker_seed} round {round_index}: "
-                        f"torn read for cell {index}: {got!r}"
-                    )
+    store = JsonFileStore(root, version=VERSION)
+    for round_index in range(ROUNDS):
+        order = list(range(N_SPECS))
+        rng.shuffle(order)
+        for index in order:
+            spec = _spec(index)
+            store.put(spec, _expected(index), duration_s=1.0)
+            got = store.get(spec)
+            if got != _expected(index):
+                anomalies.append(
+                    f"worker {worker_seed} round {round_index}: "
+                    f"get-after-put for cell {index} returned {got!r}"
+                )
+        for index in range(N_SPECS):
+            got = store.get(_spec(index))
+            if got is not None and got != _expected(index):
+                anomalies.append(
+                    f"worker {worker_seed} round {round_index}: "
+                    f"torn read for cell {index}: {got!r}"
+                )
     return anomalies
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_concurrent_writers_never_tear_or_lose_results(tmp_path, backend):
+def test_concurrent_writers_never_tear_or_lose_results(tmp_path):
     root = tmp_path / "cache"
     with ProcessPoolExecutor(max_workers=N_WORKERS) as pool:
         futures = [
-            pool.submit(_hammer, str(root), backend, worker)
-            for worker in range(N_WORKERS)
+            pool.submit(_hammer, str(root), worker) for worker in range(N_WORKERS)
         ]
         anomalies = [a for future in futures for a in future.result(timeout=300)]
     assert anomalies == []
 
-    with open_store(root, backend=backend, version=VERSION) as store:
-        # No lost results: every completed put is visible afterwards.
-        assert len(store) == N_SPECS
-        for index in range(N_SPECS):
-            assert store.get(_spec(index)) == _expected(index)
+    store = JsonFileStore(root, version=VERSION)
+    # No lost results: every completed put is visible afterwards, and no
+    # temp file of an atomic write is left behind.
+    assert len(store) == N_SPECS
+    assert not list(root.rglob("*.tmp"))
+    for index in range(N_SPECS):
+        spec = _spec(index)
+        assert store.get(spec) == _expected(index)
         # Byte-identical survivors: whichever writer won last, the raw
         # entry bytes equal the canonical encoding exactly.
-        raw_by_key = {(e.experiment, e.key): e.raw for e in store.iterate()}
-        for index in range(N_SPECS):
-            spec = _spec(index)
-            expected_raw = encode_entry(spec, _expected(index), duration_s=1.0)
-            assert raw_by_key[(spec.experiment, entry_key(spec))] == expected_raw
+        expected_raw = encode_entry(spec, _expected(index), duration_s=1.0)
+        assert store.path_for(spec).read_bytes() == expected_raw
