@@ -11,9 +11,9 @@ ScanSAT, shift-and-leak, ScanSAT-dyn, and DynUnlock respectively.
 
 import random
 
-from repro.attack.scansat import scansat_attack_on_lock
-from repro.attack.scansat_dyn import scansat_dyn_attack_on_lock
-from repro.attack.shift_and_leak import shift_and_leak_on_lock
+from repro.attack.scansat import scansat_attack
+from repro.attack.scansat_dyn import scansat_dyn_attack
+from repro.attack.shift_and_leak import shift_and_leak_attack
 from repro.bench_suite.registry import build_benchmark_netlist
 from repro.core.dynunlock import DynUnlockConfig, dynunlock
 from repro.locking.dfs import lock_with_dfs
@@ -31,7 +31,7 @@ def main() -> None:
     rows = []
 
     eff = lock_with_eff(netlist, key_bits=key_bits, rng=random.Random(1))
-    r = scansat_attack_on_lock(eff)
+    r = scansat_attack(eff.netlist, eff.public_view(), eff.make_oracle())
     rows.append(["EFF (Jan 2018)", "static", "ScanSAT",
                  "broken" if r.success else "HELD",
                  f"{r.iterations} it, {r.runtime_s:.1f}s"])
@@ -39,7 +39,8 @@ def main() -> None:
           f"{r.recovered_key == list(eff.secret_key)}")
 
     dfs = lock_with_dfs(netlist, key_bits=key_bits, rng=random.Random(2))
-    r = shift_and_leak_on_lock(dfs)
+    r = shift_and_leak_attack(dfs.netlist, dfs.public_view(),
+                              dfs.make_oracle())
     rows.append(["DFS (May 2018)", "static", "shift-and-leak",
                  "broken" if r.success else "HELD",
                  f"{r.iterations} it, {r.runtime_s:.1f}s"])
@@ -48,12 +49,12 @@ def main() -> None:
 
     dos = lock_with_dos(netlist, key_bits=key_bits, rng=random.Random(3),
                         period_p=1)
-    r = scansat_dyn_attack_on_lock(dos)
+    r = scansat_dyn_attack(dos.netlist, dos.public_view(), dos.make_oracle())
     rows.append(["DOS (Sep 2018)", "dynamic/pattern", "ScanSAT-dyn",
                  "broken" if r.success else "HELD",
                  f"{r.iterations} it, {r.runtime_s:.1f}s"])
     print(f"DOS      -> ScanSAT-dyn    : seed recovered = "
-          f"{r.recovered_seed == list(dos.seed)}")
+          f"{r.recovered_key == list(dos.seed)}")
 
     effdyn = lock_with_effdyn(netlist, key_bits=key_bits,
                               rng=random.Random(4))

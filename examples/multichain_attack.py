@@ -63,9 +63,9 @@ def main() -> None:
     )
     print(f"\nattack success:   {result.success}")
     print(f"SAT iterations:   {result.iterations}")
-    print(f"seed candidates:  {len(result.seed_candidates)}")
-    print(f"recovered seed:   {bits_to_str(result.recovered_seed)}")
-    print(f"exact match:      {result.recovered_seed == secret_seed}")
+    print(f"seed candidates:  {len(result.key_candidates)}")
+    print(f"recovered seed:   {bits_to_str(result.recovered_key)}")
+    print(f"exact match:      {result.recovered_key == secret_seed}")
 
 
 if __name__ == "__main__":

@@ -12,43 +12,24 @@ on, so no additional modeling code is trusted here.  Evaluation is
 bit-parallel: each surviving candidate occupies one packed lane, so a
 single pass of the :class:`repro.sim.logicsim.BitParallelSimulator`
 checks every candidate against one replayed pattern at once.
+
+:func:`attack_and_replay` is the pipeline every replay-verified scan
+attack runs (ScanSAT, ScanSAT-dyn, scramble-SAT, multi-chain
+DynUnlock): the SAT attack on a :class:`CombinationalModel`, then this
+refinement, which picks the recovered key among its survivors.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+from repro.attack.satattack import AttackResult, SatAttack, SatAttackConfig
 from repro.core.modeling import CombinationalModel
-from repro.netlist.netlist import Netlist
 from repro.sim.logicsim import BitParallelSimulator, broadcast_inputs
 from repro.util.bitvec import broadcast_bit, lane_mask, pack_lanes, random_bits
-
-
-@dataclass
-class ReplayModel:
-    """The structural contract :func:`refine_candidates_by_replay` needs.
-
-    A minimal stand-in for :class:`~repro.core.modeling.CombinationalModel`
-    for attacks whose locked circuit is not a scan-overlay model -- the
-    scramble MUX model and the brute-force adapters both build one.
-    """
-
-    netlist: Netlist
-    a_inputs: list[str]
-    pi_inputs: list[str]
-    key_inputs: list[str]
-    b_outputs: list[str]
-    po_outputs: list[str]
-
-    @property
-    def x_inputs(self) -> list[str]:
-        return self.a_inputs + self.pi_inputs
-
-    @property
-    def observed_outputs(self) -> list[str]:
-        return self.b_outputs + self.po_outputs
+from repro.util.timing import Stopwatch
 
 
 @dataclass
@@ -120,4 +101,65 @@ def refine_candidates_by_replay(
         survivors=survivors,
         n_patterns_used=patterns_used,
         n_candidates_in=len(candidates),
+    )
+
+
+def attack_and_replay(
+    model: CombinationalModel,
+    query: Callable[[list[int], list[int]], list[int]],
+    watch: Stopwatch,
+    *,
+    candidate_limit: int,
+    timeout_s: float | None,
+    opt_level: int | None,
+    verify_patterns: int,
+    rng_seed: int,
+    stop_at_one: bool = True,
+    choose: Callable[[list[list[int]]], list[int] | None] = (
+        lambda survivors: survivors[0] if survivors else None
+    ),
+) -> AttackResult:
+    """SAT-attack ``model`` through ``query``, then refine by replay.
+
+    ``query(scan_in, pi)`` follows :func:`refine_candidates_by_replay`.
+    :class:`SatAttack` optimizes the model at ``opt_level``, and replay
+    simulates the netlist it encoded.  ``verify_patterns``, ``rng_seed``
+    and ``stop_at_one`` set the replay (they fix the oracle query
+    count).  ``choose`` picks the recovered key from the survivors (by
+    default the first).  ``watch`` is the caller's running stopwatch, so
+    ``runtime_s`` also covers building the model.
+    """
+    n_a = len(model.a_inputs)
+    attack = SatAttack(
+        locked=model.netlist,
+        key_inputs=model.key_inputs,
+        oracle_fn=lambda x_bits: query(x_bits[:n_a], x_bits[n_a:]),
+        config=SatAttackConfig(
+            candidate_limit=candidate_limit,
+            timeout_s=timeout_s,
+            opt_level=opt_level,
+        ),
+    )
+    result = attack.run()
+
+    recovered: list[int] | None = None
+    if result.key_candidates:
+        survivors = refine_candidates_by_replay(
+            replace(model, netlist=attack.locked),
+            result.key_candidates,
+            query,
+            random.Random(rng_seed),
+            n_patterns=verify_patterns,
+            stop_at_one=stop_at_one,
+        ).survivors
+        recovered = choose(survivors)
+
+    watch.stop()
+    return AttackResult(
+        success=recovered is not None,
+        recovered_key=recovered,
+        key_candidates=result.key_candidates,
+        iterations=result.iterations,
+        runtime_s=watch.total,
+        timed_out=result.timed_out,
     )

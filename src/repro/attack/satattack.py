@@ -100,11 +100,24 @@ class SatAttackResult:
     def n_candidates(self) -> int:
         return len(self.key_candidates)
 
-    def unique_key(self) -> list[int] | None:
-        """The recovered key when the attack pinned down exactly one."""
-        if self.converged and len(self.key_candidates) == 1:
-            return self.key_candidates[0]
-        return None
+
+@dataclass
+class AttackResult:
+    """Outcome of a key-recovery attack built on :class:`SatAttack`.
+
+    ``key_candidates`` are the keys the SAT attack left and
+    ``recovered_key`` the one the attack settled on (an LFSR seed for
+    the seed-keyed schemes).  ``timed_out`` is
+    :attr:`SatAttackResult.timed_out`: the outcome then depends on the
+    machine's speed.
+    """
+
+    success: bool
+    recovered_key: list[int] | None
+    key_candidates: list[list[int]]
+    iterations: int
+    runtime_s: float
+    timed_out: bool
 
 
 class SatAttack:

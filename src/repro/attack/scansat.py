@@ -5,35 +5,21 @@ scramble as XOR overlays controlled directly by the (static) key and
 running the SAT attack -- Table I's first row.  DynUnlock generalises
 this to per-cycle dynamic keys; here the same project machinery is run in
 ``static`` mode, so the attack shares every line of modeling and SAT code
-with DynUnlock and differs only in what the key inputs mean.  Like every
-driver built on :class:`repro.attack.satattack.SatAttack`, the DIP loop
-runs in one incremental solver session (miter encoded once, per-DIP
-clauses appended) and candidate refinement replays bit-parallel.
+with DynUnlock and differs only in what the key inputs mean.  The
+attack itself is :func:`repro.attack.bruteforce.attack_and_replay`: the
+DIP loop in one incremental solver session, then bit-parallel replay
+refinement.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from repro.attack.bruteforce import refine_candidates_by_replay
-from repro.attack.satattack import SatAttack, SatAttackConfig
+from repro.attack.bruteforce import attack_and_replay
+from repro.attack.satattack import AttackResult
 from repro.core.modeling import build_combinational_model
-from repro.locking.eff import EffStaticLock, EffStaticPublicView
+from repro.locking.eff import EffStaticPublicView
 from repro.netlist.netlist import Netlist
-from repro.opt import optimize, resolve_level
 from repro.scan.oracle import ScanOracle
 from repro.util.timing import Stopwatch
-
-
-@dataclass
-class ScanSatResult:
-    """Outcome of a ScanSAT run against static EFF."""
-    success: bool
-    recovered_key: list[int] | None
-    key_candidates: list[list[int]]
-    iterations: int
-    runtime_s: float
 
 
 def scansat_attack(
@@ -45,7 +31,7 @@ def scansat_attack(
     timeout_s: float | None = None,
     rng_seed: int = 0x5CA9,
     opt_level: int | None = None,
-) -> ScanSatResult:
+) -> AttackResult:
     """Recover a static EFF scan-locking key through the oracle."""
     watch = Stopwatch().start()
     model = build_combinational_model(
@@ -55,60 +41,13 @@ def scansat_attack(
         key_bits=public_view.spec.n_keygates,
         mode="static",
     )
-    if resolve_level(opt_level) > 0:
-        model.netlist = optimize(model.netlist, level=opt_level).netlist
-    n_a = len(model.a_inputs)
-
-    def oracle_fn(x_bits: list[int]) -> list[int]:
-        response = oracle.query(x_bits[:n_a], x_bits[n_a:])
-        observed = list(response.scan_out)
-        if model.po_outputs:
-            observed += list(response.primary_outputs)
-        return observed
-
-    attack = SatAttack(
-        locked=model.netlist,
-        key_inputs=model.key_inputs,
-        oracle_fn=oracle_fn,
-        config=SatAttackConfig(
-            candidate_limit=candidate_limit,
-            timeout_s=timeout_s,
-            opt_level=0,  # the model above is already optimized
-        ),
-    )
-    result = attack.run()
-
-    recovered: list[int] | None = None
-    if result.key_candidates:
-        rng = random.Random(rng_seed)
-
-        def replay(scan_in: list[int], pi: list[int]) -> list[int]:
-            response = oracle.query(scan_in, pi)
-            observed = list(response.scan_out)
-            if model.po_outputs:
-                observed += list(response.primary_outputs)
-            return observed
-
-        refinement = refine_candidates_by_replay(
-            model, result.key_candidates, replay, rng, n_patterns=verify_patterns
-        )
-        if refinement.survivors:
-            recovered = refinement.survivors[0]
-
-    watch.stop()
-    return ScanSatResult(
-        success=recovered is not None,
-        recovered_key=recovered,
-        key_candidates=result.key_candidates,
-        iterations=result.iterations,
-        runtime_s=watch.total,
-    )
-
-
-def scansat_attack_on_lock(
-    lock: EffStaticLock, **kwargs
-) -> ScanSatResult:
-    """Convenience wrapper used by benches and examples."""
-    return scansat_attack(
-        lock.netlist, lock.public_view(), lock.make_oracle(), **kwargs
+    return attack_and_replay(
+        model,
+        lambda scan_in, pi: model.observe(oracle.query(scan_in, pi)),
+        watch,
+        candidate_limit=candidate_limit,
+        timeout_s=timeout_s,
+        opt_level=opt_level,
+        verify_patterns=verify_patterns,
+        rng_seed=rng_seed,
     )

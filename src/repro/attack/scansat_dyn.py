@@ -8,34 +8,22 @@ freezes the key at the first LFSR update, ``T @ seed``.  The attack then
 runs the ``dos_restart`` model -- a *static* overlay whose key bits are
 the one-step-unrolled LFSR outputs -- and recovers the seed directly
 (the LFSR equations are part of the model, so candidates are seeds, not
-intermediate keys).  The DIP loop inherits the incremental solver
-session from :class:`repro.attack.satattack.SatAttack`; refinement runs
-bit-parallel over the candidate lanes.
+intermediate keys).  The attack runs
+:func:`repro.attack.bruteforce.attack_and_replay` and picks the seed
+among the replay survivors with a full keystream replay.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from repro.attack.bruteforce import refine_candidates_by_replay
-from repro.attack.satattack import SatAttack, SatAttackConfig
+from repro.attack.bruteforce import attack_and_replay
+from repro.attack.satattack import AttackResult
 from repro.core.modeling import build_combinational_model
-from repro.locking.dos import DosLock, DosPublicView
+from repro.locking.dos import DosPublicView
 from repro.netlist.netlist import Netlist
-from repro.opt import optimize, resolve_level
 from repro.scan.oracle import ScanOracle
 from repro.util.timing import Stopwatch
-
-
-@dataclass
-class ScanSatDynResult:
-    """Outcome of the DOS-adjusted attack (recovered LFSR seed)."""
-    success: bool
-    recovered_seed: list[int] | None
-    seed_candidates: list[list[int]]
-    iterations: int
-    runtime_s: float
 
 
 def scansat_dyn_attack(
@@ -47,8 +35,11 @@ def scansat_dyn_attack(
     timeout_s: float | None = None,
     rng_seed: int = 0xD05,
     opt_level: int | None = None,
-) -> ScanSatDynResult:
-    """Recover the DOS LFSR seed (works for any update period ``p``)."""
+) -> AttackResult:
+    """Recover the DOS LFSR seed (works for any update period ``p``).
+
+    ``recovered_key`` is the seed.
+    """
     watch = Stopwatch().start()
     model = build_combinational_model(
         netlist,
@@ -57,59 +48,23 @@ def scansat_dyn_attack(
         key_bits=public_view.lfsr_width,
         mode="dos_restart",
     )
-    if resolve_level(opt_level) > 0:
-        model.netlist = optimize(model.netlist, level=opt_level).netlist
-    n_a = len(model.a_inputs)
-
-    def oracle_fn(x_bits: list[int]) -> list[int]:
-        response = oracle.query(x_bits[:n_a], x_bits[n_a:])
-        observed = list(response.scan_out)
-        if model.po_outputs:
-            observed += list(response.primary_outputs)
-        return observed
-
-    attack = SatAttack(
-        locked=model.netlist,
-        key_inputs=model.key_inputs,
-        oracle_fn=oracle_fn,
-        config=SatAttackConfig(
-            candidate_limit=candidate_limit,
-            timeout_s=timeout_s,
-            opt_level=0,  # the model above is already optimized
-        ),
-    )
-    result = attack.run()
-
-    recovered: list[int] | None = None
-    if result.key_candidates:
-        rng = random.Random(rng_seed)
-
-        def replay(scan_in: list[int], pi: list[int]) -> list[int]:
-            response = oracle.query(scan_in, pi)
-            observed = list(response.scan_out)
-            if model.po_outputs:
-                observed += list(response.primary_outputs)
-            return observed
-
-        refinement = refine_candidates_by_replay(
-            model, result.key_candidates, replay, rng, n_patterns=verify_patterns
-        )
-        recovered = _full_replay_survivor(
+    return attack_and_replay(
+        model,
+        lambda scan_in, pi: model.observe(oracle.query(scan_in, pi)),
+        watch,
+        candidate_limit=candidate_limit,
+        timeout_s=timeout_s,
+        opt_level=opt_level,
+        verify_patterns=verify_patterns,
+        rng_seed=rng_seed,
+        choose=lambda survivors: _full_replay_survivor(
             netlist,
             public_view,
             oracle,
-            refinement.survivors,
+            survivors,
             random.Random(rng_seed ^ 0x51D),
             verify_patterns,
-        )
-
-    watch.stop()
-    return ScanSatDynResult(
-        success=recovered is not None,
-        recovered_seed=recovered,
-        seed_candidates=result.key_candidates,
-        iterations=result.iterations,
-        runtime_s=watch.total,
+        ),
     )
 
 
@@ -168,9 +123,3 @@ def _full_replay_survivor(
             return seed
     return None
 
-
-def scansat_dyn_attack_on_lock(lock: DosLock, **kwargs) -> ScanSatDynResult:
-    """Convenience wrapper used by benches and examples."""
-    return scansat_dyn_attack(
-        lock.netlist, lock.public_view(), lock.make_oracle(), **kwargs
-    )

@@ -12,29 +12,26 @@ circuit: each swappable position becomes a 2:1 multiplexer selected by
 its key bit, on the way in (driving the core's pseudo-primary inputs)
 and again on the way out (reading its pseudo-primary outputs).  The
 standard oracle-guided SAT attack then recovers the routing key, and
-bit-parallel oracle replay verifies the survivors -- the same two-stage
-shape as ScanSAT on static EFF.
+bit-parallel oracle replay verifies the survivors -- the same
+:func:`repro.attack.bruteforce.attack_and_replay` pipeline as ScanSAT on
+static EFF.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
-from repro.attack.bruteforce import ReplayModel, refine_candidates_by_replay
-from repro.attack.satattack import SatAttack, SatAttackConfig
-from repro.locking.scramble import ScrambleLock, ScramblePublicView
+from repro.attack.bruteforce import attack_and_replay
+from repro.attack.satattack import AttackResult
+from repro.core.modeling import CombinationalModel
+from repro.locking.scramble import ScramblePublicView
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
-from repro.opt import optimize, resolve_level
-from repro.scan.oracle import ScanResponse
 from repro.util.timing import Stopwatch
 
 
 def build_scramble_model(
     netlist: Netlist, view: ScramblePublicView
-) -> ReplayModel:
+) -> CombinationalModel:
     """Build the MUX-locked model of one scrambled-scan query."""
     chains = view.chains
     if chains.n_flops != netlist.n_dffs:
@@ -98,7 +95,7 @@ def build_scramble_model(
         model.add_output(net)
         po_outputs.append(net)
 
-    return ReplayModel(
+    return CombinationalModel(
         netlist=model,
         a_inputs=a_inputs,
         pi_inputs=pi_inputs,
@@ -106,17 +103,6 @@ def build_scramble_model(
         b_outputs=b_outputs,
         po_outputs=po_outputs,
     )
-
-
-@dataclass
-class ScrambleSatResult:
-    """Outcome of the scramble-SAT run: the recovered routing key."""
-
-    success: bool
-    recovered_key: list[int] | None
-    key_candidates: list[list[int]]
-    iterations: int
-    runtime_s: float
 
 
 def scramble_sat_attack(
@@ -128,60 +114,17 @@ def scramble_sat_attack(
     timeout_s: float | None = None,
     rng_seed: int = 0x5C2A,
     opt_level: int | None = None,
-) -> ScrambleSatResult:
+) -> AttackResult:
     """Recover a scramble routing key through the scan oracle."""
     watch = Stopwatch().start()
     model = build_scramble_model(netlist, public_view)
-    if resolve_level(opt_level) > 0:
-        model.netlist = optimize(model.netlist, level=opt_level).netlist
-    n_a = len(model.a_inputs)
-
-    def observe(response: ScanResponse) -> list[int]:
-        observed = list(response.scan_out)
-        if model.po_outputs:
-            observed += list(response.primary_outputs)
-        return observed
-
-    def oracle_fn(x_bits: list[int]) -> list[int]:
-        return observe(oracle.query(x_bits[:n_a], x_bits[n_a:]))
-
-    attack = SatAttack(
-        locked=model.netlist,
-        key_inputs=model.key_inputs,
-        oracle_fn=oracle_fn,
-        config=SatAttackConfig(
-            candidate_limit=candidate_limit,
-            timeout_s=timeout_s,
-            opt_level=0,  # the model above is already optimized
-        ),
-    )
-    result = attack.run()
-
-    recovered: list[int] | None = None
-    if result.key_candidates:
-        rng = random.Random(rng_seed)
-
-        def replay(scan_in: list[int], pi: list[int]) -> list[int]:
-            return observe(oracle.query(scan_in, pi))
-
-        refinement = refine_candidates_by_replay(
-            model, result.key_candidates, replay, rng, n_patterns=verify_patterns
-        )
-        if refinement.survivors:
-            recovered = refinement.survivors[0]
-
-    watch.stop()
-    return ScrambleSatResult(
-        success=recovered is not None,
-        recovered_key=recovered,
-        key_candidates=result.key_candidates,
-        iterations=result.iterations,
-        runtime_s=watch.total,
-    )
-
-
-def scramble_sat_on_lock(lock: ScrambleLock, **kwargs) -> ScrambleSatResult:
-    """Convenience wrapper used by the matrix registry and tests."""
-    return scramble_sat_attack(
-        lock.netlist, lock.public_view(), lock.make_oracle(), **kwargs
+    return attack_and_replay(
+        model,
+        lambda scan_in, pi: model.observe(oracle.query(scan_in, pi)),
+        watch,
+        candidate_limit=candidate_limit,
+        timeout_s=timeout_s,
+        opt_level=opt_level,
+        verify_patterns=verify_patterns,
+        rng_seed=rng_seed,
     )

@@ -17,22 +17,10 @@ oracle's ``load_and_observe`` as the query primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.attack.satattack import SatAttack, SatAttackConfig
-from repro.locking.dfs import DfsLock, DfsOracle
+from repro.attack.satattack import AttackResult, SatAttack, SatAttackConfig
+from repro.locking.dfs import DfsOracle
 from repro.netlist.transform import extract_combinational_core, strip_outputs
 from repro.util.timing import Stopwatch
-
-
-@dataclass
-class ShiftAndLeakResult:
-    """Outcome of the shift-and-leak attack against DFS."""
-    success: bool
-    recovered_key: list[int] | None
-    key_candidates: list[list[int]]
-    iterations: int
-    runtime_s: float
 
 
 def shift_and_leak_attack(
@@ -42,7 +30,7 @@ def shift_and_leak_attack(
     candidate_limit: int = 64,
     timeout_s: float | None = None,
     opt_level: int | None = None,
-) -> ShiftAndLeakResult:
+) -> AttackResult:
     """Recover the DFS logic-locking key through PO leakage.
 
     ``lock_netlist`` is the reverse-engineered locked netlist (with key
@@ -80,17 +68,12 @@ def shift_and_leak_attack(
     result = attack.run()
     watch.stop()
     recovered = result.key_candidates[0] if result.key_candidates else None
-    return ShiftAndLeakResult(
+    return AttackResult(
         success=result.converged and recovered is not None,
         recovered_key=recovered,
         key_candidates=result.key_candidates,
         iterations=result.iterations,
         runtime_s=watch.total,
+        timed_out=result.timed_out,
     )
 
-
-def shift_and_leak_on_lock(lock: DfsLock, **kwargs) -> ShiftAndLeakResult:
-    """Convenience wrapper used by benches and examples."""
-    return shift_and_leak_attack(
-        lock.netlist, lock.public_view(), lock.make_oracle(), **kwargs
-    )

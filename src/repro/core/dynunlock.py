@@ -26,7 +26,7 @@ scan access.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.attack.bruteforce import refine_candidates_by_replay
 from repro.attack.satattack import SatAttack, SatAttackConfig, SatAttackResult
@@ -34,7 +34,6 @@ from repro.core.modeling import CombinationalModel, build_combinational_model
 from repro.locking.effdyn import EffDynPublicView
 from repro.netlist.netlist import Netlist
 from repro.observability import spans as obs
-from repro.opt import optimize, resolve_level
 from repro.scan.oracle import ScanOracle
 from repro.util.timing import Stopwatch
 
@@ -127,7 +126,7 @@ class DynUnlock:
     # ------------------------------------------------------------------
     def _build_model(self, n_captures: int) -> CombinationalModel:
         with obs.phase("model"):
-            model = build_combinational_model(
+            return build_combinational_model(
                 self.netlist,
                 spec=self.view.spec,
                 taps=self.view.lfsr_taps,
@@ -136,26 +135,16 @@ class DynUnlock:
                 n_captures=n_captures,
                 include_pos=self.config.include_pos,
             )
-        # Optimize once per round so the SAT session *and* the replay
-        # refinement both consume the reduced netlist (the interface is
-        # pinned, so a_inputs/key_inputs/b_outputs wiring is unchanged).
-        if resolve_level(self.config.opt_level) > 0:
-            model.netlist = optimize(
-                model.netlist, level=self.config.opt_level
-            ).netlist
-        return model
 
     def _oracle_fn(self, model: CombinationalModel, n_captures: int):
         n_a = len(model.a_inputs)
 
         def query(x_bits: list[int]) -> list[int]:
-            scan_in = x_bits[:n_a]
-            pi = x_bits[n_a:]
-            response = self.oracle.query(scan_in, pi, n_captures=n_captures)
-            observed = list(response.scan_out)
-            if model.po_outputs:
-                observed += list(response.primary_outputs)
-            return observed
+            return model.observe(
+                self.oracle.query(
+                    x_bits[:n_a], x_bits[n_a:], n_captures=n_captures
+                )
+            )
 
         return query
 
@@ -175,18 +164,21 @@ class DynUnlock:
         timed_out = False
         for n_captures in range(1, cfg.max_captures + 1):
             model = self._build_model(n_captures)
+            oracle_fn = self._oracle_fn(model, n_captures)
             attack = SatAttack(
                 locked=model.netlist,
                 key_inputs=model.key_inputs,
-                oracle_fn=self._oracle_fn(model, n_captures),
+                oracle_fn=oracle_fn,
                 config=SatAttackConfig(
                     max_iterations=cfg.max_iterations,
                     candidate_limit=cfg.candidate_limit,
                     timeout_s=cfg.timeout_s,
-                    opt_level=0,  # the model above is already optimized
+                    opt_level=cfg.opt_level,
                 ),
                 fixed_key_bits=fixed_bits,
             )
+            # Replay simulates the netlist the attack encoded.
+            model = replace(model, netlist=attack.locked)
             sat_result = attack.run()
             total_iterations += sat_result.iterations
             timed_out = timed_out or sat_result.timed_out
@@ -217,29 +209,16 @@ class DynUnlock:
 
         # Brute-force refinement against the live oracle.
         recovered: list[int] | None = None
-        survivors: list[list[int]] = []
         if candidates and model is not None:
-            rng = random.Random(cfg.verify_rng_seed)
-
-            def replay(scan_in: list[int], pi: list[int]) -> list[int]:
-                response = self.oracle.query(
-                    scan_in, pi, n_captures=n_captures_used
-                )
-                observed = list(response.scan_out)
-                if model.po_outputs:
-                    observed += list(response.primary_outputs)
-                return observed
-
             with obs.phase("replay"):
-                refinement = refine_candidates_by_replay(
+                survivors = refine_candidates_by_replay(
                     model,
                     candidates,
-                    replay,
-                    rng,
+                    lambda scan_in, pi: oracle_fn(scan_in + pi),
+                    random.Random(cfg.verify_rng_seed),
                     n_patterns=cfg.verify_patterns,
                     stop_at_one=False,
-                )
-            survivors = refinement.survivors
+                ).survivors
             if survivors:
                 recovered = survivors[0]
 

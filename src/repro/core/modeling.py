@@ -34,6 +34,7 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.transform import copy_with_prefix, extract_combinational_core
 from repro.prng.symbolic import LfsrUnrolling, SymbolicLfsr
 from repro.scan.chain import ScanChainSpec, shift_in, shift_out
+from repro.scan.oracle import ScanResponse
 
 ObfuscationMode = Literal["dynamic", "static", "dos_restart"]
 
@@ -134,11 +135,13 @@ def derive_shift_out_crossings(
 # ----------------------------------------------------------------------
 @dataclass
 class CombinationalModel:
-    """The SAT-attack-ready combinational model.
+    """The SAT-attack-ready combinational model of one scan query.
 
     ``netlist`` has inputs ``a_inputs + pi_inputs + key_inputs`` and
     outputs ``b_outputs (+ po_outputs)``; the ``key_inputs`` are the LFSR
-    seed bits in dynamic modes, or the static key bits in static mode.
+    seed bits in dynamic modes, the static key bits in static mode, or
+    the routing key of the scramble model.  Every scan attack runs the
+    SAT attack and the replay refinement on this one type.
     """
 
     netlist: Netlist
@@ -147,9 +150,6 @@ class CombinationalModel:
     key_inputs: list[str]
     b_outputs: list[str]
     po_outputs: list[str]
-    spec: ScanChainSpec
-    mode: ObfuscationMode
-    n_captures: int
 
     @property
     def x_inputs(self) -> list[str]:
@@ -159,6 +159,17 @@ class CombinationalModel:
     @property
     def observed_outputs(self) -> list[str]:
         return self.b_outputs + self.po_outputs
+
+    def observe(self, response: ScanResponse) -> list[int]:
+        """The chip's answer to one query in :attr:`observed_outputs` order.
+
+        Scan-out by position, then the primary outputs when the model
+        observes them.
+        """
+        observed = list(response.scan_out)
+        if self.po_outputs:
+            observed += list(response.primary_outputs)
+        return observed
 
 
 def build_combinational_model(
@@ -198,19 +209,70 @@ def build_combinational_model(
     if n_captures < 1:
         raise ValueError("at least one capture cycle is required")
 
-    n = spec.n_flops
-    core, ppi_nets, ppo_nets = extract_combinational_core(netlist)
-    model = Netlist(name=f"{netlist.name}_model_{mode}")
+    if mode == "static":
+        key_inputs = [f"dyn_key{g}" for g in range(spec.n_keygates)]
+    else:
+        key_inputs = [f"dyn_seed{j}" for j in range(key_bits)]
+
+    # Crossing sets: the closed forms (repro.core.algorithm1) are proven
+    # equal to the symbolic derivation by the test suite and are O(n*K)
+    # instead of O(n^2 * K) set churn, which matters at paper scale.
+    if mode == "dynamic":
+        from repro.core.algorithm1 import (
+            shift_in_crossings_closed_form,
+            shift_out_crossings_closed_form,
+        )
+
+        crossings_in = shift_in_crossings_closed_form(spec)
+        crossings_out = shift_out_crossings_closed_form(
+            spec, n_captures=n_captures
+        )
+    else:
+        crossings_in = derive_shift_in_crossings(spec, mode="static")
+        crossings_out = derive_shift_out_crossings(
+            spec, n_captures=n_captures, mode="static"
+        )
+
+    return assemble_model(
+        netlist,
+        f"{netlist.name}_model_{mode}",
+        key_inputs,
+        crossings_in,
+        crossings_out,
+        taps,
+        mode=mode,
+        n_captures=n_captures,
+        include_pos=include_pos,
+        encoding=encoding,
+    )
+
+
+def assemble_model(
+    netlist: Netlist,
+    name: str,
+    key_inputs: list[str],
+    crossings_in: Sequence[frozenset],
+    crossings_out: Sequence[frozenset],
+    taps: Sequence[int] | None,
+    mode: ObfuscationMode = "dynamic",
+    n_captures: int = 1,
+    include_pos: bool = True,
+    encoding: Literal["dense", "unrolled"] = "dense",
+) -> CombinationalModel:
+    """Wire the XOR overlays around ``n_captures`` copies of the core.
+
+    ``crossings_in[l]`` / ``crossings_out[l]`` hold the (keystream cycle,
+    key index) pairs that scan cell ``l`` crosses on its way in and out;
+    the other arguments are as for :func:`build_combinational_model`.
+    """
+    n = netlist.n_dffs
+    core, _, _ = extract_combinational_core(netlist)
+    model = Netlist(name=name)
 
     a_inputs = [f"dyn_a{l}" for l in range(n)]
     for net in a_inputs:
         model.add_input(net)
     pi_inputs = [f"c0::{net}" for net in netlist.inputs]
-
-    if mode == "static":
-        key_inputs = [f"dyn_key{g}" for g in range(spec.n_keygates)]
-    else:
-        key_inputs = [f"dyn_seed{j}" for j in range(key_bits)]
 
     # Core copies, one per capture cycle; PIs shared via BUF aliases.
     for k in range(n_captures):
@@ -237,61 +299,38 @@ def build_combinational_model(
     for net in key_inputs:
         model.add_input(net)
 
-    # Crossing sets: the closed forms (repro.core.algorithm1) are proven
-    # equal to the symbolic derivation by the test suite and are O(n*K)
-    # instead of O(n^2 * K) set churn, which matters at paper scale.
-    if mode == "dynamic":
-        from repro.core.algorithm1 import (
-            shift_in_crossings_closed_form,
-            shift_out_crossings_closed_form,
-        )
-
-        crossings_in = shift_in_crossings_closed_form(spec)
-        crossings_out = shift_out_crossings_closed_form(
-            spec, n_captures=n_captures
-        )
-    else:
-        crossings_in = derive_shift_in_crossings(spec, mode="static")
-        crossings_out = derive_shift_out_crossings(
-            spec, n_captures=n_captures, mode="static"
-        )
-
     # Overlay operand resolution: map a crossing set to the nets XORed
     # onto the payload bit, per the selected keystream encoding.
     if mode == "static":
-        def overlay_operands(crossings: frozenset[tuple[int, int]]) -> list[str]:
+        def overlay_operands(crossings: frozenset) -> list[str]:
             return [key_inputs[g] for (_, g) in sorted(crossings)]
     elif encoding == "dense":
-        sym = SymbolicLfsr(width=key_bits, taps=tuple(taps or ()))
         # Batch-reduce every crossing to its seed-space row in a single
         # ascending sweep over keystream cycles (random-order access would
         # cost a matrix power per backward jump at paper scale).
+        sym = SymbolicLfsr(width=len(key_inputs), taps=tuple(taps or ()))
         dense_rows: dict[frozenset, np.ndarray] = {}
+        wanted: dict[int, list[tuple[frozenset, int]]] = {}
+        for crossing in list(crossings_in) + list(crossings_out):
+            if crossing in dense_rows:
+                continue
+            dense_rows[crossing] = np.zeros(len(key_inputs), dtype=np.uint8)
+            for cycle, key_index in crossing:
+                actual = 0 if mode == "dos_restart" else cycle
+                wanted.setdefault(actual, []).append((crossing, key_index))
+        for cycle, rows in sym.iter_rows(wanted.keys()):
+            for crossing, key_index in wanted[cycle]:
+                dense_rows[crossing] ^= rows[key_index]
 
-        def _reduce_all(crossing_sets: list[frozenset]) -> None:
-            wanted: dict[int, list[tuple[frozenset, int]]] = {}
-            for crossing in crossing_sets:
-                if crossing in dense_rows:
-                    continue
-                dense_rows[crossing] = np.zeros(key_bits, dtype=np.uint8)
-                for cycle, gate in crossing:
-                    actual = 0 if mode == "dos_restart" else cycle
-                    wanted.setdefault(actual, []).append((crossing, gate))
-            for cycle, rows in sym.iter_rows(wanted.keys()):
-                for crossing, gate in wanted[cycle]:
-                    dense_rows[crossing] ^= rows[gate]
-
-        def overlay_operands(crossings: frozenset[tuple[int, int]]) -> list[str]:
+        def overlay_operands(crossings: frozenset) -> list[str]:
             row = dense_rows[crossings]
             return [key_inputs[j] for j in np.nonzero(row)[0]]
-
-        _reduce_all(list(crossings_in) + list(crossings_out))
     else:
         unrolling = LfsrUnrolling(
             model, seed_nets=key_inputs, taps=tuple(taps or ())
         )
 
-        def overlay_operands(crossings: frozenset[tuple[int, int]]) -> list[str]:
+        def overlay_operands(crossings: frozenset) -> list[str]:
             actual = (
                 [(0, g) for (_, g) in sorted(crossings)]
                 if mode == "dos_restart"
@@ -333,7 +372,4 @@ def build_combinational_model(
         key_inputs=key_inputs,
         b_outputs=b_outputs,
         po_outputs=po_outputs,
-        spec=spec,
-        mode=mode,
-        n_captures=n_captures,
     )

@@ -168,26 +168,10 @@ class FarmDriver:
     def _load_state(self, pairs: list[tuple[str, str]]) -> None:
         if not self.state_path.is_file():
             return
-        data = _read_state(self.state_path)
-        if int(data.get("seed", -1)) != self.config.seed:
-            raise FarmStateError(
-                f"state dir {self.state_dir} holds a farm with seed "
-                f"{data.get('seed')}; pass --seed {data.get('seed')} or a "
-                "fresh --state directory"
-            )
-        stored_pairs = [tuple(pair) for pair in data.get("pairs", [])]
-        if stored_pairs != pairs:
-            raise FarmStateError(
-                f"state dir {self.state_dir} was built with different "
-                "attack/defense filters; use a fresh --state directory"
-            )
-        self.scheduler = FarmScheduler.from_dict(data["scheduler"])
-        self.round_index = int(data.get("rounds", 0))
-        totals = data.get("totals", {})
-        self.totals = {
-            "trials": int(totals.get("trials", 0)),
-            "violations": int(totals.get("violations", 0)),
-        }
+        state = _read_state(self.state_path, seed=self.config.seed, pairs=pairs)
+        self.scheduler = state.scheduler
+        self.round_index = state.rounds
+        self.totals = state.totals
 
     def _commit_state(self) -> None:
         """Atomically checkpoint after a round.  No wall-clock fields."""
@@ -489,40 +473,91 @@ def run_farm(
     return driver.run()
 
 
-def _read_state(state_path: Path) -> dict[str, Any]:
-    """Parse a checkpoint; a damaged one is a :class:`FarmStateError`."""
+@dataclass
+class _Checkpoint:
+    """The parsed fields of a ``state.json``."""
+
+    seed: int
+    rounds: int
+    totals: dict[str, int]
+    scheduler: FarmScheduler
+
+
+def _read_state(
+    state_path: Path,
+    seed: int | None = None,
+    pairs: list[tuple[str, str]] | None = None,
+) -> _Checkpoint:
+    """Parse a checkpoint; a damaged one is a :class:`FarmStateError`.
+
+    So is a checkpoint whose seed or attack/defense pairs differ from
+    the given ``seed`` and ``pairs``; that is checked first.
+    """
     try:
         data = json.loads(state_path.read_text())
     except (OSError, ValueError) as exc:
         raise FarmStateError(f"unreadable farm state {state_path}: {exc}")
     if not isinstance(data, dict):
         raise FarmStateError(f"farm state {state_path} is not a JSON object")
-    return data
+
+    def parse_field(name: str, parse: Callable[[Any], Any]) -> Any:
+        try:
+            return parse(data[name])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FarmStateError(
+                f"farm state {state_path} has a missing or malformed "
+                f"{name!r} field ({type(exc).__name__}: {exc})"
+            ) from None
+
+    stored_seed = parse_field("seed", int)
+    if seed is not None and stored_seed != seed:
+        raise FarmStateError(
+            f"state dir {state_path.parent} holds a farm with seed "
+            f"{stored_seed}; pass --seed {stored_seed} or a "
+            "fresh --state directory"
+        )
+    stored_pairs = parse_field(
+        "pairs", lambda value: [tuple(pair) for pair in value]
+    )
+    if pairs is not None and stored_pairs != pairs:
+        raise FarmStateError(
+            f"state dir {state_path.parent} was built with different "
+            "attack/defense filters; use a fresh --state directory"
+        )
+    return _Checkpoint(
+        seed=stored_seed,
+        rounds=parse_field("rounds", int),
+        totals=parse_field(
+            "totals",
+            lambda value: {key: int(value[key]) for key in ("trials", "violations")},
+        ),
+        scheduler=parse_field("scheduler", FarmScheduler.from_dict),
+    )
 
 
 def load_status(state_dir: str | Path) -> dict[str, Any]:
     """Summarize a farm state dir without running anything.
 
-    Raises :class:`FarmStateError` for an unreadable ``state.json`` and
-    :class:`~repro.fuzz.corpus.CorpusError` for a damaged corpus entry.
+    Raises :class:`FarmStateError` for an unreadable or damaged
+    ``state.json`` and :class:`~repro.fuzz.corpus.CorpusError` for a
+    damaged corpus entry.
     """
     state_dir = Path(state_dir)
     state_path = state_dir / "state.json"
     status: dict[str, Any] = {"state_dir": str(state_dir), "exists": False}
     if state_path.is_file():
-        data = _read_state(state_path)
-        scheduler = FarmScheduler.from_dict(data["scheduler"])
-        covered, total = scheduler.coverage()
+        state = _read_state(state_path)
+        covered, total = state.scheduler.coverage()
         status.update(
             exists=True,
-            seed=int(data.get("seed", 0)),
-            rounds=int(data.get("rounds", 0)),
-            totals=data.get("totals", {}),
+            seed=state.seed,
+            rounds=state.rounds,
+            totals=state.totals,
             cells_covered=covered,
             n_cells=total,
             hot_cells=[
                 [key, int(stat["trials"]), int(stat["violations"])]
-                for key, stat in scheduler.hot_cells()
+                for key, stat in state.scheduler.hot_cells()
             ],
         )
     corpus = FarmCorpus(state_dir)

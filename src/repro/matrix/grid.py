@@ -121,6 +121,7 @@ def matrix_cell(
         "queries": int(outcome.queries),
         "time_s": float(outcome.runtime_s),
         "detail": outcome.detail,
+        "timed_out": bool(outcome.timed_out),
     }
 
 

@@ -20,6 +20,7 @@ example.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from repro.attack.satattack import SatAttack, SatAttackConfig
 from repro.attack.scansat import scansat_attack
@@ -86,18 +87,26 @@ def _attack_dynunlock(
             f"{result.n_seed_candidates} candidates, "
             f"{result.runtime_s:.1f}s"
         ),
+        timed_out=result.timed_out,
     )
 
 
-def _attack_scansat(
+def _attack_replay_verified(
+    attack_fn,
     lock,
     *,
     profile: ExperimentProfile,
     timeout_s: float | None,
     opt_level: int | None = None,
 ) -> AttackOutcome:
+    """Adapter for ``attack_fn(netlist, public_view, oracle, ...)``.
+
+    ScanSAT, ScanSAT-dyn and scramble-SAT run
+    :func:`repro.attack.bruteforce.attack_and_replay`, so their success
+    criterion *is* replay verification.
+    """
     oracle = lock.make_oracle()
-    result = scansat_attack(
+    result = attack_fn(
         lock.netlist,
         lock.public_view(),
         oracle,
@@ -113,33 +122,7 @@ def _attack_scansat(
         runtime_s=result.runtime_s,
         verified=bool(result.success),
         detail=_iterations_detail(result.iterations, result.runtime_s),
-    )
-
-
-def _attack_scansat_dyn(
-    lock,
-    *,
-    profile: ExperimentProfile,
-    timeout_s: float | None,
-    opt_level: int | None = None,
-) -> AttackOutcome:
-    oracle = lock.make_oracle()
-    result = scansat_dyn_attack(
-        lock.netlist,
-        lock.public_view(),
-        oracle,
-        candidate_limit=profile.candidate_limit,
-        timeout_s=timeout_s,
-        opt_level=opt_level,
-    )
-    return AttackOutcome(
-        success=bool(result.success),
-        recovered_key=result.recovered_seed,
-        iterations=result.iterations,
-        queries=oracle.query_count,
-        runtime_s=result.runtime_s,
-        verified=bool(result.success),
-        detail=_iterations_detail(result.iterations, result.runtime_s),
+        timed_out=result.timed_out,
     )
 
 
@@ -189,6 +172,7 @@ def _attack_shift_and_leak(
         runtime_s=result.runtime_s,
         verified=verified,
         detail=_iterations_detail(result.iterations, result.runtime_s),
+        timed_out=result.timed_out,
     )
 
 
@@ -241,33 +225,7 @@ def _attack_sat(
         runtime_s=result.runtime_s,
         verified=verified,
         detail=_iterations_detail(result.iterations, result.runtime_s),
-    )
-
-
-def _attack_scramble_sat(
-    lock,
-    *,
-    profile: ExperimentProfile,
-    timeout_s: float | None,
-    opt_level: int | None = None,
-) -> AttackOutcome:
-    oracle = lock.make_oracle()
-    result = scramble_sat_attack(
-        lock.netlist,
-        lock.public_view(),
-        oracle,
-        candidate_limit=profile.candidate_limit,
-        timeout_s=timeout_s,
-        opt_level=opt_level,
-    )
-    return AttackOutcome(
-        success=bool(result.success),
-        recovered_key=result.recovered_key,
-        iterations=result.iterations,
-        queries=oracle.query_count,
-        runtime_s=result.runtime_s,
-        verified=bool(result.success),
-        detail=_iterations_detail(result.iterations, result.runtime_s),
+        timed_out=result.timed_out,
     )
 
 
@@ -286,8 +244,8 @@ def _attack_bruteforce(
     that makes small-key point functions look weak and large-key ones
     resilient in the matrix.
     """
-    from repro.attack.bruteforce import ReplayModel, refine_candidates_by_replay
-    from repro.core.modeling import build_combinational_model
+    from repro.attack.bruteforce import refine_candidates_by_replay
+    from repro.core.modeling import CombinationalModel, build_combinational_model
     from repro.locking.eff import EffStaticLock
     from repro.util.timing import Stopwatch
 
@@ -317,17 +275,13 @@ def _attack_bruteforce(
         )
 
         def replay(scan_in: list[int], pi: list[int]) -> list[int]:
-            response = oracle.query(scan_in, pi)
-            observed = list(response.scan_out)
-            if model.po_outputs:
-                observed += list(response.primary_outputs)
-            return observed
+            return model.observe(oracle.query(scan_in, pi))
 
     elif isinstance(lock, IoLock):
         x_nets = [
             net for net in lock.locked.inputs if net not in set(lock.key_inputs)
         ]
-        model = ReplayModel(
+        model = CombinationalModel(
             netlist=lock.locked,
             a_inputs=[],
             pi_inputs=x_nets,
@@ -445,7 +399,7 @@ register_defense(
 
 register_attack(
     "scansat",
-    _attack_scansat,
+    partial(_attack_replay_verified, scansat_attack),
     applicable_to=("eff",),
     display="ScanSAT",
 )
@@ -457,7 +411,7 @@ register_attack(
 )
 register_attack(
     "scansat-dyn",
-    _attack_scansat_dyn,
+    partial(_attack_replay_verified, scansat_dyn_attack),
     applicable_to=("dos",),
     display="ScanSAT-dyn",
 )
@@ -477,7 +431,7 @@ register_attack(
 )
 register_attack(
     "scramble-sat",
-    _attack_scramble_sat,
+    partial(_attack_replay_verified, scramble_sat_attack),
     applicable_to=("scramble",),
     display="Scramble-SAT",
 )

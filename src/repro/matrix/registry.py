@@ -48,7 +48,9 @@ class AttackOutcome:
     replayed against the live oracle (or checked against ground truth
     where the attack already embeds replay refinement) and reproduced
     its responses.  ``queries`` counts oracle invocations where the
-    oracle exposes a counter (0 otherwise).
+    oracle exposes a counter (0 otherwise).  ``timed_out`` is True when
+    the attack ran out of its wall-clock budget: the outcome then
+    depends on the machine's speed and is never stored.
     """
 
     success: bool
@@ -58,6 +60,7 @@ class AttackOutcome:
     runtime_s: float
     verified: bool
     detail: str = ""
+    timed_out: bool = False
 
 
 LockFactory = Callable[..., Any]

@@ -160,6 +160,7 @@ def table1_cell(
         "broken": bool(outcome.success),
         "detail": outcome.detail,
         "time_s": outcome.runtime_s,
+        "timed_out": bool(outcome.timed_out),
     }
 
 

@@ -412,6 +412,41 @@ class TestDriverState:
             assert main(argv) == 2, argv
             assert "state.json" in capsys.readouterr().err
 
+    #: Damage to one field of a real checkpoint, by case name.
+    DAMAGE = {
+        "seed-only": lambda data: {"seed": 0},
+        "no-scheduler": lambda data: {
+            key: value for key, value in data.items() if key != "scheduler"
+        },
+        "scheduler-without-pairs": lambda data: {
+            **data, "scheduler": {"stats": 3}
+        },
+        "rounds-not-an-int": lambda data: {**data, "rounds": "x"},
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_state_field_exits_2_without_a_traceback(
+        self, tmp_path, capsys, damage
+    ):
+        state = tmp_path / "farm"
+        path = state / "state.json"
+        with temporary_registrations():
+            register_attack("liar", _liar, applicable_to=("eff",))
+            run_farm(QUICK, liar_config(state, max_rounds=1))
+            path.write_text(
+                json.dumps(self.DAMAGE[damage](json.loads(path.read_text())))
+            )
+            for argv in (
+                ["farm", "run", "--state", str(state), "--seed", "0",
+                 "--round-trials", "1", "--attacks", "liar",
+                 "--defenses", "eff", "--no-resume"],
+                ["farm", "status", str(state)],
+            ):
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert "state.json" in err
+                assert "Traceback" not in err
+
     def test_status_of_missing_state(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         assert load_status(missing)["exists"] is False

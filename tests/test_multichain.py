@@ -182,4 +182,4 @@ class TestMultiChainAttack:
             netlist, spec, taps, width, oracle, timeout_s=300
         )
         assert result.success
-        assert seed_bits in result.seed_candidates
+        assert seed_bits in result.key_candidates

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.attack.satattack import SatAttack, SatAttackConfig
-from repro.attack.scramble_sat import build_scramble_model, scramble_sat_on_lock
+from repro.attack.scramble_sat import build_scramble_model, scramble_sat_attack
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.locking.iolock import lock_core_with_rll
 from repro.locking.sarlock import lock_with_sarlock
@@ -204,7 +204,9 @@ class TestScramble:
 
     def test_attack_recovers_a_verified_routing_key(self):
         lock = self._lock()
-        result = scramble_sat_on_lock(lock)
+        result = scramble_sat_attack(
+            lock.netlist, lock.public_view(), lock.make_oracle()
+        )
         assert result.success
         assert result.recovered_key == list(lock.secret_key)
 

@@ -312,13 +312,16 @@ class TestKeyIdentity:
             assert outcomes[level] == outcomes[0]
 
     def test_scramble_sat_recovers_identical_key(self):
-        from repro.attack.scramble_sat import scramble_sat_on_lock
+        from repro.attack.scramble_sat import scramble_sat_attack
         from repro.locking.scramble import lock_with_scramble
 
         netlist = sampled_netlist(21, n_flops=8)
         lock = lock_with_scramble(netlist, key_bits=3, rng=random.Random(2))
         keys = {
-            level: scramble_sat_on_lock(lock, opt_level=level).recovered_key
+            level: scramble_sat_attack(
+                lock.netlist, lock.public_view(), lock.make_oracle(),
+                opt_level=level,
+            ).recovered_key
             for level in (0,) + LEVELS
         }
         assert keys[0] is not None
@@ -326,13 +329,16 @@ class TestKeyIdentity:
             assert keys[level] == keys[0]
 
     def test_scansat_recovers_identical_key(self):
-        from repro.attack.scansat import scansat_attack_on_lock
+        from repro.attack.scansat import scansat_attack
         from repro.locking.eff import lock_with_eff
 
         netlist = sampled_netlist(33, n_flops=8)
         lock = lock_with_eff(netlist, key_bits=4, rng=random.Random(5))
         keys = {
-            level: scansat_attack_on_lock(lock, opt_level=level).recovered_key
+            level: scansat_attack(
+                lock.netlist, lock.public_view(), lock.make_oracle(),
+                opt_level=level,
+            ).recovered_key
             for level in (0,) + LEVELS
         }
         assert keys[0] is not None

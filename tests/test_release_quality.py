@@ -3,11 +3,15 @@
 A reproduction repo lives or dies by its documentation; these tests keep
 it honest: every public module/class/function carries a docstring, the
 top-level docs exist and reference files that are actually in the tree,
-and the examples advertised by the README are runnable scripts.
+the examples advertised by the README are runnable scripts, and every
+example runs to completion.
 """
 
 import ast
+import contextlib
+import io
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -75,6 +79,17 @@ class TestTopLevelDocs:
             assert path.is_file(), f"README references {rel}"
             source = path.read_text()
             assert "def main" in source and "__main__" in source
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((REPO / "examples").glob("*.py")),
+        ids=lambda p: p.name,
+    )
+    def test_example_runs(self, path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(path), run_name="__main__")
+        assert out.getvalue(), f"{path.name} printed nothing"
 
     def test_design_lists_every_subpackage(self):
         text = (REPO / "DESIGN.md").read_text()

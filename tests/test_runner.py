@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.reports.cells import CELL_RUNNERS
-from repro.reports.experiments import run_table2, table2_specs
+from repro.matrix.grid import matrix_specs
+from repro.reports.experiments import run_table2, table1_specs, table2_specs
 from repro.reports.profiles import (
     PROFILES,
     ExperimentProfile,
@@ -331,18 +332,37 @@ class TestTimedOutCellsAreNotStored:
             self.now += 3600.0
             return self.now
 
-    def test_timed_out_cell_is_reported_but_not_stored(self, tmp_path, monkeypatch):
+    #: Table II, Table I, and every SAT-based attack of the matrix on
+    #: one benchmark.
+    SPECS = {
+        "II": lambda: table2_specs(QUICK, ["s5378"]),
+        "I": lambda: table1_specs(QUICK),
+        "matrix": lambda: matrix_specs(
+            QUICK,
+            attacks=[
+                "scansat", "shift-and-leak", "scansat-dyn", "dynunlock",
+                "sat", "scramble-sat",
+            ],
+            benchmarks=["s5378"],
+        ),
+    }
+
+    @pytest.mark.parametrize("experiment", list(SPECS))
+    def test_timed_out_cell_is_reported_but_not_stored(
+        self, tmp_path, monkeypatch, experiment
+    ):
         from repro.attack import satattack
 
         monkeypatch.setattr(satattack, "time", self.RacingClock())
         store = JsonFileStore(tmp_path)
-        specs = table2_specs(QUICK, ["s5378"])
+        specs = self.SPECS[experiment]()
         report = run_jobs(specs, jobs=1, store=store)
         assert report.n_computed == len(specs)
         for outcome in report.outcomes:
             assert outcome.ok
             assert outcome.result["timed_out"] is True
-            assert outcome.result["iterations"] == 0
+            if experiment != "I":  # Table I cells count no iterations
+                assert outcome.result["iterations"] == 0
             assert store.get(outcome.spec) is None
         assert len(store) == 0
 
