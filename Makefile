@@ -29,13 +29,6 @@
 #                           the one with the median total at
 #                           benchmarks/baselines/table2_quick.json; review
 #                           the diff and commit it to bless the new budget
-#   make service-smoke    - end-to-end attack-as-a-service check: boots a
-#                           ReproService on a free port, drives a small
-#                           grid through the batching client twice, and
-#                           fails unless the second pass fully dedupes
-#                           and the results are byte-identical to the
-#                           in-process repro.api path; the server's
-#                           metrics.prom lands in $(SERVICE_SMOKE_DIR)
 #   make perf             - the repository benchmark (perfbench/,
 #                           BENCHMARK.json), traced layer by layer at seed 0
 #                           for each of $(PERF_WORKLOADS); saves each run's
@@ -58,12 +51,11 @@ RUFF ?= ruff
 COVERAGE_FLOOR = benchmarks/baselines/coverage_floor.txt
 BASELINE_DIR = .bench_refresh
 OPT_BENCH_DIR ?= results
-SERVICE_SMOKE_DIR ?= .service_smoke
 PERF_DIR ?= results/perf
 PERF_WORKLOADS ?= table2-quick keysweep-b17 fuzz-mix
 
 .PHONY: verify bench test-all coverage matrix fuzz farm opt-bench \
-  service-smoke perf refresh-baseline docs lint
+  perf refresh-baseline docs lint
 
 verify:
 	$(PYTEST) -x -q
@@ -103,12 +95,6 @@ farm:
 opt-bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli opt-bench --profile quick \
 	  --jobs $${REPRO_JOBS:-1} --emit-json $(OPT_BENCH_DIR)
-
-# Fresh workdir each run: the dedupe arithmetic assumes an empty store.
-service-smoke:
-	rm -rf $(SERVICE_SMOKE_DIR)
-	PYTHONPATH=src $(PYTHON) scripts/service_smoke.py \
-	  --workdir $(SERVICE_SMOKE_DIR) --jobs $${REPRO_JOBS:-1}
 
 # The last line of a run's output is its JSON verdict.
 perf:

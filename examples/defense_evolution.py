@@ -35,8 +35,9 @@ def main() -> None:
     rows.append(["EFF (Jan 2018)", "static", "ScanSAT",
                  "broken" if r.success else "HELD",
                  f"{r.iterations} it, {r.runtime_s:.1f}s"])
-    print(f"EFF      -> ScanSAT        : key recovered = "
-          f"{r.recovered_key == list(eff.secret_key)}")
+    recovered = r.recovered_key == list(eff.secret_key)
+    print(f"EFF      -> ScanSAT        : key recovered = {recovered}")
+    assert recovered
 
     dfs = lock_with_dfs(netlist, key_bits=key_bits, rng=random.Random(2))
     r = shift_and_leak_attack(dfs.netlist, dfs.public_view(),
@@ -44,8 +45,10 @@ def main() -> None:
     rows.append(["DFS (May 2018)", "static", "shift-and-leak",
                  "broken" if r.success else "HELD",
                  f"{r.iterations} it, {r.runtime_s:.1f}s"])
+    consistent = list(dfs.rll.secret_key) in r.key_candidates
     print(f"DFS      -> shift-and-leak : logic key consistent = "
-          f"{list(dfs.rll.secret_key) in r.key_candidates}")
+          f"{consistent}")
+    assert consistent
 
     dos = lock_with_dos(netlist, key_bits=key_bits, rng=random.Random(3),
                         period_p=1)
@@ -53,8 +56,9 @@ def main() -> None:
     rows.append(["DOS (Sep 2018)", "dynamic/pattern", "ScanSAT-dyn",
                  "broken" if r.success else "HELD",
                  f"{r.iterations} it, {r.runtime_s:.1f}s"])
-    print(f"DOS      -> ScanSAT-dyn    : seed recovered = "
-          f"{r.recovered_key == list(dos.seed)}")
+    recovered = r.recovered_key == list(dos.seed)
+    print(f"DOS      -> ScanSAT-dyn    : seed recovered = {recovered}")
+    assert recovered
 
     effdyn = lock_with_effdyn(netlist, key_bits=key_bits,
                               rng=random.Random(4))
@@ -63,8 +67,9 @@ def main() -> None:
     rows.append(["EFF-Dyn (May 2019)", "dynamic/cycle", "DynUnlock",
                  "broken" if result.success else "HELD",
                  f"{result.iterations} it, {result.runtime_s:.1f}s"])
-    print(f"EFF-Dyn  -> DynUnlock      : seed recovered = "
-          f"{result.recovered_seed == list(effdyn.seed)}")
+    recovered = result.recovered_seed == list(effdyn.seed)
+    print(f"EFF-Dyn  -> DynUnlock      : seed recovered = {recovered}")
+    assert recovered
 
     print()
     print(render_table(

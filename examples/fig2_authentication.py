@@ -33,16 +33,19 @@ def main() -> None:
     print("\n[trusted tester] supplies the correct test key")
     matched = auth.authenticate(secret_key)
     print(f"comparator output: {'match' if matched else 'MISMATCH'}")
+    assert matched
     for cycle in range(3):
         key = auth.select_key(scan_enable=1, prng_key=prng.next_key())
         print(f"  shift cycle {cycle}: key gates driven by "
               f"{bits_to_str(key)} (the secret key, every cycle)")
+        assert key == secret_key
 
     # --- Attacker path -------------------------------------------------
     print("\n[attacker] supplies a wrong test key")
     guess = [1 - b for b in secret_key]
     matched = auth.authenticate(guess)
     print(f"comparator output: {'match' if matched else 'MISMATCH'}")
+    assert not matched
     prng.restart()
     for cycle in range(4):
         key = auth.select_key(scan_enable=1, prng_key=prng.next_key())
@@ -54,6 +57,7 @@ def main() -> None:
     print("everyone, so functional operation is never corrupted:")
     key = auth.select_key(scan_enable=0, prng_key=prng.next_key())
     print(f"  capture: key gates driven by {bits_to_str(key)}")
+    assert key == secret_key
 
     # --- Effect on actual scan data ------------------------------------
     print("\neffect on scan responses for the same pattern:")

@@ -41,6 +41,7 @@ def main() -> None:
         print(f"  key={key_bits:3}: candidates={result.n_seed_candidates} "
               f"iters={result.iterations} t={result.runtime_s:.1f}s "
               f"exact={exact}")
+        assert exact
 
     print()
     print(render_table(

@@ -63,6 +63,7 @@ def main() -> None:
         ok += response.scan_out == want_b and response.primary_outputs == want_po
     print(f"trusted tester (correct test key): {ok}/{total} "
           "responses match the good machine -- testing works")
+    assert ok == total
 
     # --- 3. unauthenticated tester ---------------------------------------
     oracle = lock.make_oracle()
@@ -78,8 +79,10 @@ def main() -> None:
     # --- 4. attack, then test again ---------------------------------------
     result = dynunlock(netlist, lock.public_view(), oracle,
                        DynUnlockConfig(timeout_s=300))
-    print(f"DynUnlock: success={result.success}, seed recovered exactly="
-          f"{result.recovered_seed == list(lock.seed)}")
+    exact = result.recovered_seed == list(lock.seed)
+    print(f"DynUnlock: success={result.success}, "
+          f"seed recovered exactly={exact}")
+    assert result.success and exact
 
     model = build_combinational_model(
         netlist, lock.spec, lock.lfsr_taps, lock.key_bits
@@ -97,6 +100,7 @@ def main() -> None:
         regained += [values[n] for n in model.b_outputs] == observed.scan_out
     print(f"attacker with recovered seed: {regained}/{total} "
           "responses predicted exactly -- scan access regained")
+    assert regained == total
 
 
 if __name__ == "__main__":

@@ -65,7 +65,9 @@ def main() -> None:
     print(f"SAT iterations:   {result.iterations}")
     print(f"seed candidates:  {len(result.key_candidates)}")
     print(f"recovered seed:   {bits_to_str(result.recovered_key)}")
-    print(f"exact match:      {result.recovered_key == secret_seed}")
+    exact = result.recovered_key == secret_seed
+    print(f"exact match:      {exact}")
+    assert result.success and exact
 
 
 if __name__ == "__main__":

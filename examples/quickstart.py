@@ -51,7 +51,9 @@ def attack_one(netlist, key_bits: int, lock_seed: int) -> None:
     print(f"oracle queries:    {result.oracle_queries}")
     print(f"execution time:    {result.runtime_s:.2f}s")
     print(f"recovered seed:    {bits_to_str(result.recovered_seed)}")
-    print(f"exact seed match:  {result.recovered_seed == list(lock.seed)}")
+    exact = result.recovered_seed == list(lock.seed)
+    print(f"exact seed match:  {exact}")
+    assert result.success and exact
 
     # Step 5: transparent scan access -- predict fresh scrambled responses.
     sim = CombinationalSimulator(result.model.netlist)
@@ -67,6 +69,7 @@ def attack_one(netlist, key_bits: int, lock_seed: int) -> None:
         predicted = [values[n] for n in result.model.b_outputs]
         hits += predicted == response.scan_out
     print(f"response prediction with recovered seed: {hits}/20 exact")
+    assert hits == 20
 
 
 def main() -> None:

@@ -2,18 +2,15 @@
 
 Until PR 8 the CLI was the only place that knew how to wire a workload
 together -- profile resolution, spec enumeration, the scheduler, the
-result store, row aggregation.  That wiring now lives here, and the
-three front ends are thin layers over it:
+result store, row aggregation.  That wiring now lives here, and both
+front ends are thin layers over it:
 
 * :mod:`repro.cli` parses arguments and calls these functions;
-* :mod:`repro.service` accepts the same work over HTTP and calls the
-  same functions (so service-path results are byte-identical to the
-  in-process path);
 * tests drive workloads directly without spawning a CLI process.
 
 The surface is deliberately small and typed:
 
-``resolve_profile``/``grid_names``/``grid_specs``/``aggregate_grid``
+``resolve_profile``/``grid_specs``/``aggregate_grid``
     Enumeration helpers: turn ``(experiment name, profile, kwargs)``
     into content-hashed :class:`~repro.runner.spec.JobSpec` cells and
     back into paper-style rows.
@@ -50,8 +47,8 @@ def resolve_profile(
 
     ``None`` resolves through ``$REPRO_PROFILE`` (default ``quick``),
     matching every CLI command's behaviour.  Unknown names raise
-    ``ValueError`` with the known choices, so service handlers can map
-    it onto a 4xx instead of a stack trace.
+    ``ValueError`` with the known choices, so callers can treat it as
+    input validation instead of a stack trace.
     """
     if profile is None:
         return active_profile()
@@ -65,13 +62,6 @@ def resolve_profile(
         ) from None
 
 
-def grid_names() -> list[str]:
-    """Names accepted by :func:`grid_specs`/:func:`run_grid` (registry order)."""
-    from repro.reports.experiments import GRID
-
-    return list(GRID)
-
-
 def grid_specs(
     name: str,
     profile: str | ExperimentProfile | None = None,
@@ -79,7 +69,7 @@ def grid_specs(
 ) -> list[JobSpec]:
     """Enumerate one named experiment grid as job specs.
 
-    The same enumeration the CLI, the service and the benchmarks use;
+    The same enumeration the CLI and the benchmarks use;
     an unknown ``name`` raises ``ValueError`` (not ``KeyError``) so
     callers can treat it as input validation.
     """
@@ -337,7 +327,6 @@ __all__ = [
     "GridResult",
     "aggregate_grid",
     "check_matrix_against_paper",
-    "grid_names",
     "grid_specs",
     "resolve_profile",
     "run_attack",

@@ -985,121 +985,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """``dynunlock serve``: run the attack-as-a-service HTTP job API."""
-    from repro.service import ReproService
-
-    store = _store_from_args(args)
-    metrics_dir = args.metrics_dir or os.environ.get("REPRO_METRICS_DIR")
-    service = ReproService(
-        host=args.host,
-        port=args.port,
-        jobs=_jobs_from_args(args),
-        store=store,
-        metrics_dir=metrics_dir,
-        log_json=args.log_json,
-        argv=sys.argv,
-    )
-    print(
-        f"  [=] serving on {service.url} "
-        f"(store={store.root if store is not None else 'none'}, "
-        f"jobs={_jobs_from_args(args)}; C-c to stop)",
-        file=sys.stderr,
-    )
-    # SIGTERM (e.g. a container runtime stopping the pod) must flush
-    # metrics like C-c does; raising turns it into the same exit path.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        print("  [=] shutting down", file=sys.stderr)
-    finally:
-        service.close()
-        if metrics_dir:
-            print(f"  [=] wrote metrics to {metrics_dir}", file=sys.stderr)
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """``dynunlock submit``: run one grid remotely through a server.
-
-    Enumerates the same specs ``dynunlock run`` would, streams them to
-    the server through the batching client, polls to completion, then
-    aggregates the fetched results into the same table -- so a remote
-    grid and a local one print identical rows.
-    """
-    from repro.runner.scheduler import JobOutcome, RunReport
-    from repro.service.client import BatchingClient, ServiceClient
-
-    profile = _profile_from_args(args)
-    spec_kwargs = {}
-    if args.opt_level is not None:
-        spec_kwargs["opt_level"] = args.opt_level
-    if args.experiment in ("table2", "table3") and args.benchmarks:
-        spec_kwargs["benchmarks"] = args.benchmarks
-    specs = api.grid_specs(args.experiment, profile, **spec_kwargs)
-
-    import time as time_mod
-
-    t0 = time_mod.perf_counter()
-    client = ServiceClient(args.url, timeout_s=args.timeout, retries=args.retries)
-    with BatchingClient(client=client, batch_size=args.batch_size) as batcher:
-        for spec in specs:
-            batcher.submit(spec)
-        batcher.flush()
-        views = batcher.job_views
-    job_ids = list(dict.fromkeys(views[s.spec_hash]["job_id"] for s in specs))
-    print(
-        f"  [.] submitted {len(specs)} spec(s) as {len(job_ids)} job(s) "
-        f"to {args.url}",
-        file=sys.stderr,
-    )
-    done = client.wait(job_ids, timeout_s=args.wait_timeout, poll_s=args.poll)
-    failures = [v for v in done.values() if v["status"] == "failed"]
-    for view in failures:
-        print(f"  [!] {view['label']}: {view['error']}", file=sys.stderr)
-    if failures:
-        return 1
-    results = {job_id: client.result(job_id) for job_id in done}
-    outcomes = []
-    for i, spec in enumerate(specs):
-        job_id = views[spec.spec_hash]["job_id"]
-        view = done[job_id]
-        outcomes.append(
-            JobOutcome(
-                index=i,
-                spec=spec,
-                result=results[job_id],
-                cached=bool(view["cached"]),
-                attempts=int(view["attempts"]),
-                duration_s=float(view["duration_s"]),
-            )
-        )
-    report = RunReport(outcomes=outcomes, wall_s=time_mod.perf_counter() - t0)
-    rows = api.aggregate_grid(args.experiment, outcomes)
-    title = f"{GRID[args.experiment].title} (profile={profile.name}, remote)"
-    headers = list(GRID[args.experiment].headers)
-    cells = [row.as_cells() for row in rows]
-    print(render_table(headers, cells, title=title))
-    print(f"  [=] {report.summary()}", file=sys.stderr)
-    _emit_artifact(
-        args,
-        args.experiment,
-        headers,
-        cells,
-        title=title,
-        profile_name=profile.name,
-        report=report,
-        extra_meta={"remote_url": args.url},
-    )
-    return 0
-
-
 def cmd_top(args: argparse.Namespace) -> int:
     """``dynunlock top``: live view over a run's metrics directory."""
     from repro.observability.top import watch
@@ -1475,73 +1360,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_opt(p)
     add_obs(p)
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser(
-        "serve", help="run the HTTP job API (attack-as-a-service)"
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8537,
-                   help="bind port (default 8537; 0 = pick a free one)")
-    p.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per job batch (1 = serial, 0 = one per core)",
-    )
-    p.add_argument(
-        "--resume", action=argparse.BooleanOptionalAction, default=True,
-        help="share cached cells through --cache-dir "
-             "(--no-resume serves without a store)",
-    )
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result store location (default: $REPRO_CACHE_DIR "
-             "or .repro_cache)",
-    )
-    add_obs(p)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="run an experiment grid remotely through a server"
-    )
-    p.add_argument(
-        "experiment", choices=sorted(GRID),
-        help="which grid's specs to submit",
-    )
-    p.add_argument(
-        "--url", default="http://127.0.0.1:8537", metavar="URL",
-        help="server base URL (default http://127.0.0.1:8537)",
-    )
-    p.add_argument(
-        "--benchmarks", nargs="*", default=[],
-        help="restrict table2/table3 to these benchmarks",
-    )
-    p.add_argument(
-        "--batch-size", type=int, default=16, metavar="N",
-        help="specs per POST from the batching client (default 16)",
-    )
-    p.add_argument(
-        "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="status poll interval (default 0.2)",
-    )
-    p.add_argument(
-        "--wait-timeout", type=float, default=600.0, metavar="SECONDS",
-        help="give up waiting for results after this long (default 600)",
-    )
-    p.add_argument(
-        "--timeout", type=float, default=30.0, metavar="SECONDS",
-        help="per-request HTTP timeout (default 30)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="retries per request on 5xx/connection errors (default 3)",
-    )
-    p.add_argument(
-        "--emit-json", default=None, metavar="DIR",
-        help="write BENCH_<experiment>.json + .csv artifacts to DIR",
-    )
-    add_profile(p)
-    add_opt(p)
-    p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
         "top", help="live view over an instrumented run's metrics directory"

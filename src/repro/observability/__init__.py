@@ -1,7 +1,7 @@
 """Production observability for the runner: logs, spans, metrics, top.
 
-The ROADMAP item this package implements: at fuzz-farm/service scale
-you cannot find hot paths or stuck jobs from stdout.  Four pieces,
+The ROADMAP item this package implements: at fuzz-farm scale you
+cannot find hot paths or stuck jobs from stdout.  Four pieces,
 composable and dependency-free:
 
 * :mod:`repro.observability.logs` -- structured JSON logging with a
@@ -36,7 +36,6 @@ from repro.observability.session import (
     aggregate_spans,
     current_session,
     end_session,
-    install_session,
     start_session,
     store_event,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "aggregate_spans",
     "current_session",
     "end_session",
-    "install_session",
     "start_session",
     "store_event",
     "JobSpan",

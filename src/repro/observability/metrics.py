@@ -1,13 +1,13 @@
 """A dependency-free Prometheus-style metrics registry.
 
-Three instrument kinds cover everything the runner and the service
+Three instrument kinds cover everything the runner and the farm
 need:
 
 * :class:`Counter` -- a monotonically increasing sum per label set
   (jobs finished, store hits, DIPs enumerated, seconds spent per
   phase);
-* :class:`Gauge` -- a settable/up-down value per label set (service
-  queue depth, in-flight jobs);
+* :class:`Gauge` -- a settable/up-down value per label set (the farm's
+  corpus entries and scheduler cells covered);
 * :class:`Histogram` -- cumulative-bucket distributions per label set
   (job durations, queue latency), with the classic Prometheus
   ``_bucket{le=...}`` / ``_sum`` / ``_count`` exposition.

@@ -80,16 +80,15 @@ class ObsSession:
         metrics_dir: str | Path | None = None,
         log_json: str | Path | None = None,
         command: str = "",
-        run_id: str | None = None,
-        argv: list[str] | None = None,
     ) -> None:
-        self.run_id = run_id or uuid.uuid4().hex[:12]
+        self.run_id = uuid.uuid4().hex[:12]
         self.command = command
         self.started_unix = time.time()
         self._t0 = time.perf_counter()
         self._finalized = False
-        # Guards the span sink and the finalize flag: HTTP handler
-        # threads and the service's job worker emit concurrently.
+        # Guards the span sink and the finalize flag, so records from
+        # more than one thread never tear a ``spans.jsonl`` line and
+        # teardown runs once.
         self._lock = threading.Lock()
         self.metrics = MetricsRegistry()
         self.spans: list[dict] = []
@@ -103,7 +102,7 @@ class ObsSession:
                         "schema_version": OBS_SCHEMA_VERSION,
                         "run_id": self.run_id,
                         "command": command,
-                        "argv": list(argv if argv is not None else sys.argv),
+                        "argv": list(sys.argv),
                         "started_unix": round(self.started_unix, 3),
                     },
                     indent=1,
@@ -136,9 +135,8 @@ class ObsSession:
     def emit(self, record: dict) -> None:
         """Stream one span-file record (and retain ``kind: span`` ones).
 
-        Thread-safe: a long-lived service emits from its job worker
-        while handler threads read, and interleaved writers must not
-        tear ``spans.jsonl`` lines.
+        Thread-safe: interleaved writers must not tear ``spans.jsonl``
+        lines.
         """
         record = {"run_id": self.run_id, **record}
         with self._lock:
@@ -157,9 +155,9 @@ class ObsSession:
     def write_metrics(self) -> None:
         """Snapshot ``metrics.prom`` now (no-op without a metrics dir).
 
-        Long-lived servers call this between requests so ``dynunlock
-        top`` and artifact uploads see live counter state; ``finalize``
-        calls it one last time at teardown.
+        The farm calls this after every round so ``dynunlock top`` and
+        artifact uploads see live counter state; ``finalize`` calls it
+        one last time at teardown.
         """
         if self.metrics_dir is not None:
             (self.metrics_dir / "metrics.prom").write_text(self.metrics.render_prom())
@@ -167,9 +165,8 @@ class ObsSession:
     def finalize(self) -> None:
         """Write ``metrics.prom`` + ``BENCH_obs`` and close every sink.
 
-        Idempotent: a long-lived server (or belt-and-braces teardown
-        code) may call it any number of times; only the first call
-        writes and closes anything.
+        Idempotent: teardown code may call it any number of times; only
+        the first call writes and closes anything.
         """
         with self._lock:
             if self._finalized:
@@ -219,46 +216,22 @@ def start_session(**kwargs) -> ObsSession:
     return _SESSION
 
 
-def install_session(session: ObsSession) -> bool:
-    """Make ``session`` the process-wide session if the slot is free.
+def end_session() -> None:
+    """Finalize the current session and clear the slot.
 
-    Returns whether it was installed.  Unlike :func:`start_session`
-    this never raises: a long-lived server constructs its session
-    up front and opportunistically publishes it so module-global hooks
-    (:func:`store_event`) flow into it, but tolerates another session
-    already owning the slot (e.g. a test fixture's).
-    """
-    global _SESSION
-    if _SESSION is not None:
-        return False
-    _SESSION = session
-    return True
-
-
-def end_session(session: ObsSession | None = None) -> None:
-    """Finalize ``session`` (default: the current one) and clear the slot.
-
-    Idempotent and re-entrant: calling it twice, calling it with no
-    session active, or calling it with a session that was already
-    replaced are all safe no-ops (finalize itself is idempotent).  The
-    process-wide slot is only cleared when it still holds the session
-    being ended -- so a server tearing down *its* session can never
-    clobber a newer one, the global-clearing hazard class PR 7 fixed
-    for nested CLI invocations.
-
-    Finalize runs while the session is still current so the
+    Idempotent: calling it twice, or with no session active, is a safe
+    no-op.  Finalize runs while the session is still current so the
     ``BENCH_obs`` artifact it writes stamps the session's own run id
     (``run_metadata`` resolves it via :func:`current_session`).
     """
     global _SESSION
-    target = session if session is not None else _SESSION
+    target = _SESSION
     if target is None:
         return
     try:
         target.finalize()
     finally:
-        if _SESSION is target:
-            _SESSION = None
+        _SESSION = None
 
 
 def aggregate_spans(spans: list[dict]) -> tuple[list[str], list[list[object]]]:

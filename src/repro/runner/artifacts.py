@@ -16,8 +16,8 @@ legacy ``format`` marker (the documented contract lives in
   changes.  Version 1 (implicit: the field is absent) had no ``run``
   block; version 2 added it; version 3 nests the experiment data
   under ``payload`` next to a ``kind`` discriminator, so every
-  ``--emit-json`` producer (grid tables, matrix, fuzz, opt, store
-  bench, obs summaries) shares one wire shape with the service layer.
+  ``--emit-json`` producer (grid tables, matrix, farm, opt, obs
+  summaries) shares one shape.
   :func:`load_artifact` accepts any version up to
   :data:`ARTIFACT_SCHEMA_VERSION` -- normalising old shapes to the
   same in-memory view -- and rejects newer ones, so old readers fail

@@ -1,9 +1,10 @@
 """Tests for the typed programmatic facade (repro.api).
 
 The CLI tests pin that the command surface still behaves; these pin
-the facade's own contract -- the one the service and external callers
-program against: ValueError (not KeyError) on bad names, structured
-results, and parity between facade calls and the raw building blocks.
+the facade's own contract -- the one the CLI, the benchmarks and
+external callers program against: ValueError (not KeyError) on bad
+names, structured results, and parity between facade calls and the raw
+building blocks.
 """
 
 import pytest
@@ -39,11 +40,6 @@ class TestResolveProfile:
 
 
 class TestGridEnumeration:
-    def test_grid_names_cover_the_registry(self):
-        names = api.grid_names()
-        for expected in ("table1", "table2", "table3", "scaling", "ablation"):
-            assert expected in names
-
     def test_grid_specs_match_profile(self):
         specs = api.grid_specs("table2", "quick", benchmarks=["s5378"])
         assert specs

@@ -22,23 +22,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table2", "--profile", "huge"])
 
-    def test_serve_options(self):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--jobs", "2", "--no-resume"]
-        )
-        assert args.port == 0
-        assert args.jobs == 2
-        assert args.resume is False
-
-    def test_submit_options(self):
-        args = build_parser().parse_args(
-            ["submit", "table2", "--url", "http://h:1", "--batch-size", "4"]
-        )
-        assert args.experiment == "table2"
-        assert args.url == "http://h:1"
-        assert args.batch_size == 4
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["submit", "not-a-grid"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--port", "0"], ["submit", "table2"]],
+        ids=["serve", "submit"],
+    )
+    def test_http_job_commands_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestCommands:

@@ -210,7 +210,6 @@ class TestSessionWithScheduler:
             metrics_dir=tmp_path / "metrics",
             log_json=tmp_path / "log.jsonl",
             command="test",
-            argv=["test"],
         )
         observer = RunObserver(session)
         report = run_jobs(
