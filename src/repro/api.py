@@ -10,10 +10,9 @@ front ends are thin layers over it:
 
 The surface is deliberately small and typed:
 
-``resolve_profile``/``grid_specs``/``aggregate_grid``
+``resolve_profile``/``grid_specs``
     Enumeration helpers: turn ``(experiment name, profile, kwargs)``
-    into content-hashed :class:`~repro.runner.spec.JobSpec` cells and
-    back into paper-style rows.
+    into content-hashed :class:`~repro.runner.spec.JobSpec` cells.
 ``submit_jobs``
     The raw scheduler surface: run any spec list, return a
     :class:`~repro.runner.scheduler.RunReport`.
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.reports.profiles import PROFILES, ExperimentProfile, active_profile
-from repro.runner.scheduler import JobOutcome, RunReport, run_jobs
+from repro.runner.scheduler import RunReport, run_jobs
 from repro.runner.spec import JobSpec
 from repro.runner.stores import JsonFileStore
 
@@ -80,17 +79,6 @@ def grid_specs(
             f"unknown experiment {name!r}; known: {', '.join(GRID)}"
         )
     return GRID[name].build_specs(resolve_profile(profile), **spec_kwargs)
-
-
-def aggregate_grid(name: str, outcomes: Sequence[JobOutcome]) -> list:
-    """Fold scheduler outcomes back into the experiment's row objects."""
-    from repro.reports.experiments import GRID
-
-    if name not in GRID:
-        raise ValueError(
-            f"unknown experiment {name!r}; known: {', '.join(GRID)}"
-        )
-    return GRID[name].aggregate(outcomes)
 
 
 def submit_jobs(
@@ -325,7 +313,6 @@ def run_attack(
 __all__ = [
     "AttackRun",
     "GridResult",
-    "aggregate_grid",
     "check_matrix_against_paper",
     "grid_specs",
     "resolve_profile",

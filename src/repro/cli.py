@@ -156,7 +156,10 @@ def _observation(args: argparse.Namespace, command: str, existing=None):
     from repro.observability import RunObserver, end_session, start_session
 
     session = start_session(
-        metrics_dir=metrics_dir, log_json=log_json, command=command
+        metrics_dir=metrics_dir,
+        log_json=log_json,
+        command=command,
+        argv=getattr(args, "argv", ()),
     )
     try:
         yield RunObserver(session)
@@ -250,8 +253,27 @@ def _run_experiment(
     return 0
 
 
+def _unknown_benchmarks(names: list[str]) -> bool:
+    """Report names missing from the registry as a usage error.
+
+    Prints one ``dynunlock: unknown benchmark(s)`` line listing the
+    known names and returns True when any name is unknown; the calling
+    command then exits 2 before building or attacking anything.
+    """
+    unknown = [name for name in names if name not in PAPER_BENCHMARKS]
+    if unknown:
+        print(
+            f"dynunlock: unknown benchmark(s): {', '.join(unknown)}; "
+            f"known: {', '.join(PAPER_BENCHMARKS)}",
+            file=sys.stderr,
+        )
+    return bool(unknown)
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     """``dynunlock info``: print a benchmark's structural statistics."""
+    if _unknown_benchmarks([args.benchmark]):
+        return 2
     spec = get_benchmark(args.benchmark)
     netlist = build_benchmark_netlist(args.benchmark, scale=args.scale)
     print(f"benchmark    : {spec.name} ({spec.suite})")
@@ -289,6 +311,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     """``dynunlock attack``: lock one benchmark with EFF-Dyn and break it."""
+    if _unknown_benchmarks([args.benchmark]):
+        return 2
     with _observation(args, "attack") as observer:
         run = api.run_attack(
             args.benchmark,
@@ -320,6 +344,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     from repro.netlist.verilog_io import write_verilog
     from repro.scan.structural import build_scan_netlist
 
+    if _unknown_benchmarks([args.benchmark]):
+        return 2
     netlist = build_benchmark_netlist(args.benchmark, scale=args.scale)
     if args.lock:
         rng = random.Random(args.lock_seed)
@@ -352,12 +378,16 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     """``dynunlock table2``: regenerate the paper's main results table."""
     _resolve_config(args, "grid")
+    if _unknown_benchmarks(args.benchmarks):
+        return 2
     return _run_experiment(args, "table2", benchmarks=args.benchmarks or None)
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
     """``dynunlock table3``: regenerate the key-size scaling table."""
     _resolve_config(args, "grid")
+    if _unknown_benchmarks(args.benchmarks):
+        return 2
     return _run_experiment(args, "table3", benchmarks=args.benchmarks or None)
 
 
@@ -392,13 +422,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    bad_benchmarks = [b for b in args.benchmarks if b not in PAPER_BENCHMARKS]
-    if bad_benchmarks:
-        print(
-            f"unknown benchmark(s): {', '.join(bad_benchmarks)}; "
-            f"known: {', '.join(PAPER_BENCHMARKS)}",
-            file=sys.stderr,
-        )
+    if _unknown_benchmarks(args.benchmarks):
         return 2
     with _observation(args, "matrix") as observer:
         grid = api.run_matrix(
@@ -713,6 +737,8 @@ def cmd_opt(args: argparse.Namespace) -> int:
     from repro.locking.effdyn import lock_with_effdyn
     from repro.opt import optimize, resolve_level
 
+    if _unknown_benchmarks([args.benchmark]):
+        return 2
     profile = _profile_from_args(args)
     level = resolve_level(args.level)
     scale = args.scale or profile.scale
@@ -794,6 +820,8 @@ def cmd_opt_bench(args: argparse.Namespace) -> int:
     from repro.reports.experiments import adapt_progress, table2_specs
     from repro.runner.scheduler import run_jobs
 
+    if _unknown_benchmarks(args.benchmarks):
+        return 2
     profile = _profile_from_args(args)
     level = DEFAULT_LEVEL
     benchmarks = args.benchmarks or None
@@ -967,6 +995,8 @@ def cmd_cache_prune(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """``dynunlock run``: push one or more experiment grids through the runner."""
     _resolve_config(args, "grid")
+    if _unknown_benchmarks(args.benchmarks):
+        return 2
     names = list(GRID) if "all" in args.experiments else args.experiments
     seen: list[str] = []
     for name in names:
@@ -1385,7 +1415,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    args.argv = list(argv)  # recorded in run.json by _observation
     return args.func(args)
 
 

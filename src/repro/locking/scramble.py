@@ -107,8 +107,8 @@ class ScrambleScanOracle:
     the tester's pattern in *slot* order and returns the response the
     tester observes -- both passed through the secret permutation.  The
     underlying protocol simulation is the unobfuscated multi-chain
-    oracle; the scramble layer only re-routes pins, exactly like the
-    physical MUXes would.
+    oracle, whose load and unload masks are all zero; the scramble layer
+    only re-routes pins, exactly like the physical MUXes would.
     """
 
     def __init__(

@@ -53,6 +53,7 @@ class Netlist:
         self.name = name
         self.inputs: list[str] = []
         self.outputs: list[str] = []
+        self._output_set: set[str] = set()  # mirrors outputs for add_output
         self.gates: dict[str, Gate] = {}  # keyed by output net
         self.dffs: dict[str, Dff] = {}  # keyed by Q net
         self._drivers: set[str] = set()
@@ -70,9 +71,10 @@ class Netlist:
         return net
 
     def add_output(self, net: str) -> str:
-        if net in self.outputs:
+        if net in self._output_set:
             raise NetlistError(f"net {net!r} is already a primary output")
         self.outputs.append(net)
+        self._output_set.add(net)
         self._invalidate_caches()
         return net
 
@@ -85,9 +87,11 @@ class Netlist:
         template) to later callers.
         """
         nets = list(nets)
-        if len(set(nets)) != len(nets):
+        output_set = set(nets)
+        if len(output_set) != len(nets):
             raise NetlistError(f"duplicate primary outputs in {nets!r}")
         self.outputs = nets
+        self._output_set = output_set
         self._invalidate_caches()
 
     def remove_gate(self, output: str) -> Gate:

@@ -7,7 +7,8 @@ by ``--metrics-dir`` / ``--log-json``, or programmatically via
 :class:`~repro.observability.metrics.MetricsRegistry`, and -- when a
 metrics directory is given -- the on-disk artifacts:
 
-* ``run.json`` -- run identity (id, command, argv, start time);
+* ``run.json`` -- run identity (id, command, the command's argument
+  list, start time);
 * ``spans.jsonl`` -- streamed per-job records (``kind: submitted`` when
   a job is dispatched, ``kind: span`` when it finishes), appended as
   they happen so ``dynunlock top`` can watch a live run;
@@ -36,7 +37,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 from repro.observability.logs import JsonLogger
 from repro.observability.metrics import MetricsRegistry
@@ -80,6 +81,7 @@ class ObsSession:
         metrics_dir: str | Path | None = None,
         log_json: str | Path | None = None,
         command: str = "",
+        argv: Sequence[str] = (),
     ) -> None:
         self.run_id = uuid.uuid4().hex[:12]
         self.command = command
@@ -102,7 +104,7 @@ class ObsSession:
                         "schema_version": OBS_SCHEMA_VERSION,
                         "run_id": self.run_id,
                         "command": command,
-                        "argv": list(sys.argv),
+                        "argv": list(argv),
                         "started_unix": round(self.started_unix, 3),
                     },
                     indent=1,

@@ -18,9 +18,11 @@ Conventions (fixed project-wide):
 * the dynamic key advances on *every* edge, including the capture edge.
 
 The shift routines below are generic in the bit type: concrete ints for
-the oracle, or any object supporting the supplied ``xor`` callable (the
-symbolic derivation passes GF(2) affine expressions).  This single
-implementation is what guarantees the attack model and the oracle agree.
+the oracles, which run them once per key schedule on all-zero data to
+build their load and unload masks (:mod:`repro.scan.oracle`), or any
+object supporting the supplied ``xor`` callable (the symbolic derivation
+passes GF(2) affine expressions).  This single implementation is what
+guarantees the attack model and the oracle agree.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.scan.chain import ScanChainSpec, shift_cycle, xor_int
-from repro.scan.oracle import KeystreamLike, ScanResponse
+from repro.scan.oracle import KeystreamLike, MaskedScan, ScanMasks, ScanResponse
 from repro.sim.seqsim import SequentialSimulator
 
 
@@ -113,14 +113,16 @@ class MultiChainSpec:
         return sorted(gates, key=lambda item: item[1])
 
 
-class MultiChainScanOracle:
+class MultiChainScanOracle(MaskedScan):
     """Protocol-level oracle for a multi-chain locked design.
 
     API mirrors :class:`repro.scan.oracle.ScanOracle`: patterns and
     responses use the *global* flop order, padding and per-chain routing
-    are internal.  Each chain shifts through
-    :func:`repro.scan.chain.shift_cycle`, the shift the single-chain
-    oracle and the attack model share.
+    are internal.  Like the single-chain oracle it answers queries with
+    a cached load mask and unload mask per capture count (exact for the
+    reasons in :mod:`repro.scan.oracle`); building them shifts each
+    chain through :func:`repro.scan.chain.shift_cycle`, the shift the
+    single-chain oracle and the attack model share.
     """
 
     def __init__(
@@ -141,6 +143,7 @@ class MultiChainScanOracle:
         self.keystream = keystream
         self.obfuscation_enabled = obfuscation_enabled
         self._sim = SequentialSimulator(netlist)
+        self._masks = {}
         self.query_count = 0
         # Per chain: its single-chain geometry and the global key index
         # of each of its key gates, in position order.
@@ -157,31 +160,56 @@ class MultiChainScanOracle:
                 )
             )
 
-    def _split(self, bits: Sequence[int]) -> list[list[int]]:
-        chunks: list[list[int]] = []
-        offset = 0
-        for length in self.spec.chain_lengths:
-            chunks.append(list(bits[offset: offset + length]))
-            offset += length
-        return chunks
+    def _input_map(self, primary_inputs: Sequence[int] | None) -> dict[str, int]:
+        nets = self.netlist.inputs
+        if primary_inputs is None:
+            return {net: 0 for net in nets}
+        if len(primary_inputs) != len(nets):
+            raise ValueError("primary input width mismatch")
+        return dict(zip(nets, primary_inputs))
 
     def _shift_all_chains(
-        self,
-        states: list[list[int]],
-        scan_in_bits: list[int],
-        key: Sequence[int],
+        self, states: list[list[int]], key: Sequence[int]
     ) -> list[list[int]]:
-        """One simultaneous shift edge across every chain."""
-        new_states: list[list[int]] = []
-        for (chain_spec, key_indices), state, bit in zip(
-            self._chains, states, scan_in_bits
-        ):
-            if self.obfuscation_enabled:
-                chain_key = [key[i] for i in key_indices]
-            else:
-                chain_key = [0] * len(key_indices)
-            new_states.append(shift_cycle(chain_spec, state, bit, chain_key, xor_int))
-        return new_states
+        """One simultaneous shift edge across every chain, zeros shifted in."""
+        return [
+            shift_cycle(chain_spec, state, 0, [key[i] for i in key_indices], xor_int)
+            for (chain_spec, key_indices), state in zip(self._chains, states)
+        ]
+
+    def _shift_masks(self, n_captures: int) -> ScanMasks:
+        spec = self.spec
+        if not self.obfuscation_enabled:
+            zeros = [0] * spec.n_flops
+            return zeros, zeros
+        self.keystream.restart()
+        max_len = spec.max_length
+
+        # Load: max_len edges; chain c's max_len - len_c padding bits and
+        # its pattern bits are all zero here.
+        states = [[0] * length for length in spec.chain_lengths]
+        for _ in range(max_len):
+            states = self._shift_all_chains(states, self.keystream.next_key())
+        load_mask = [bit for state in states for bit in state]
+
+        # Capture edges: the PRNG advances, the scan path is idle.
+        for _ in range(n_captures):
+            self.keystream.next_key()
+
+        # Unload: max_len - 1 edges; chain c's position l is read after
+        # len_c - 1 - l edges (sampled before the edge that would move it
+        # past the scan-out pin).
+        states = [[0] * length for length in spec.chain_lengths]
+        scan_out_pins = [[state[-1] for state in states]]
+        for _ in range(max_len - 1):
+            states = self._shift_all_chains(states, self.keystream.next_key())
+            scan_out_pins.append([state[-1] for state in states])
+        unload_mask = [
+            scan_out_pins[length - 1 - position][chain]
+            for chain, length in enumerate(spec.chain_lengths)
+            for position in range(length)
+        ]
+        return load_mask, unload_mask
 
     def query(
         self,
@@ -195,66 +223,4 @@ class MultiChainScanOracle:
         if n_captures < 1:
             raise ValueError("at least one capture edge is required")
         self.query_count += 1
-        self.keystream.restart()
-        self._sim.reset(0)
-
-        patterns = self._split(scan_in)
-        max_len = spec.max_length
-        states = [[0] * length for length in spec.chain_lengths]
-
-        # Load: max_len edges; chain c is padded for max_len - len_c edges.
-        for t in range(max_len):
-            key = self.keystream.next_key()
-            si_bits = []
-            for chain, length in enumerate(spec.chain_lengths):
-                pad = max_len - length
-                if t < pad:
-                    si_bits.append(0)
-                else:
-                    # Bit destined for position l enters at edge
-                    # max_len - 1 - l; invert for the entering index.
-                    si_bits.append(patterns[chain][max_len - 1 - t])
-            states = self._shift_all_chains(states, si_bits, key)
-
-        # Capture edges.
-        applied: list[int] = []
-        for state in states:
-            applied.extend(state)
-        self._sim.set_state_vector(applied)
-        nets = self.netlist.inputs
-        if primary_inputs is None:
-            inputs = {net: 0 for net in nets}
-        else:
-            if len(primary_inputs) != len(nets):
-                raise ValueError("primary input width mismatch")
-            inputs = dict(zip(nets, primary_inputs))
-        primary_outputs: list[int] = []
-        for _ in range(n_captures):
-            self.keystream.next_key()
-            values = self._sim.step(inputs)
-            primary_outputs = [values[net] for net in self.netlist.outputs]
-        captured_global = self._sim.get_state_vector()
-        states = self._split(captured_global)
-
-        # Unload: max_len - 1 edges; chain c's position l is read after
-        # len_c - 1 - l edges (sampled before the edge that would move it
-        # past the scan-out pin).
-        observed: list[list[int | None]] = [
-            [None] * length for length in spec.chain_lengths
-        ]
-        for chain, state in enumerate(states):
-            observed[chain][len(state) - 1] = state[-1]
-        for j in range(max_len - 1):
-            key = self.keystream.next_key()
-            states = self._shift_all_chains(states, [0] * spec.n_chains, key)
-            for chain, state in enumerate(states):
-                length = len(state)
-                position = length - 1 - (j + 1)
-                if position >= 0:
-                    observed[chain][position] = state[-1]
-
-        scan_out: list[int] = []
-        for chain_bits in observed:
-            assert all(bit is not None for bit in chain_bits)
-            scan_out.extend(int(bit) for bit in chain_bits)  # type: ignore[arg-type]
-        return ScanResponse(scan_out=scan_out, primary_outputs=primary_outputs)
+        return self._masked_capture(scan_in, primary_inputs, n_captures)

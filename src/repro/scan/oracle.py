@@ -6,6 +6,16 @@ gates during every shift; each query is preceded by a power-on reset so
 the PRNG restarts from its secret seed; the capture edge also advances the
 PRNG but the key gates only sit on the scan path, so capture itself is
 clean.
+
+Two facts of that protocol reduce the obfuscation to a pair of XOR masks.
+The reset replays the same per-edge keys on every query with the same
+number of capture edges, and the scan path holds only XOR key gates, so a
+load is affine in the pattern bits and an unload in the captured bits:
+the chip applies ``scan_in XOR M_in`` and the tester observes ``captured
+XOR M_out``.  Each oracle therefore runs its per-edge shift protocol once
+per (capture count, obfuscation flag) on all-zero data, caches ``M_in``
+and ``M_out``, and answers every query with the two masks around the
+capture edges.  This is exact for any keystream, linear or not.
 """
 
 from __future__ import annotations
@@ -36,14 +46,65 @@ class ScanResponse:
     primary_outputs: list[int]
 
 
-class ScanOracle:
+#: (``M_in``, ``M_out``): the XOR masks one load and one unload apply.
+ScanMasks = tuple[list[int], list[int]]
+
+
+class MaskedScan:
+    """The query body the scan oracles share: cached masks around capture.
+
+    A subclass sets ``netlist``, ``obfuscation_enabled``, ``_sim`` (a
+    :class:`SequentialSimulator` over ``netlist``) and ``_masks = {}``,
+    and provides ``_input_map`` and ``_shift_masks(n_captures)``: its own
+    per-edge shift protocol, run right after ``keystream.restart()`` on
+    all-zero data (all-zero masks when obfuscation is off).
+    """
+
+    netlist: Netlist
+    obfuscation_enabled: bool
+    _sim: SequentialSimulator
+    _masks: dict[tuple[int, bool], ScanMasks]
+
+    def _masked_capture(
+        self,
+        scan_in: Sequence[int],
+        primary_inputs: Sequence[int] | None,
+        n_captures: int,
+    ) -> ScanResponse:
+        """Apply ``scan_in XOR M_in``, clock the captures, unmask with ``M_out``."""
+        key = (n_captures, self.obfuscation_enabled)
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = self._masks[key] = self._shift_masks(n_captures)
+        load_mask, unload_mask = masks
+        self._sim.set_state_vector(
+            [bit ^ mask for bit, mask in zip(scan_in, load_mask)]
+        )
+        inputs = self._input_map(primary_inputs)
+        primary_outputs: list[int] = []
+        for _ in range(n_captures):
+            pre_edge_values = self._sim.step(inputs)
+            primary_outputs = [
+                pre_edge_values[net] for net in self.netlist.outputs
+            ]
+        captured = self._sim.get_state_vector()
+        return ScanResponse(
+            scan_out=[bit ^ mask for bit, mask in zip(captured, unload_mask)],
+            primary_outputs=primary_outputs,
+        )
+
+
+class ScanOracle(MaskedScan):
     """Protocol-level simulation of the locked chip.
 
     ``netlist`` is the *unlocked* functional netlist; the obfuscation is
     applied by the scan protocol layer, which is behaviourally identical
     to inserting physical XOR key gates in the scan path (the structural
     emitter in :mod:`repro.scan.structural` is cross-checked against this
-    in the test suite).
+    in the test suite).  The per-edge shift (:func:`shift_in` and
+    :func:`shift_out` under the keystream) runs once per capture count to
+    build the load and unload masks; queries then cost O(flops) plus the
+    capture edges (see the module docstring for why this is exact).
     """
 
     def __init__(
@@ -66,6 +127,7 @@ class ScanOracle:
         self.keystream = keystream
         self.obfuscation_enabled = obfuscation_enabled
         self._sim = SequentialSimulator(netlist)
+        self._masks = {}
         self.query_count = 0
         self.shift_cycles = 0
 
@@ -88,8 +150,22 @@ class ScanOracle:
             )
         return dict(zip(nets, primary_inputs))
 
-    def _zero_key(self) -> list[int]:
-        return [0] * max(1, self.keystream.width)
+    def _shift_masks(self, n_captures: int) -> ScanMasks:
+        n = self.spec.n_flops
+        zeros = [0] * n
+        if not self.obfuscation_enabled:
+            return zeros, zeros
+        # Power-on reset, then one key per edge: n load edges, the
+        # capture edges (PRNG advances, scan path idle), n - 1 unload.
+        self.keystream.restart()
+        load_keys = [self.keystream.next_key() for _ in range(n)]
+        for _ in range(n_captures):
+            self.keystream.next_key()
+        unload_keys = [self.keystream.next_key() for _ in range(n - 1)]
+        return (
+            shift_in(self.spec, zeros, zeros, load_keys, xor_int),
+            shift_out(self.spec, zeros, unload_keys, xor_int, fill_bit=0),
+        )
 
     # ------------------------------------------------------------------
     def query(
@@ -115,39 +191,7 @@ class ScanOracle:
             raise ValueError("at least one capture edge is required")
         self.query_count += 1
         self.shift_cycles += 2 * n + n_captures - 1
-
-        # Power-on reset: PRNG reloads the secret seed, flops go to 0.
-        self.keystream.restart()
-        self._sim.reset(0)
-
-        if self.obfuscation_enabled:
-            load_keys = [self.keystream.next_key() for _ in range(n)]
-        else:
-            load_keys = [self._zero_key() for _ in range(n)]
-            for _ in range(n):
-                self.keystream.next_key()
-        applied = shift_in(
-            self.spec, [0] * n, list(scan_in), load_keys, xor_int
-        )
-
-        # Capture edges: functional clocks; PRNG advances, scan path idle.
-        self._sim.set_state_vector(applied)
-        inputs = self._input_map(primary_inputs)
-        primary_outputs: list[int] = []
-        for _ in range(n_captures):
-            self.keystream.next_key()
-            pre_edge_values = self._sim.step(inputs)
-            primary_outputs = [
-                pre_edge_values[net] for net in self.netlist.outputs
-            ]
-        captured = self._sim.get_state_vector()
-
-        if self.obfuscation_enabled:
-            unload_keys = [self.keystream.next_key() for _ in range(n - 1)]
-        else:
-            unload_keys = [self._zero_key() for _ in range(n - 1)]
-        observed = shift_out(self.spec, captured, unload_keys, xor_int, fill_bit=0)
-        return ScanResponse(scan_out=observed, primary_outputs=primary_outputs)
+        return self._masked_capture(scan_in, primary_inputs, n_captures)
 
     # ------------------------------------------------------------------
     def unlocked_query(

@@ -51,8 +51,6 @@ class TestGridEnumeration:
     def test_unknown_grid_is_value_error(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             api.grid_specs("table9")
-        with pytest.raises(ValueError, match="unknown experiment"):
-            api.aggregate_grid("table9", [])
 
 
 class TestSubmitJobs:
@@ -88,9 +86,6 @@ class TestRunGrid:
         cells = grid.as_cells()
         assert cells[0][0] == "s5378"
         assert grid.report.n_failed == 0
-        # aggregate_grid over the same outcomes reproduces the rows.
-        again = api.aggregate_grid("table2", grid.report.outcomes)
-        assert [r.as_cells() for r in again] == cells
 
 
 class TestRunAttack:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -57,9 +58,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "success          : True" in out
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["info", "nope"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "s9999"],
+            ["export", "s9999"],
+            ["attack", "s9999"],
+            ["opt", "s9999"],
+            ["table2", "s5378", "s9999"],
+            ["table3", "s9999"],
+            ["opt-bench", "--benchmarks", "s9999"],
+            ["run", "table2", "--benchmarks", "s9999"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_benchmark_exits_2(self, argv, capsys, monkeypatch):
+        import repro.api
+        import repro.runner.scheduler
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an unknown benchmark must stop the command")
+
+        for owner, name in (
+            (repro.api, "run_attack"),
+            (repro.api, "run_grid"),
+            (repro.runner.scheduler, "run_jobs"),
+            (repro.cli, "build_benchmark_netlist"),
+        ):
+            monkeypatch.setattr(owner, name, no_work)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "dynunlock: unknown benchmark(s): s9999; known: " in err
+        assert "s5378" in err
 
 
 class TestRunnerSurfaces:

@@ -12,8 +12,11 @@ from repro.core.multichain import (
 )
 from repro.locking.eff import ConstantKeystream
 from repro.prng.lfsr import FibonacciLfsr, Keystream
+from repro.prng.nonlinear import NonlinearPrng
 from repro.prng.polynomials import default_taps
+from repro.scan.chain import ScanChainSpec, shift_cycle, xor_int
 from repro.scan.multichain import MultiChainScanOracle, MultiChainSpec
+from repro.scan.oracle import ScanResponse
 from repro.sim.logicsim import CombinationalSimulator
 from repro.sim.seqsim import SequentialSimulator
 from repro.util.bitvec import random_bits
@@ -126,6 +129,123 @@ class TestMultiChainOracle:
             oracle.obfuscation_enabled = True
             diffs += locked != clean
         assert diffs > 0
+
+
+def per_edge_multichain_query(
+    netlist, spec, keystream, scan_in, primary_inputs, n_captures, obfuscated
+) -> ScanResponse:
+    """Reference: restart the keystream and clock every padded shift edge."""
+    chains = []
+    for chain, length in enumerate(spec.chain_lengths):
+        gates = spec.gates_in_chain(chain)
+        chains.append(
+            (
+                ScanChainSpec(length, tuple(pos for _, pos in gates)),
+                [key_index for key_index, _ in gates],
+            )
+        )
+
+    def split(bits):
+        offsets = [sum(spec.chain_lengths[:c]) for c in range(spec.n_chains)]
+        return [
+            list(bits[offset: offset + length])
+            for offset, length in zip(offsets, spec.chain_lengths)
+        ]
+
+    def shift_all(states, bits, key):
+        return [
+            shift_cycle(
+                chain_spec,
+                state,
+                bit,
+                [key[i] if obfuscated else 0 for i in key_indices],
+                xor_int,
+            )
+            for (chain_spec, key_indices), state, bit in zip(chains, states, bits)
+        ]
+
+    keystream.restart()
+    sim = SequentialSimulator(netlist)
+    patterns = split(scan_in)
+    max_len = spec.max_length
+    states = [[0] * length for length in spec.chain_lengths]
+    for t in range(max_len):
+        bits = [
+            0 if t < max_len - length else patterns[chain][max_len - 1 - t]
+            for chain, length in enumerate(spec.chain_lengths)
+        ]
+        states = shift_all(states, bits, keystream.next_key())
+    sim.set_state_vector([bit for state in states for bit in state])
+    inputs = dict(zip(netlist.inputs, primary_inputs))
+    primary_outputs: list[int] = []
+    for _ in range(n_captures):
+        keystream.next_key()
+        values = sim.step(inputs)
+        primary_outputs = [values[net] for net in netlist.outputs]
+    states = split(sim.get_state_vector())
+    observed = [[None] * length for length in spec.chain_lengths]
+    for chain, state in enumerate(states):
+        observed[chain][-1] = state[-1]
+    for j in range(max_len - 1):
+        states = shift_all(states, [0] * spec.n_chains, keystream.next_key())
+        for chain, state in enumerate(states):
+            position = len(state) - 2 - j
+            if position >= 0:
+                observed[chain][position] = state[-1]
+    return ScanResponse(
+        scan_out=[bit for chain_bits in observed for bit in chain_bits],
+        primary_outputs=primary_outputs,
+    )
+
+
+class TestMaskedMultiChainQueries:
+    @pytest.mark.parametrize(
+        "lengths", [(4, 2, 1), (3, 3, 3), (4, 3)], ids=["4-2-1", "3x3", "4-3"]
+    )
+    @pytest.mark.parametrize("prng", ["lfsr", "nonlinear"])
+    def test_matches_per_edge_reference(self, lengths, prng):
+        """Queries with the obfuscation flag toggled between them equal
+        the per-edge protocol on a freshly built keystream."""
+        rng = random.Random(f"mc-mask/{lengths}/{prng}")
+        n_flops = sum(lengths)
+        netlist = generate_circuit(
+            GeneratorConfig(n_flops=n_flops, n_inputs=3, n_outputs=2),
+            rng,
+            name="mcmask",
+        )
+        sites = [
+            (chain, position)
+            for chain, length in enumerate(lengths)
+            for position in range(length - 1)
+        ]
+        keygates = tuple(rng.sample(sites, min(4, len(sites))))
+        spec = MultiChainSpec(chain_lengths=lengths, keygates=keygates)
+        width = max(2, spec.n_keygates)
+        seed = random_bits(width, rng)
+        seed[0] = 1
+
+        def make():
+            if prng == "lfsr":
+                return Keystream(FibonacciLfsr(width, seed))
+            return NonlinearPrng(width, seed)
+
+        oracle = MultiChainScanOracle(netlist, spec, make())
+        for _ in range(12):
+            oracle.obfuscation_enabled = rng.random() < 0.6
+            pattern = random_bits(n_flops, rng)
+            pis = random_bits(len(netlist.inputs), rng)
+            n_captures = rng.randint(1, 3)
+            got = oracle.query(pattern, pis, n_captures=n_captures)
+            expected = per_edge_multichain_query(
+                netlist,
+                spec,
+                make(),
+                pattern,
+                pis,
+                n_captures,
+                oracle.obfuscation_enabled,
+            )
+            assert got == expected
 
 
 class TestMultiChainModel:

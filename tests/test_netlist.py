@@ -99,6 +99,17 @@ class TestNetlistConstruction:
         with pytest.raises(NetlistError):
             netlist.add_output("a")
 
+    def test_duplicate_output_check_follows_set_outputs(self):
+        netlist = Netlist("t")
+        for net in ("a", "b", "c"):
+            netlist.add_input(net)
+        netlist.add_output("a")
+        netlist.set_outputs(["b", "c"])
+        with pytest.raises(NetlistError):
+            netlist.add_output("c")
+        netlist.add_output("a")  # dropped by set_outputs, so free again
+        assert netlist.outputs == ["b", "c", "a"]
+
     def test_forward_references_allowed(self):
         netlist = Netlist("t")
         netlist.add_input("a")

@@ -13,6 +13,7 @@ Covers the four contracts docs/observability.md makes:
 """
 
 import json
+import sys
 
 import pytest
 
@@ -376,6 +377,27 @@ class TestRealAttackSpan:
             for line in (tmp_path / "log.jsonl").read_text().splitlines()
         ]
         assert "run_started" in events and "run_finished" in events
+
+    def test_run_json_records_the_parsed_arguments(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Called in-process, as from ``python -c``: the interpreter's
+        # own argv is not the command's.
+        monkeypatch.setattr(sys, "argv", ["-c"])
+        argv = [
+            "attack",
+            "s5378",
+            "--key-bits",
+            "4",
+            "--scale",
+            "64",
+            "--metrics-dir",
+            str(tmp_path / "m"),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        run = json.loads((tmp_path / "m" / "run.json").read_text())
+        assert run["argv"] == argv
 
     def test_grid_command_emits_metrics_and_identical_rows(self, tmp_path, capsys):
         args = [

@@ -6,11 +6,15 @@ import pytest
 
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.bench_suite.iscas import s27_netlist
+from repro.locking.dos import PerPatternKeystream
 from repro.locking.eff import ConstantKeystream
 from repro.locking.effdyn import lock_with_effdyn
 from repro.netlist.netlist import NetlistError
-from repro.scan.chain import ScanChainSpec
-from repro.scan.oracle import ScanOracle
+from repro.prng.lfsr import FibonacciLfsr, GaloisLfsr, Keystream
+from repro.prng.nonlinear import NonlinearPrng
+from repro.scan.chain import ScanChainSpec, shift_in, shift_out, xor_int
+from repro.scan.multichain import MultiChainScanOracle, MultiChainSpec
+from repro.scan.oracle import ScanOracle, ScanResponse
 from repro.sim.seqsim import SequentialSimulator
 from repro.util.bitvec import random_bits
 
@@ -139,3 +143,153 @@ class TestOracleSemantics:
             masks.add(tuple(locked.scan_out))
         # Weak sanity: responses vary with the pattern (not constant).
         assert len(masks) > 1
+
+
+# ---------------------------------------------------------------------------
+# Masked queries against the per-edge protocol
+# ---------------------------------------------------------------------------
+
+#: Keystream factories ``(width, seed bits, flops) -> keystream``; each
+#: call builds a fresh instance.
+KEYSTREAMS = {
+    "fibonacci": lambda width, seed, n: Keystream(FibonacciLfsr(width, seed)),
+    "galois": lambda width, seed, n: Keystream(GaloisLfsr(width, seed)),
+    "nonlinear": lambda width, seed, n: NonlinearPrng(width, seed),
+    "per-pattern-p1": lambda width, seed, n: PerPatternKeystream(
+        FibonacciLfsr(width, seed), edges_per_pattern=n, period_p=1
+    ),
+    "per-pattern-p2": lambda width, seed, n: PerPatternKeystream(
+        FibonacciLfsr(width, seed), edges_per_pattern=n, period_p=2
+    ),
+    "constant": lambda width, seed, n: ConstantKeystream(seed),
+}
+
+
+def per_edge_query(
+    netlist, spec, keystream, scan_in, primary_inputs, n_captures, obfuscated
+) -> ScanResponse:
+    """Reference: restart the keystream and clock every shift edge."""
+    n = spec.n_flops
+    zero_key = [0] * max(1, keystream.width)
+    sim = SequentialSimulator(netlist)
+    keystream.restart()
+    if obfuscated:
+        load_keys = [keystream.next_key() for _ in range(n)]
+    else:
+        load_keys = [zero_key] * n
+        for _ in range(n):
+            keystream.next_key()
+    sim.set_state_vector(shift_in(spec, [0] * n, list(scan_in), load_keys, xor_int))
+    inputs = dict(zip(netlist.inputs, primary_inputs))
+    primary_outputs: list[int] = []
+    for _ in range(n_captures):
+        keystream.next_key()
+        values = sim.step(inputs)
+        primary_outputs = [values[net] for net in netlist.outputs]
+    captured = sim.get_state_vector()
+    if obfuscated:
+        unload_keys = [keystream.next_key() for _ in range(n - 1)]
+    else:
+        unload_keys = [zero_key] * (n - 1)
+    return ScanResponse(
+        scan_out=shift_out(spec, captured, unload_keys, xor_int, fill_bit=0),
+        primary_outputs=primary_outputs,
+    )
+
+
+def random_locked_chain(rng: random.Random):
+    """A random circuit with a random key-gate placement and seed."""
+    n_flops = rng.randint(2, 9)
+    netlist = generate_circuit(
+        GeneratorConfig(n_flops=n_flops, n_inputs=3, n_outputs=2), rng, name="mask"
+    )
+    positions = sorted(rng.sample(range(n_flops - 1), rng.randint(1, n_flops - 1)))
+    spec = ScanChainSpec(n_flops=n_flops, keygate_positions=tuple(positions))
+    width = max(2, len(positions)) + rng.randint(0, 2)
+    seed = random_bits(width, rng)
+    seed[rng.randrange(width)] = 1  # a nonzero LFSR seed
+    return netlist, spec, width, seed
+
+
+class CountingKeystream:
+    """Keystream wrapper that counts ``next_key`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.width = inner.width
+        self.calls = 0
+
+    def next_key(self) -> list[int]:
+        self.calls += 1
+        return self.inner.next_key()
+
+    def restart(self) -> None:
+        self.inner.restart()
+
+
+class TestMaskedQueries:
+    @pytest.mark.parametrize("kind", sorted(KEYSTREAMS))
+    @pytest.mark.parametrize("trial", range(3))
+    def test_matches_per_edge_reference(self, kind, trial):
+        """query and unlocked_query, interleaved, equal the per-edge
+        protocol on a freshly built keystream, for capture counts 1-3."""
+        rng = random.Random(f"mask/{kind}/{trial}")
+        netlist, spec, width, seed = random_locked_chain(rng)
+        make = KEYSTREAMS[kind]
+        oracle = ScanOracle(netlist, spec, make(width, seed, spec.n_flops))
+        for _ in range(12):
+            pattern = random_bits(spec.n_flops, rng)
+            pis = random_bits(len(netlist.inputs), rng)
+            n_captures = rng.randint(1, 3)
+            obfuscated = rng.random() < 0.6
+            query = oracle.query if obfuscated else oracle.unlocked_query
+            got = query(pattern, pis, n_captures=n_captures)
+            expected = per_edge_query(
+                netlist,
+                spec,
+                make(width, seed, spec.n_flops),
+                pattern,
+                pis,
+                n_captures,
+                obfuscated,
+            )
+            assert got == expected
+        assert oracle.obfuscation_enabled
+
+    @pytest.mark.parametrize("chains", ["single", "multi"])
+    def test_one_key_schedule_per_capture_count_and_flag(self, chains):
+        """Only the first query of each (capture count, obfuscation flag)
+        pair draws keys: one schedule of 2L + c - 1 edges for chains of
+        length at most L, then none."""
+        rng = random.Random(21)
+        netlist = generate_circuit(
+            GeneratorConfig(n_flops=6, n_inputs=3, n_outputs=2), rng, name="cnt"
+        )
+        counting = CountingKeystream(
+            Keystream(FibonacciLfsr(4, [1, 0, 1, 1]))
+        )
+        if chains == "single":
+            spec = ScanChainSpec(n_flops=6, keygate_positions=(0, 2, 3, 4))
+            oracle = ScanOracle(netlist, spec, counting)
+            length = 6
+        else:
+            spec = MultiChainSpec(
+                chain_lengths=(4, 2), keygates=((0, 0), (0, 2), (1, 0))
+            )
+            oracle = MultiChainScanOracle(netlist, spec, counting)
+            length = 4
+        seen: set[tuple[int, bool]] = set()
+        for n_captures, obfuscated in [
+            (1, True), (1, True), (2, True), (1, False), (2, True),
+            (1, False), (3, False), (1, True), (3, True), (3, False),
+        ]:
+            before = counting.calls
+            oracle.obfuscation_enabled = obfuscated
+            oracle.query(random_bits(6, rng), n_captures=n_captures)
+            drawn = counting.calls - before
+            if (n_captures, obfuscated) in seen:
+                assert drawn == 0
+            elif obfuscated:
+                assert drawn == 2 * length + n_captures - 1
+            seen.add((n_captures, obfuscated))
+
