@@ -264,7 +264,8 @@ def run_attack(
     """Lock one registry benchmark with EFF-Dyn and break it in-process.
 
     The one-shot ``dynunlock attack`` path: no scheduler, no store.
-    With an ``observer`` the attack runs under a job span so its phase
+    ``timeout_s=None`` takes the profile's budget.  With an
+    ``observer`` the attack runs under a job span so its phase
     instrumentation has a collection target.
     """
     from repro.bench_suite.registry import build_benchmark_netlist
@@ -283,7 +284,7 @@ def run_attack(
             f"{effective_bits}-bit dynamic key"
         )
     config = DynUnlockConfig(
-        timeout_s=timeout_s or resolved.timeout_s,
+        timeout_s=resolved.timeout_s if timeout_s is None else timeout_s,
         opt_level=opt_level,
     )
     if observer is None:

@@ -14,9 +14,17 @@ iterates:
    constraints force ``K_A = K_B``, unit propagation refutes the miter;
 2. query the oracle with the DIP and constrain both key copies to
    reproduce the observed response (two fresh circuit copies per DIP);
-3. repeat until the miter is unsatisfiable: every key still satisfying
-   the accumulated constraints is functionally correct on all inputs
-   distinguished so far, and no further DIP exists.
+3. repeat until the miter is unsatisfiable or only one key remains:
+   every key still satisfying the accumulated constraints is
+   functionally correct on all inputs distinguished so far, and no
+   further DIP exists.  The final miter proof is usually the costliest
+   solve of the attack, so once a miter solve after the first DIP has
+   spent a fixed conflict budget, the loop instead checks, with the
+   miter off, whether at most one key satisfies every DIP constraint.
+   By the lemma of step 1 the miter needs two different such keys, so
+   if one or none is left the loop has converged and that check has
+   already listed the complete candidate set; otherwise the miter solve
+   resumes without a budget.
 
 The whole loop runs in **one** :class:`repro.sat.IncrementalSolver`
 session: the miter CNF is built once from the cached Tseitin template of
@@ -45,6 +53,11 @@ from repro.sat.tseitin import CircuitEncoder, encoding_for
 from repro.util.timing import Stopwatch
 
 OracleFn = Callable[[list[int]], list[int]]
+
+#: Conflicts a miter solve after the first DIP may spend before the loop
+#: checks whether only one key is left (module docstring, step 3; the
+#: value is measured in DESIGN.md).
+_UNIQUENESS_CHECK_CONFLICTS = 200
 
 
 @dataclass
@@ -278,6 +291,70 @@ class SatAttack:
             return None
         return self.solver.values(self.key_vars_a)
 
+    def _keys_left(
+        self, limit: int, timeout_s: float | None = None
+    ) -> list[list[int]] | None:
+        """Up to ``limit`` keys satisfying every constraint (miter off).
+
+        Blocking clauses go into a retractable group so enumeration does
+        not poison the session: current_key() and further solver use
+        keep seeing every surviving key.  The activation variable must
+        come from the shared CNF namespace -- allocating it in the
+        solver alone would let the next stamped copy reuse the same id
+        for a circuit net.  Returns None when ``timeout_s`` ran out
+        before the list was complete.
+        """
+        group = self.encoder.cnf.new_var()
+        self._sync_solver()
+        keys = list(
+            enumerate_models(
+                self.solver,
+                self.key_vars_a,
+                limit=limit,
+                assumptions=[-self.act_var, group],
+                group=group,
+                timeout_s=timeout_s,
+            )
+        )
+        self.solver.release_group(group)
+        if len(keys) < limit and self.solver.last_result.satisfiable is None:
+            return None
+        return keys
+
+    def _next_dip(
+        self, budgeted: bool, deadline: float | None
+    ) -> tuple[bool | None, list[list[int]] | None]:
+        """Solve the miter once, checking for a unique key when it runs long.
+
+        Returns ``(found, keys)``.  ``found`` is True when the solver's
+        model holds a DIP, False when none is left and None when the
+        deadline ran out.  ``keys`` is the complete candidate list when
+        the uniqueness check (module docstring, step 3) settled
+        convergence, else None.
+        """
+        result = self.solver.solve(
+            assumptions=[self.act_var],
+            max_conflicts=_UNIQUENESS_CHECK_CONFLICTS if budgeted else None,
+            timeout_s=_time_left(deadline),
+        )
+        if result.satisfiable is not None or not budgeted:
+            return result.satisfiable, None
+        # The same answer comes back when the clock ran out; only a
+        # spent conflict budget leads to the check.
+        remaining = _time_left(deadline)
+        if remaining == 0.0:
+            return None, None
+        keys = self._keys_left(2, timeout_s=remaining)
+        if keys is None:
+            return None, None
+        if len(keys) < 2:
+            return False, keys
+        remaining = _time_left(deadline)
+        if remaining == 0.0:
+            return None, None
+        result = self.solver.solve(assumptions=[self.act_var], timeout_s=remaining)
+        return result.satisfiable, None
+
     # ------------------------------------------------------------------
     def run(self) -> SatAttackResult:
         """Execute the DIP loop, then enumerate surviving key candidates."""
@@ -290,24 +367,22 @@ class SatAttack:
         dips: list[tuple[list[int], list[int]]] = []
         converged = False
         timed_out = False
+        keys: list[list[int]] | None = None
 
         iteration = 0
         while iteration < cfg.max_iterations:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            if remaining == 0.0:
+            if _time_left(deadline) == 0.0:
                 # The solver reads its clock only every few conflicts,
                 # so a spent budget must not reach it: a small instance
                 # would converge inside the first check interval.
                 timed_out = True
                 break
             with watch.lap("solve_dip"):
-                result = self.solver.solve(
-                    assumptions=[self.act_var], timeout_s=remaining
-                )
-            if result.satisfiable is None:
+                found, keys = self._next_dip(iteration > 0, deadline)
+            if found is None:
                 timed_out = True  # budget exhausted
                 break
-            if result.satisfiable is False:
+            if found is False:
                 converged = True
                 break
             iteration += 1
@@ -334,24 +409,11 @@ class SatAttack:
         key_candidates: list[list[int]] = []
         exhausted = False
         if converged:
-            # Blocking clauses go into a retractable group so enumeration
-            # does not poison the session: current_key() and further
-            # solver use keep seeing every surviving candidate.  The
-            # activation variable must come from the shared CNF namespace
-            # — allocating it in the solver alone would let the next
-            # stamped copy reuse the same id for a circuit net.
-            block_group = self.encoder.cnf.new_var()
-            self._sync_solver()
-            with watch.lap("enumerate"):
-                for model_bits in enumerate_models(
-                    self.solver,
-                    self.key_vars_a,
-                    limit=cfg.candidate_limit,
-                    assumptions=[-self.act_var, block_group],
-                    group=block_group,
-                ):
-                    key_candidates.append(model_bits)
-            self.solver.release_group(block_group)
+            if keys is None:
+                with watch.lap("enumerate"):
+                    # Without a time limit the list is complete, never None.
+                    keys = self._keys_left(cfg.candidate_limit)
+            key_candidates = keys
             exhausted = len(key_candidates) >= cfg.candidate_limit
             # Model enumeration order is a solver internal (it shifts
             # with encoding details such as the optimization level);
@@ -399,3 +461,12 @@ class SatAttack:
             stopwatch=watch,
             solver_stats=solver_stats,
         )
+
+
+def _time_left(deadline: float | None) -> float | None:
+    """Seconds until ``deadline`` (never negative); None without one.
+
+    Reads this module's clock, like the deadline itself, so a test can
+    stand in for both.
+    """
+    return None if deadline is None else max(0.0, deadline - time.perf_counter())

@@ -327,6 +327,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
     result = run.result
     print(f"success          : {result.success}")
+    print(f"timed out        : {result.timed_out}")
     print(f"exact seed       : {run.exact_seed}")
     print(f"seed candidates  : {result.n_seed_candidates}")
     print(f"iterations       : {result.iterations}")
@@ -942,6 +943,17 @@ def cmd_opt_bench(args: argparse.Namespace) -> int:
     return 1 if (regressed or outcome_mismatches) else 0
 
 
+def _positive_seconds(text: str) -> float:
+    """Parse a wall-clock budget in seconds; it must be positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds: {text!r}")
+    return value
+
+
 def _parse_size(text: str) -> int:
     """Parse a byte count with optional K/M/G/T suffix (binary units)."""
     units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
@@ -1122,7 +1134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-bits", type=int, default=None)
     p.add_argument("--scale", type=int, default=None)
     p.add_argument("--lock-seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=None)
+    p.add_argument(
+        "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
+        help="wall-clock budget for the attack (default: the profile's)",
+    )
     add_profile(p)
     add_opt(p)
     add_obs(p)

@@ -11,8 +11,8 @@ instance sizes.  Wall times below are cache-less ``--jobs 2`` runs on a
   16-bit keys, one LFSR seed per circuit.  Table II takes about 1 s,
   Table III (18-22 bits) about 1.5 s.
 * ``full``: 1/8 scale, 16-bit keys, two seeds.  Table II takes about
-  2 s; Table III's sweep up to 30-bit keys about 100 s, nearly all of it
-  in the 30-bit cells.
+  2 s; Table III's sweep up to 30-bit keys about 80 s (77 s measured
+  2026-10-19), nearly all of it in the 30-bit cells (18-29 s each).
 * ``paper``: the paper's sizes (128-bit keys, full flop counts, ten
   seeds).  Provided for completeness: at these key widths the native
   core hits a wall (a paper-scale s5378 cell at 128 bits had not

@@ -8,6 +8,7 @@ seed variables and blocks each found projection with one clause.
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, Sequence
 
 from repro.sat.solver import CdclSolver
@@ -20,6 +21,7 @@ def enumerate_models(
     assumptions: Sequence[int] = (),
     max_conflicts_per_model: int | None = None,
     group: int | None = None,
+    timeout_s: float | None = None,
 ) -> Iterator[list[int]]:
     """Yield distinct assignments to ``project_vars`` (bit lists).
 
@@ -30,12 +32,20 @@ def enumerate_models(
     ``assumptions``); the blocking clauses are then tagged with it, and
     releasing the group afterwards restores the session.  ``limit``
     bounds the number of models; enumeration also stops on UNSAT (space
-    exhausted) or an indeterminate result (conflict budget exceeded).
+    exhausted) or an indeterminate result (conflict budget or the
+    wall-clock ``timeout_s`` of the whole enumeration exceeded).  A
+    caller that must tell exhaustion from a budget stop reads the last
+    answer (:attr:`repro.sat.incremental.IncrementalSolver.last_result`).
     """
+    deadline = None if timeout_s is None else time.perf_counter() + timeout_s
     produced = 0
     while produced < limit:
         result = solver.solve(
-            assumptions=assumptions, max_conflicts=max_conflicts_per_model
+            assumptions=assumptions,
+            max_conflicts=max_conflicts_per_model,
+            timeout_s=(
+                None if deadline is None else max(0.0, deadline - time.perf_counter())
+            ),
         )
         if result.satisfiable is not True:
             return

@@ -101,3 +101,21 @@ class TestRunAttack:
     def test_unknown_profile_rejected_before_work(self):
         with pytest.raises(ValueError, match="unknown profile"):
             api.run_attack("s5378", profile="huge")
+
+    def test_timeout_none_takes_the_profile_budget(self, monkeypatch):
+        import repro.core.dynunlock
+
+        budgets = []
+        real = repro.core.dynunlock.dynunlock
+
+        def spy(netlist, view, oracle, config):
+            budgets.append(config.timeout_s)
+            return real(netlist, view, oracle, config)
+
+        monkeypatch.setattr(repro.core.dynunlock, "dynunlock", spy)
+        api.run_attack("s5378", profile=TINY, key_bits=4, scale=64)
+        spent = api.run_attack(
+            "s5378", profile=TINY, key_bits=4, scale=64, timeout_s=0.0
+        )
+        assert budgets == [TINY.timeout_s, 0.0]
+        assert spent.result.timed_out and not spent.success

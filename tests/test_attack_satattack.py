@@ -4,15 +4,20 @@ import random
 
 import pytest
 
+from repro.api import resolve_profile
 from repro.attack.satattack import IterationRecord, SatAttack, SatAttackConfig
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.core.modeling import build_combinational_model
 from repro.locking.effdyn import lock_with_effdyn
 from repro.locking.rll import lock_combinational_rll
+from repro.locking.sarlock import lock_with_sarlock
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
 from repro.observability import begin_job_span, end_job_span
+from repro.reports.cells import build_table2_lock
+from repro.sat.enumerate import enumerate_models
+from repro.sat.solver import CdclSolver, SolveResult
 from repro.sim.logicsim import CombinationalSimulator
 
 
@@ -251,3 +256,157 @@ class TestKeyDifferenceLemma:
             model.netlist, model.key_inputs, lock.seed
         )
         assert conflicts == 0
+
+
+def dynunlock_case(benchmark: str, lie_on_first_query: bool = False) -> SatAttack:
+    """The first-round attack of a quick Table II cell (seed index 0).
+
+    With ``lie_on_first_query`` the oracle flips the first output bit
+    of its first answer.
+    """
+    profile = resolve_profile("quick")
+    netlist, lock, _ = build_table2_lock(profile, benchmark, 0)
+    view = lock.public_view()
+    model = build_combinational_model(
+        netlist, view.spec, view.lfsr_taps, view.lfsr_width
+    )
+    oracle = lock.make_oracle()
+    n_a = len(model.a_inputs)
+
+    def oracle_fn(x_bits):
+        response = model.observe(oracle.query(x_bits[:n_a], x_bits[n_a:]))
+        if lie_on_first_query and oracle.query_count == 1:
+            response[0] ^= 1
+        return response
+
+    config = SatAttackConfig(candidate_limit=profile.candidate_limit)
+    return SatAttack(model.netlist, model.key_inputs, oracle_fn, config)
+
+
+def rll_case(seed: int) -> SatAttack:
+    core, lock, oracle_fn, _ = make_rll_case(seed, key_bits=8)
+    return SatAttack(lock.locked, lock.key_inputs, oracle_fn)
+
+
+def sarlock_case(seed: int) -> SatAttack:
+    rng = random.Random(seed)
+    config = GeneratorConfig(n_flops=12, n_inputs=4, n_outputs=3)
+    netlist = generate_circuit(config, rng, name=f"sar{seed}")
+    lock = lock_with_sarlock(netlist, key_bits=4, rng=rng)
+    oracle = lock.make_oracle()
+    return SatAttack(lock.locked, lock.key_inputs, oracle.query)
+
+
+def miter_until_unsat(attack: SatAttack) -> dict:
+    """The DIP loop without the uniqueness check, as a reference.
+
+    Miter solves run without a conflict budget until one answers UNSAT;
+    every key left is then enumerated with the miter off.
+    """
+    iterations = 0
+    while attack.solver.solve(assumptions=[attack.act_var]).satisfiable:
+        dip = attack.solver.values(attack.x_vars)
+        attack.add_dip_constraint(dip, list(attack.oracle_fn(dip)))
+        iterations += 1
+    limit = attack.config.candidate_limit
+    candidates = sorted(
+        enumerate_models(
+            attack.solver,
+            attack.key_vars_a,
+            limit=limit,
+            assumptions=[-attack.act_var],
+        )
+    )
+    exhausted = len(candidates) >= limit
+    fixed = {}
+    if candidates and not exhausted:
+        for index in range(len(attack.key_inputs)):
+            if len({candidate[index] for candidate in candidates}) == 1:
+                fixed[index] = candidates[0][index]
+    return {
+        "converged": True,
+        "iterations": iterations,
+        "key_candidates": candidates,
+        "candidates_exhausted": exhausted,
+        "fixed_key_bits": fixed,
+    }
+
+
+def outcome(result) -> dict:
+    return {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "key_candidates": sorted(result.key_candidates),
+        "candidates_exhausted": result.candidates_exhausted,
+        "fixed_key_bits": result.fixed_key_bits,
+    }
+
+
+@pytest.fixture
+def miter_answers(monkeypatch):
+    """Record (miter active, answer) for every solve while a test runs."""
+    answers = []
+    real_solve = CdclSolver.solve
+
+    def spy(solver, assumptions=(), **kwargs):
+        assumptions = list(assumptions)
+        result = real_solve(solver, assumptions, **kwargs)
+        answers.append((bool(assumptions) and assumptions[0] > 0, result.satisfiable))
+        return result
+
+    monkeypatch.setattr(CdclSolver, "solve", spy)
+    return answers
+
+
+class TestUniquenessCheck:
+    """A long miter solve after the first DIP yields to a check for a
+    single key left (module docstring, step 3); every outcome stays the
+    one that solving the miter to UNSAT gives.
+    """
+
+    @pytest.mark.parametrize(
+        "make_attack",
+        [
+            pytest.param(lambda: dynunlock_case("b21"), id="dynunlock-b21"),
+            pytest.param(lambda: dynunlock_case("s5378"), id="dynunlock-s5378"),
+            pytest.param(lambda: dynunlock_case("s13207"), id="dynunlock-s13207"),
+            pytest.param(lambda: rll_case(2), id="rll-2"),
+            pytest.param(lambda: rll_case(8), id="rll-8"),
+            pytest.param(lambda: sarlock_case(5), id="sarlock-5"),
+        ],
+    )
+    def test_outcome_matches_solving_the_miter_to_unsat(self, make_attack):
+        want = miter_until_unsat(make_attack())
+        assert outcome(make_attack().run()) == want
+
+    def test_unique_key_converges_without_a_miter_refutation(self, miter_answers):
+        result = dynunlock_case("b21").run()
+        assert result.converged and result.n_candidates == 1
+        assert (True, None) in miter_answers  # the budget ran out
+        assert (True, False) not in miter_answers
+
+    def test_indeterminate_check_times_out(self, monkeypatch):
+        attack = dynunlock_case("b21")
+        attack.config.timeout_s = 3600.0
+        real_solve = CdclSolver.solve
+        check = -attack.act_var
+
+        def check_runs_out_of_time(solver, assumptions=(), **kwargs):
+            assumptions = list(assumptions)
+            if assumptions and assumptions[0] == check:
+                return SolveResult(satisfiable=None, stats=solver.stats)
+            return real_solve(solver, assumptions, **kwargs)
+
+        monkeypatch.setattr(CdclSolver, "solve", check_runs_out_of_time)
+        result = attack.run()
+        assert result.timed_out and not result.converged
+        assert result.key_candidates == []
+
+    def test_no_consistent_key_converges_empty(self, miter_answers):
+        result = dynunlock_case("b21", lie_on_first_query=True).run()
+        # The check, not a miter refutation, found the constraints UNSAT.
+        assert (True, None) in miter_answers
+        assert (True, False) not in miter_answers
+        want = miter_until_unsat(dynunlock_case("b21", lie_on_first_query=True))
+        assert outcome(result) == want
+        assert result.converged and result.key_candidates == []

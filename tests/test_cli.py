@@ -57,6 +57,25 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "success          : True" in out
+        assert "timed out        : False" in out
+
+    def test_attack_out_of_time_says_so(self, capsys):
+        # The budget is spent before the first solve starts.
+        code = main(
+            ["attack", "s5378", "--scale", "64", "--key-bits", "4",
+             "--timeout", "1e-9"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "success          : False" in out
+        assert "timed out        : True" in out
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "soon"])
+    def test_attack_timeout_must_be_positive(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "s5378", "--timeout", budget])
+        assert exc.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -274,7 +274,7 @@ class TestEnumeration:
 
 
 class TestSearchIdentity:
-    """Exact search counters of three pinned instances.
+    """Exact search counters of four pinned instances.
 
     Every decision depends on watch-list order, clause literal order,
     VSIDS float arithmetic and the lazy heap's stale entries, so a
@@ -311,17 +311,18 @@ class TestSearchIdentity:
         assert solver.solve(max_conflicts=1300).satisfiable is None
         assert self.counters(solver.stats) == (1300, 1887, 136236, 1299, 0, 6)
 
-    def test_table2_s5378_cell(self):
-        # One incremental session: assumptions, clause groups and
-        # seed-candidate enumeration.
+    @staticmethod
+    def table2_cell(benchmark):
+        # One incremental session: assumptions, clause groups, conflict
+        # budgets and seed-candidate enumeration.
         from repro.api import resolve_profile
         from repro.core.dynunlock import DynUnlockConfig, dynunlock
         from repro.opt.pipeline import DEFAULT_LEVEL
         from repro.reports.cells import build_table2_lock
 
         profile = resolve_profile("quick")
-        netlist, lock, _ = build_table2_lock(profile, "s5378", 0)
-        result = dynunlock(
+        netlist, lock, _ = build_table2_lock(profile, benchmark, 0)
+        return dynunlock(
             netlist,
             lock.public_view(),
             lock.make_oracle(),
@@ -331,9 +332,20 @@ class TestSearchIdentity:
                 opt_level=DEFAULT_LEVEL,
             ),
         )
+
+    def test_table2_s5378_cell(self):
+        # The uniqueness check finds two keys and the miter solve resumes.
+        result = self.table2_cell("s5378")
         assert result.n_seed_candidates == 64
         stats = result.sat_result.solver_stats
-        assert self.counters(stats) == (815, 8833, 72310, 794, 0, 4)
+        assert self.counters(stats) == (867, 8626, 76757, 847, 0, 4)
+
+    def test_table2_b21_cell(self):
+        # The uniqueness check proves a single key left.
+        result = self.table2_cell("b21")
+        assert result.n_seed_candidates == 1
+        stats = result.sat_result.solver_stats
+        assert self.counters(stats) == (947, 1331, 201834, 944, 0, 5)
 
 
 class TestSearchIdentityOnReference(TestSearchIdentity):
