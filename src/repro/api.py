@@ -264,7 +264,8 @@ def run_attack(
     """Lock one registry benchmark with EFF-Dyn and break it in-process.
 
     The one-shot ``dynunlock attack`` path: no scheduler, no store.
-    ``timeout_s=None`` takes the profile's budget.  With an
+    ``timeout_s=None`` takes the profile's budget and ``scale=None``
+    its scale; any other scale below 1 is a ``ValueError``.  With an
     ``observer`` the attack runs under a job span so its phase
     instrumentation has a collection target.
     """
@@ -273,7 +274,9 @@ def run_attack(
     from repro.locking.effdyn import lock_with_effdyn
 
     resolved = resolve_profile(profile)
-    netlist = build_benchmark_netlist(benchmark, scale=scale or resolved.scale)
+    netlist = build_benchmark_netlist(
+        benchmark, scale=resolved.scale if scale is None else scale
+    )
     effective_bits = resolved.effective_key_bits(netlist.n_dffs, key_bits)
     lock = lock_with_effdyn(
         netlist, key_bits=effective_bits, rng=random.Random(lock_seed)

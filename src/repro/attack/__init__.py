@@ -32,7 +32,6 @@ from repro.attack.scansat import scansat_attack
 from repro.attack.scansat_dyn import scansat_dyn_attack
 from repro.attack.shift_and_leak import shift_and_leak_attack
 from repro.attack.scramble_sat import scramble_sat_attack
-from repro.attack.appsat import AppSat, AppSatConfig, AppSatResult
 
 __all__ = [
     "AttackResult",
@@ -45,7 +44,4 @@ __all__ = [
     "scansat_dyn_attack",
     "shift_and_leak_attack",
     "refine_candidates_by_replay",
-    "AppSat",
-    "AppSatConfig",
-    "AppSatResult",
 ]

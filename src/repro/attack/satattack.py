@@ -142,7 +142,7 @@ class SatAttack:
     bits in the netlist's output order.
 
     The incremental session is exposed for callers that drive the loop
-    themselves (AppSAT, CNF dumping, probing): ``solver`` is the live
+    themselves (CNF dumping, probing): ``solver`` is the live
     :class:`IncrementalSolver`, ``encoder`` the shared CNF namespace,
     ``act_var`` the miter activation literal, and ``x_vars`` /
     ``key_vars_a`` / ``key_vars_b`` the variable vectors of the shared

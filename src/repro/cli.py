@@ -42,13 +42,12 @@ The result store keeps one JSON file per cell; ``dynunlock cache``
 inspects, garbage-collects and prunes it (see ``docs/caching.md``).
 
 Observability (``docs/observability.md``): every grid/attack/farm
-command accepts ``--metrics-dir DIR`` (per-job spans, a Prometheus
-``metrics.prom``, and a ``BENCH_obs.json`` summary land in DIR;
-``$REPRO_METRICS_DIR`` sets a default) and ``--log-json PATH``
-(structured JSON event log; ``-`` for stderr).  ``dynunlock top DIR``
+command accepts ``--metrics-dir DIR`` (``run.json``, the streamed
+per-job ``spans.jsonl`` and a ``BENCH_obs.json``/``.csv`` summary land
+in DIR; ``$REPRO_METRICS_DIR`` sets a default).  ``dynunlock top DIR``
 renders a live ``top(1)``-style view over a running or finished
-instrumented run.  With neither flag, instrumentation is fully off:
-no spans are collected, and results/cache bytes are identical.
+instrumented run.  Without it, instrumentation is fully off: no spans
+are collected, and results/cache bytes are identical.
 
 Declarative configs (``docs/configs.md``): ``--config FILE`` on
 ``farm run``, ``matrix`` and every grid command resolves flags
@@ -143,21 +142,19 @@ def _observation(args: argparse.Namespace, command: str, existing=None):
     One observability session spans the whole command; passing an
     ``existing`` observer (``dynunlock run`` driving several grids)
     reuses it instead of opening a nested session.  Without
-    ``--metrics-dir``/``$REPRO_METRICS_DIR``/``--log-json`` this yields
-    ``None`` and touches nothing -- the zero-cost-by-default path.
+    ``--metrics-dir``/``$REPRO_METRICS_DIR`` this yields ``None`` and
+    touches nothing -- the zero-cost-by-default path.
     """
     metrics_dir = getattr(args, "metrics_dir", None) or os.environ.get(
         "REPRO_METRICS_DIR"
     )
-    log_json = getattr(args, "log_json", None)
-    if existing is not None or (not metrics_dir and not log_json):
+    if existing is not None or not metrics_dir:
         yield existing
         return
     from repro.observability import RunObserver, end_session, start_session
 
     session = start_session(
         metrics_dir=metrics_dir,
-        log_json=log_json,
         command=command,
         argv=getattr(args, "argv", ()),
     )
@@ -165,8 +162,7 @@ def _observation(args: argparse.Namespace, command: str, existing=None):
         yield RunObserver(session)
     finally:
         end_session()
-        if metrics_dir:
-            print(f"  [=] wrote metrics to {metrics_dir}", file=sys.stderr)
+        print(f"  [=] wrote metrics to {metrics_dir}", file=sys.stderr)
 
 
 def _store_from_args(args: argparse.Namespace) -> JsonFileStore | None:
@@ -238,7 +234,7 @@ def _run_experiment(
             **spec_kwargs,
         )
         # Emit inside the observation so the artifact's run block shares
-        # the session's run_id with the logs/spans it was measured under.
+        # the session's run_id with the spans it was measured under.
         print(render_table(grid.headers, grid.as_cells(), title=grid.title))
         print(f"  [=] {grid.report.summary()}", file=sys.stderr)
         _emit_artifact(
@@ -742,7 +738,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
         return 2
     profile = _profile_from_args(args)
     level = resolve_level(args.level)
-    scale = args.scale or profile.scale
+    scale = profile.scale if args.scale is None else args.scale
     netlist = build_benchmark_netlist(args.benchmark, scale=scale)
     key_bits = profile.effective_key_bits(netlist.n_dffs, args.key_bits)
     lock = lock_with_effdyn(
@@ -954,6 +950,17 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count or divisor such as ``--scale``; it must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
 def _parse_size(text: str) -> int:
     """Parse a byte count with optional K/M/G/T suffix (binary units)."""
     units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
@@ -1097,19 +1104,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--metrics-dir", default=None, metavar="DIR",
-            help="record per-job spans and metrics into DIR "
-                 "(spans.jsonl, metrics.prom, BENCH_obs.json; default: "
+            help="record per-job spans into DIR "
+                 "(run.json, spans.jsonl, BENCH_obs.json; default: "
                  "$REPRO_METRICS_DIR, unset = instrumentation off)",
-        )
-        p.add_argument(
-            "--log-json", default=None, metavar="PATH",
-            help="append structured JSON log events to PATH "
-                 "('-' = stderr; see docs/observability.md)",
         )
 
     p = sub.add_parser("info", help="show benchmark statistics")
     p.add_argument("benchmark")
-    p.add_argument("--scale", type=int, default=16)
+    p.add_argument("--scale", type=_positive_int, default=16)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("list", help="list registry benchmarks")
@@ -1120,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="export a benchmark as .bench/.v")
     p.add_argument("benchmark")
-    p.add_argument("--scale", type=int, default=16)
+    p.add_argument("--scale", type=_positive_int, default=16)
     p.add_argument("--format", choices=["bench", "verilog"], default="bench")
     p.add_argument("--lock", action="store_true",
                    help="insert an EFF-Dyn locked scan chain first")
@@ -1132,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run DynUnlock on one benchmark")
     p.add_argument("benchmark")
     p.add_argument("--key-bits", type=int, default=None)
-    p.add_argument("--scale", type=int, default=None)
+    p.add_argument("--scale", type=_positive_int, default=None)
     p.add_argument("--lock-seed", type=int, default=0)
     p.add_argument(
         "--timeout", type=_positive_seconds, default=None, metavar="SECONDS",
@@ -1163,7 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "opt", help="netlist-optimization statistics for a benchmark"
     )
     p.add_argument("benchmark")
-    p.add_argument("--scale", type=int, default=None,
+    p.add_argument("--scale", type=_positive_int, default=None,
                    help="flop-count divisor (default: the profile's scale)")
     p.add_argument("--level", type=int, choices=OPT_LEVELS, default=None,
                    help=f"optimization level (default: {DEFAULT_LEVEL})")

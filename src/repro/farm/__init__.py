@@ -11,8 +11,8 @@ of :mod:`repro.fuzz` and :mod:`repro.runner`:
   toward recently-violating or under-explored cells;
 * :mod:`repro.farm.driver` -- the rolling campaign driver: time- or
   round-budgeted rounds, a checkpoint after every round so a killed
-  farm resumes byte-identically, metrics through
-  :mod:`repro.observability`.
+  farm resumes byte-identically, and one ``farm_round`` span record
+  per round through :mod:`repro.observability`.
 
 Everything persisted (state, corpus, journal) is a pure function of
 ``(seed, completed rounds)``: no wall-clock values land on disk, so an

@@ -291,26 +291,8 @@ class FarmDriver:
         """Stream one round's outcome through the observability session."""
         if self.observer is None:
             return
-        session = self.observer.session
-        metrics = session.metrics
-        trials_counter = metrics.counter(
-            "repro_fuzz_trials_total", "Fuzz trials by disposition"
-        )
-        trials_counter.inc(stats.trials, disposition="ran")
-        metrics.counter(
-            "repro_fuzz_violations_total", "Invariant violations found"
-        ).inc(stats.violations)
-        metrics.counter(
-            "repro_farm_rounds_total", "Completed farm rounds"
-        ).inc()
         covered, total = self.scheduler.coverage()
-        metrics.gauge(
-            "repro_farm_corpus_entries", "Farm corpus entries"
-        ).set(len(self.corpus))
-        metrics.gauge(
-            "repro_farm_cells_covered", "Scheduler cells sampled at least once"
-        ).set(covered)
-        session.emit(
+        self.observer.session.emit(
             {
                 "kind": "farm_round",
                 "round": stats.index,
@@ -332,7 +314,6 @@ class FarmDriver:
                 "t": time.time(),
             }
         )
-        session.write_metrics()
 
     def run_round(self) -> FarmRound:
         """Execute and commit exactly one round."""

@@ -1,33 +1,20 @@
-"""Production observability for the runner: logs, spans, metrics, top.
+"""Run observability for the runner: spans, their session, and top.
 
-The ROADMAP item this package implements: at fuzz-farm scale you
-cannot find hot paths or stuck jobs from stdout.  Four pieces,
-composable and dependency-free:
+Three dependency-free pieces explain where a run's time went:
 
-* :mod:`repro.observability.logs` -- structured JSON logging with a
-  shared run-id context (``--log-json``);
 * :mod:`repro.observability.spans` -- per-job spans collected inside
-  workers (queue→encode→solve→replay timings, DIP counts, opt stats),
-  zero-cost when off;
-* :mod:`repro.observability.metrics` -- a Prometheus-style
-  counter/histogram registry exported as ``metrics.prom`` and a
+  workers (queue→encode→solve→replay timings, DIP counts, solver
+  counters, opt stats), zero-cost when off;
+* :mod:`repro.observability.session` -- the per-invocation session
+  that streams span records to ``spans.jsonl`` and folds them into a
   ``BENCH_obs.json`` artifact;
 * :mod:`repro.observability.top` -- the ``dynunlock top`` live view
   over a run's streamed span file.
 
-:mod:`repro.observability.session` ties them together per CLI
-invocation.  See ``docs/observability.md`` for the span/metric
-catalogue and the log schema.
+See ``docs/observability.md`` for the span catalogue and the file
+layout of a metrics directory.
 """
 
-from repro.observability.logs import JsonLogger
-from repro.observability.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.observability.session import (
     OBS_SCHEMA_VERSION,
     SUMMARY_PHASES,
@@ -37,7 +24,6 @@ from repro.observability.session import (
     current_session,
     end_session,
     start_session,
-    store_event,
 )
 from repro.observability.spans import (
     JobSpan,
@@ -51,12 +37,6 @@ from repro.observability.spans import (
 )
 
 __all__ = [
-    "JsonLogger",
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "OBS_SCHEMA_VERSION",
     "SUMMARY_PHASES",
     "ObsSession",
@@ -65,7 +45,6 @@ __all__ = [
     "current_session",
     "end_session",
     "start_session",
-    "store_event",
     "JobSpan",
     "active",
     "add_phase",

@@ -1,46 +1,36 @@
 """The per-invocation observability session and the runner observer.
 
 One :class:`ObsSession` exists per instrumented CLI invocation (started
-by ``--metrics-dir`` / ``--log-json``, or programmatically via
-:func:`start_session`).  It owns the run id, the structured
-:class:`~repro.observability.logs.JsonLogger`, the
-:class:`~repro.observability.metrics.MetricsRegistry`, and -- when a
-metrics directory is given -- the on-disk artifacts:
+by ``--metrics-dir``, or programmatically via :func:`start_session`).
+It owns the run id and -- when a metrics directory is given -- the
+only files a run keeps:
 
 * ``run.json`` -- run identity (id, command, the command's argument
   list, start time);
 * ``spans.jsonl`` -- streamed per-job records (``kind: submitted`` when
   a job is dispatched, ``kind: span`` when it finishes), appended as
   they happen so ``dynunlock top`` can watch a live run;
-* ``metrics.prom`` -- Prometheus text exposition, written at
-  :meth:`ObsSession.finalize`;
 * ``BENCH_obs.json``/``.csv`` -- the per-experiment phase-time summary
-  as a standard artifact.
+  as a standard artifact, written at :meth:`ObsSession.finalize`.
 
 :class:`RunObserver` is the bridge the scheduler calls: it stamps
-submit times (queue latency), folds finished
-:class:`~repro.runner.scheduler.JobOutcome` spans into metrics, and
-streams the records out.  The session is held in a module global so
-the result store can report hits/misses through :func:`store_event`
-without any plumbing -- and so that, with no session active, that
-report is a single ``None`` check (the zero-cost-by-default rule).
-The global is parent-process state: pool workers inherit it across
-``fork`` but never touch it -- worker-side instrumentation goes
-through :mod:`repro.observability.spans` only.
+submit times (queue latency) and streams one span record per finished
+:class:`~repro.runner.scheduler.JobOutcome`.  The session is held in a
+module global so that an artifact written during the run stamps the
+session's run id (:func:`repro.runner.artifacts.run_metadata`) without
+any plumbing.  The global is parent-process state: pool workers
+inherit it across ``fork`` but never touch it -- worker-side
+instrumentation goes through :mod:`repro.observability.spans` only.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 import uuid
 from pathlib import Path
 from typing import IO, Sequence
-
-from repro.observability.logs import JsonLogger
-from repro.observability.metrics import MetricsRegistry
 
 #: Schema of the ``run.json`` / ``spans.jsonl`` record layout.
 OBS_SCHEMA_VERSION = 1
@@ -58,20 +48,6 @@ def current_session() -> ObsSession | None:
     return _SESSION
 
 
-def store_event(event: str) -> None:
-    """Count one result-store operation (``hit``/``miss``/``put``).
-
-    Called from :class:`~repro.runner.stores.JsonFileStore` on every
-    get/put; a bare ``None`` check when no session is active.
-    """
-    session = _SESSION
-    if session is not None:
-        session.metrics.counter(
-            "repro_store_requests_total",
-            "Result-store operations by outcome",
-        ).inc(event=event)
-
-
 class ObsSession:
     """Run-scoped observability state; see the module docstring."""
 
@@ -79,7 +55,6 @@ class ObsSession:
         self,
         *,
         metrics_dir: str | Path | None = None,
-        log_json: str | Path | None = None,
         command: str = "",
         argv: Sequence[str] = (),
     ) -> None:
@@ -92,7 +67,6 @@ class ObsSession:
         # more than one thread never tear a ``spans.jsonl`` line and
         # teardown runs once.
         self._lock = threading.Lock()
-        self.metrics = MetricsRegistry()
         self.spans: list[dict] = []
         self.metrics_dir = Path(metrics_dir) if metrics_dir else None
         self._spans_fh: IO[str] | None = None
@@ -113,26 +87,6 @@ class ObsSession:
                 + "\n"
             )
             self._spans_fh = (self.metrics_dir / "spans.jsonl").open("a")
-        self.logger: JsonLogger | None = None
-        if log_json:
-            if str(log_json) == "-":
-                self.logger = JsonLogger(sys.stderr, run_id=self.run_id)
-            else:
-                path = Path(log_json)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                self.logger = JsonLogger(path.open("a"), run_id=self.run_id, close=True)
-        self.log(
-            "run_started",
-            command=command,
-            metrics_dir=str(self.metrics_dir) if self.metrics_dir else None,
-        )
-
-    # -- event sinks ---------------------------------------------------------
-
-    def log(self, event: str, *, level: str = "info", **fields: object) -> None:
-        """Emit one structured log event (no-op without ``--log-json``)."""
-        if self.logger is not None:
-            self.logger.log(event, level=level, **fields)
 
     def emit(self, record: dict) -> None:
         """Stream one span-file record (and retain ``kind: span`` ones).
@@ -148,24 +102,12 @@ class ObsSession:
                 self._spans_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 self._spans_fh.flush()
 
-    # -- summary + teardown --------------------------------------------------
-
     def summary(self) -> tuple[list[str], list[list[object]]]:
         """Aggregate retained spans into the ``BENCH_obs`` table."""
         return aggregate_spans(self.spans)
 
-    def write_metrics(self) -> None:
-        """Snapshot ``metrics.prom`` now (no-op without a metrics dir).
-
-        The farm calls this after every round so ``dynunlock top`` and
-        artifact uploads see live counter state; ``finalize`` calls it
-        one last time at teardown.
-        """
-        if self.metrics_dir is not None:
-            (self.metrics_dir / "metrics.prom").write_text(self.metrics.render_prom())
-
     def finalize(self) -> None:
-        """Write ``metrics.prom`` + ``BENCH_obs`` and close every sink.
+        """Write ``BENCH_obs`` and close the span sink.
 
         Idempotent: teardown code may call it any number of times; only
         the first call writes and closes anything.
@@ -175,14 +117,7 @@ class ObsSession:
                 return
             self._finalized = True
         wall_s = time.perf_counter() - self._t0
-        self.log(
-            "run_finished",
-            command=self.command,
-            n_spans=len(self.spans),
-            wall_s=round(wall_s, 3),
-        )
         if self.metrics_dir is not None:
-            self.write_metrics()
             from repro.runner.artifacts import write_artifact
 
             headers, rows = self.summary()
@@ -197,16 +132,12 @@ class ObsSession:
                     "command": self.command,
                     "wall_s": round(wall_s, 3),
                     "n_spans": len(self.spans),
-                    "metrics": self.metrics.as_dict(),
                 },
             )
         with self._lock:
             if self._spans_fh is not None:
                 self._spans_fh.close()
                 self._spans_fh = None
-        if self.logger is not None:
-            self.logger.close()
-            self.logger = None
 
 
 def start_session(**kwargs) -> ObsSession:
@@ -273,10 +204,7 @@ def aggregate_spans(spans: list[dict]) -> tuple[list[str], list[list[object]]]:
 
 
 class RunObserver:
-    """Scheduler-facing hooks: submit stamps, span folding, streaming."""
-
-    #: Tells the scheduler to ask workers for span payloads.
-    collect_spans = True
+    """Scheduler-facing hooks: submit stamps and span streaming."""
 
     def __init__(self, session: ObsSession) -> None:
         self.session = session
@@ -298,93 +226,73 @@ class RunObserver:
 
     def finished(self, outcome) -> None:
         """A job landed: cached, computed, or failed."""
-        span = getattr(outcome, "span", None) or {}
-        now = time.time()
+        span = outcome.span or {}
         status = (
             "failed" if not outcome.ok else ("cached" if outcome.cached else "computed")
         )
-        started = float(span.get("started_unix", now))
         submit_t = self._submitted.get(outcome.index)
         queue_s = (
-            max(0.0, started - submit_t) if (submit_t is not None and span) else 0.0
+            max(0.0, span["started_unix"] - submit_t)
+            if (submit_t is not None and span)
+            else 0.0
         )
-        self._record(
+        spec = outcome.spec
+        identity = {
+            "experiment": spec.experiment,
+            "label": spec.label,
+            "spec_hash": spec.spec_hash[:12],
+        }
+        self._emit_span(
+            {**identity, **span},
+            job_id=outcome.index,
+            status=status,
+            cached=outcome.cached,
+            attempts=outcome.attempts,
+            queue_s=queue_s,
+            duration_s=outcome.duration_s,
+            error=outcome.error,
+        )
+
+    def inline_span(self, span: dict) -> None:
+        """Record a span measured in-process (no scheduler involved)."""
+        self._emit_span(span, duration_s=span["duration_s"])
+
+    def _emit_span(
+        self,
+        span: dict,
+        *,
+        duration_s: float,
+        job_id: int = 0,
+        status: str = "computed",
+        cached: bool = False,
+        attempts: int = 1,
+        queue_s: float = 0.0,
+        error: str | None = None,
+    ) -> None:
+        """Stream one ``kind: span`` record, the layout ``top`` reads.
+
+        ``span`` is an :func:`~repro.observability.spans.end_job_span`
+        record, or just the job's identity when no span was collected
+        (a cache hit or a failure): its times then default to now.
+        """
+        now = time.time()
+        self.session.emit(
             {
                 "kind": "span",
-                "job_id": outcome.index,
-                "experiment": outcome.spec.experiment,
-                "label": outcome.spec.label,
-                "spec_hash": outcome.spec.spec_hash[:12],
+                "job_id": job_id,
+                "experiment": span["experiment"],
+                "label": span["label"],
+                "spec_hash": span["spec_hash"],
                 "status": status,
-                "cached": outcome.cached,
-                "attempts": outcome.attempts,
+                "cached": cached,
+                "attempts": attempts,
                 "queue_s": round(queue_s, 6),
-                "duration_s": outcome.duration_s,
-                "started_unix": round(started, 6),
+                "duration_s": duration_s,
+                "started_unix": round(float(span.get("started_unix", now)), 6),
                 "ended_unix": round(float(span.get("ended_unix", now)), 6),
                 "phases": span.get("phases", {}),
                 "counts": span.get("counts", {}),
                 "attrs": span.get("attrs", {}),
-                "error": outcome.error,
+                "error": error,
             }
-        )
-
-    def inline_span(self, span: dict, *, status: str = "computed", job_id: int = 0) -> None:
-        """Record a span measured in-process (no scheduler involved)."""
-        self._record(
-            {
-                "kind": "span",
-                "job_id": job_id,
-                "experiment": span.get("experiment", "?"),
-                "label": span.get("label", "?"),
-                "spec_hash": span.get("spec_hash", ""),
-                "status": status,
-                "cached": False,
-                "attempts": 1,
-                "queue_s": 0.0,
-                "duration_s": span.get("duration_s", 0.0),
-                "started_unix": span.get("started_unix", 0.0),
-                "ended_unix": span.get("ended_unix", 0.0),
-                "phases": span.get("phases", {}),
-                "counts": span.get("counts", {}),
-                "attrs": span.get("attrs", {}),
-                "error": None,
-            }
-        )
-
-    def _record(self, record: dict) -> None:
-        metrics = self.session.metrics
-        experiment = record["experiment"]
-        metrics.counter(
-            "repro_jobs_total", "Jobs finished by experiment and status"
-        ).inc(experiment=experiment, status=record["status"])
-        if record["status"] == "computed":
-            metrics.histogram(
-                "repro_job_duration_seconds", "Wall-clock of freshly computed jobs"
-            ).observe(float(record["duration_s"]), experiment=experiment)
-            metrics.histogram(
-                "repro_job_queue_seconds", "Submit-to-start latency of computed jobs"
-            ).observe(float(record["queue_s"]), experiment=experiment)
-        for phase, seconds in (record.get("phases") or {}).items():
-            metrics.counter(
-                "repro_phase_seconds_total", "Seconds spent per instrumented phase"
-            ).inc(float(seconds), experiment=experiment, phase=phase)
-        if record["queue_s"]:
-            metrics.counter(
-                "repro_phase_seconds_total", "Seconds spent per instrumented phase"
-            ).inc(float(record["queue_s"]), experiment=experiment, phase="queue")
-        for name, count in (record.get("counts") or {}).items():
-            metrics.counter(
-                f"repro_{name}_total", f"Total {name} across instrumented jobs"
-            ).inc(float(count), experiment=experiment)
-        self.session.emit(record)
-        self.session.log(
-            "job_finished",
-            job_id=record["job_id"],
-            experiment=experiment,
-            label=record["label"],
-            status=record["status"],
-            duration_s=round(float(record["duration_s"]), 6),
-            queue_s=record["queue_s"],
-            error=record["error"],
         )

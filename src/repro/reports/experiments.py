@@ -109,7 +109,7 @@ def run_grid_experiment(
     the scheduler accounting -- cached/computed counts, wall time --
     next to the aggregated paper-style rows.  ``observer`` (a
     :class:`~repro.observability.session.RunObserver`) turns on per-job
-    span/metric collection; ``None`` keeps the run instrumentation-free.
+    span collection; ``None`` keeps the run instrumentation-free.
     """
     experiment = GRID[name]
     specs = experiment.build_specs(profile, **spec_kwargs)

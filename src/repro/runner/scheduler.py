@@ -22,11 +22,11 @@ nondeterminism.  Features:
 * ``progress`` receives every :class:`JobOutcome` as it lands, cached or
   computed, for streaming CLI/bench output.
 * ``observer`` (a :class:`~repro.observability.session.RunObserver`,
-  or any object with ``submitted``/``finished`` hooks and a
-  ``collect_spans`` flag) turns on per-job instrumentation: workers
-  collect phase spans, and every dispatch/landing is reported for
-  queue-latency accounting and metrics.  ``None`` (the default) is
-  strictly zero-cost -- no span collection, byte-identical results.
+  or any object with ``submitted``/``finished`` hooks) turns on per-job
+  instrumentation: workers collect phase spans, and every
+  dispatch/landing is reported for queue-latency accounting.  ``None``
+  (the default) is strictly zero-cost -- no span collection,
+  byte-identical results.
 
 Failures never raise mid-grid: they land in ``JobOutcome.error`` so one
 bad cell cannot waste the rest of a long run.  Call
@@ -197,10 +197,6 @@ def _fail(
     _emit(progress, outcome)
 
 
-def _collect_spans(observer) -> bool:
-    return observer is not None and getattr(observer, "collect_spans", False)
-
-
 def _run_serial(
     report: RunReport,
     pending: Sequence[int],
@@ -210,7 +206,7 @@ def _run_serial(
     progress: ProgressFn | None,
     observer=None,
 ) -> None:
-    collect = _collect_spans(observer)
+    collect = observer is not None
     for index in pending:
         outcome = report.outcomes[index]
         last_exc: BaseException | None = None
@@ -240,7 +236,7 @@ def _run_parallel(
     progress: ProgressFn | None,
     observer=None,
 ) -> None:
-    collect = _collect_spans(observer)
+    collect = observer is not None
     with ProcessPoolExecutor(max_workers=jobs) as pool:
 
         def submit(index: int):

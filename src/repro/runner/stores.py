@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.observability.session import store_event
 from repro.runner.spec import JobSpec, code_version
 
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -135,11 +134,9 @@ class JsonFileStore:
     def get(self, spec: JobSpec) -> dict | None:
         """Return the cached result dict, or ``None`` on any kind of miss."""
         try:
-            result = decode_entry_result(self.path_for(spec).read_bytes(), spec)
+            return decode_entry_result(self.path_for(spec).read_bytes(), spec)
         except OSError:
-            result = None
-        store_event("hit" if result is not None else "miss")
-        return result
+            return None
 
     def put(
         self, spec: JobSpec, result: dict, *, duration_s: float | None = None
@@ -159,7 +156,6 @@ class JsonFileStore:
             except OSError:
                 pass
             raise
-        store_event("put")
 
     def invalidate(self, spec: JobSpec) -> bool:
         """Drop one cached cell; returns whether an entry existed."""

@@ -102,6 +102,10 @@ class TestRunAttack:
         with pytest.raises(ValueError, match="unknown profile"):
             api.run_attack("s5378", profile="huge")
 
+    def test_zero_scale_is_value_error_not_the_profile_scale(self):
+        with pytest.raises(ValueError, match="scale"):
+            api.run_attack("s5378", profile=TINY, key_bits=4, scale=0)
+
     def test_timeout_none_takes_the_profile_budget(self, monkeypatch):
         import repro.core.dynunlock
 

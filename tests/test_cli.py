@@ -33,6 +33,30 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "s5378"],
+            ["table1"],
+            ["table2"],
+            ["table3"],
+            ["scaling"],
+            ["ablation"],
+            ["matrix"],
+            ["opt-bench"],
+            ["farm", "run"],
+            ["run", "table2"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_removed_json_log_flag_is_a_usage_error(self, argv, capsys):
+        # Spelled in two pieces: the flag no longer exists anywhere else.
+        flag = "--log" + "-json"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, flag, "-"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -76,6 +100,14 @@ class TestCommands:
             main(["attack", "s5378", "--timeout", budget])
         assert exc.value.code == 2
         assert "--timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["info", "export", "attack", "opt"])
+    def test_scale_must_be_positive(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "s5378", "--scale", scale])
+        assert exc.value.code == 2
+        assert "--scale: must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -619,17 +619,14 @@ class TestFarmEndToEnd:
         assert meta["config"]["path"] == str(config)
         assert meta["config"]["values"]["farm.round_trials"] == 3
 
-        prom = (metrics / "metrics.prom").read_text()
-        assert "repro_farm_rounds_total 1" in prom
-        assert "repro_fuzz_trials_total" in prom
-        assert "repro_farm_corpus_entries" in prom
         records = [
             json.loads(line)
             for line in (metrics / "spans.jsonl").read_text().splitlines()
         ]
-        farm_rounds = [r for r in records if r.get("kind") == "farm_round"]
-        assert len(farm_rounds) == 1
-        assert farm_rounds[0]["trials"] == 3
+        (farm_round,) = [r for r in records if r.get("kind") == "farm_round"]
+        assert farm_round["trials"] == 3
+        assert farm_round["violations"] == meta["violations_this_run"]
+        assert farm_round["corpus_entries"] == meta["corpus"]["entries"]
 
         assert main(["top", str(metrics), "--once"]) == 0
         frame = capsys.readouterr().out

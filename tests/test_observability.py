@@ -1,10 +1,12 @@
-"""Tests for repro.observability: metrics, spans, sessions, and `top`.
+"""Tests for repro.observability: spans, sessions, and `top`.
 
-Covers the four contracts docs/observability.md makes:
+Covers the contracts docs/observability.md makes:
 
-* counter/histogram semantics and deterministic Prometheus rendering;
 * span timing monotonicity on real scheduler runs (serial + parallel)
-  and on a real end-to-end attack (phase coverage, DIP counts);
+  and on a real end-to-end attack (phase coverage, DIP and solver
+  counts);
+* a metrics directory holds run.json, spans.jsonl and the BENCH_obs
+  pair, and nothing else;
 * off-by-default invariance -- with no session, results AND cache
   entry bytes are identical to an instrumented run (modulo the
   pre-existing nondeterministic wall-time field);
@@ -19,8 +21,6 @@ import pytest
 
 from repro.cli import main
 from repro.observability import (
-    JsonLogger,
-    MetricsRegistry,
     RunObserver,
     aggregate_spans,
     begin_job_span,
@@ -67,84 +67,6 @@ def _no_leaked_session():
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------------
-
-
-class TestCounter:
-    def test_inc_and_value_by_labels(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_x_total", "x")
-        c.inc(experiment="a")
-        c.inc(2, experiment="a")
-        c.inc(experiment="b")
-        assert c.value(experiment="a") == 3
-        assert c.value(experiment="b") == 1
-        assert c.value(experiment="missing") == 0
-
-    def test_negative_increment_rejected(self):
-        c = MetricsRegistry().counter("repro_x_total", "x")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_label_order_does_not_matter(self):
-        c = MetricsRegistry().counter("repro_x_total", "x")
-        c.inc(a="1", b="2")
-        c.inc(b="2", a="1")
-        assert c.value(b="2", a="1") == 2
-
-    def test_get_or_create_returns_same_instance(self):
-        reg = MetricsRegistry()
-        assert reg.counter("repro_x_total", "x") is reg.counter("repro_x_total", "x")
-
-    def test_type_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total", "x")
-        with pytest.raises(ValueError):
-            reg.histogram("repro_x_total", "x")
-
-
-class TestHistogram:
-    def test_observe_stats(self):
-        h = MetricsRegistry().histogram("repro_d_seconds", "d")
-        h.observe(0.02, experiment="a")
-        h.observe(0.2, experiment="a")
-        count, total = h.stats(experiment="a")
-        assert count == 2
-        assert total == pytest.approx(0.22)
-
-    def test_render_buckets_are_cumulative(self):
-        h = MetricsRegistry().histogram("repro_d_seconds", "d", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        h.observe(5.0)
-        text = "\n".join(h.render())
-        assert 'le="0.1"} 1' in text
-        assert 'le="1"} 2' in text
-        assert 'le="+Inf"} 3' in text
-        assert "repro_d_seconds_count 3" in text
-
-    def test_render_prom_is_deterministic_and_sorted(self):
-        def build():
-            reg = MetricsRegistry()
-            reg.counter("repro_b_total", "b").inc(z="1")
-            reg.counter("repro_b_total", "b").inc(a="1")
-            reg.counter("repro_a_total", "a").inc()
-            reg.histogram("repro_h_seconds", "h").observe(0.3)
-            return reg.render_prom()
-
-        first, second = build(), build()
-        assert first == second
-        # Family order is name-sorted regardless of registration order.
-        assert first.index("repro_a_total") < first.index("repro_b_total")
-
-    def test_int_values_render_without_decimal_point(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_n_total", "n").inc(3)
-        assert "repro_n_total 3\n" in reg.render_prom()
-
-
-# ---------------------------------------------------------------------------
 # Worker-side spans
 # ---------------------------------------------------------------------------
 
@@ -182,23 +104,6 @@ class TestSpans:
         assert record["phases"]["solve"] == pytest.approx(0.5)
 
 
-class TestJsonLogger:
-    def test_line_shape(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        with path.open("w") as fh:
-            logger = JsonLogger(fh, run_id="r1")
-            logger.log("hello", level="warn", n=2, odd=object())
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == 1
-        line = lines[0]
-        assert line["event"] == "hello"
-        assert line["level"] == "warn"
-        assert line["run_id"] == "r1"
-        assert line["n"] == 2
-        assert "object object" in line["odd"]  # str() fallback
-        assert line["ts"] > 0
-
-
 # ---------------------------------------------------------------------------
 # Session + scheduler integration
 # ---------------------------------------------------------------------------
@@ -207,11 +112,7 @@ class TestJsonLogger:
 class TestSessionWithScheduler:
     def run_instrumented(self, tmp_path, *, jobs):
         store = JsonFileStore(tmp_path / "cache")
-        session = start_session(
-            metrics_dir=tmp_path / "metrics",
-            log_json=tmp_path / "log.jsonl",
-            command="test",
-        )
+        session = start_session(metrics_dir=tmp_path / "metrics", command="test")
         observer = RunObserver(session)
         report = run_jobs(
             tiny_specs(duration_s=0.005), jobs=jobs, store=store, observer=observer
@@ -237,37 +138,20 @@ class TestSessionWithScheduler:
             assert all(v >= 0.0 for v in span["phases"].values())
 
     def test_metrics_and_files(self, tmp_path):
-        session, _, _ = self.run_instrumented(tmp_path, jobs=1)
+        self.run_instrumented(tmp_path, jobs=1)
         metrics_dir = tmp_path / "metrics"
-        for name in (
-            "run.json",
-            "spans.jsonl",
-            "metrics.prom",
-            "BENCH_obs.json",
-            "BENCH_obs.csv",
-        ):
+        for name in ("run.json", "spans.jsonl", "BENCH_obs.json", "BENCH_obs.csv"):
             assert (metrics_dir / name).is_file(), name
 
-        jobs_total = session.metrics.counter("repro_jobs_total", "")
-        assert jobs_total.value(experiment="selfcheck", status="computed") == 3
-        assert jobs_total.value(experiment="selfcheck", status="cached") == 3
-        store_reqs = session.metrics.counter("repro_store_requests_total", "")
-        assert store_reqs.value(event="miss") == 3
-        assert store_reqs.value(event="put") == 3
-        assert store_reqs.value(event="hit") == 3
-        count, total = session.metrics.histogram(
-            "repro_job_duration_seconds", ""
-        ).stats(experiment="selfcheck")
-        assert count == 3 and total >= 3 * 0.005
-
-        prom = (metrics_dir / "metrics.prom").read_text()
-        assert 'repro_jobs_total{experiment="selfcheck",status="computed"} 3' in prom
-        events = [
-            json.loads(line)["event"]
-            for line in (tmp_path / "log.jsonl").read_text().splitlines()
+        records = [
+            json.loads(line)
+            for line in (metrics_dir / "spans.jsonl").read_text().splitlines()
         ]
-        assert events[0] == "run_started" and events[-1] == "run_finished"
-        assert events.count("job_finished") == 6
+        spans = [r for r in records if r["kind"] == "span"]
+        assert sorted(s["status"] for s in spans) == ["cached"] * 3 + ["computed"] * 3
+        assert sum(r["kind"] == "submitted" for r in records) == 3
+        computed = [s for s in spans if s["status"] == "computed"]
+        assert sum(s["duration_s"] for s in computed) >= 3 * 0.005
 
     def test_obs_artifact_summarises_phases(self, tmp_path):
         self.run_instrumented(tmp_path, jobs=1)
@@ -279,6 +163,7 @@ class TestSessionWithScheduler:
         total = row[-1]
         assert total >= 3 * 0.005
         assert artifact["meta"]["n_spans"] == 6
+        assert set(artifact["meta"]) == {"run_id", "command", "wall_s", "n_spans"}
         assert artifact["run"]["run_id"] == artifact["meta"]["run_id"]
 
     def test_only_one_session_at_a_time(self, tmp_path):
@@ -351,8 +236,6 @@ class TestRealAttackSpan:
                 "120",
                 "--metrics-dir",
                 str(tmp_path / "m"),
-                "--log-json",
-                str(tmp_path / "log.jsonl"),
             ]
         )
         assert code == 0
@@ -366,17 +249,11 @@ class TestRealAttackSpan:
         # whenever the DIP loop iterated.
         for name in ("model", "encode", "solve"):
             assert phases.get(name, 0.0) >= 0.0 and name in phases
-        assert span["counts"]["dips"] >= 1
-        assert span["counts"]["oracle_queries"] >= 1
-        assert span["counts"]["rounds"] >= 1
-        prom = (tmp_path / "m" / "metrics.prom").read_text()
-        assert 'repro_dips_total{experiment="attack"}' in prom
-        assert 'repro_solver_propagations_total{experiment="attack"}' in prom
-        events = [
-            json.loads(line)["event"]
-            for line in (tmp_path / "log.jsonl").read_text().splitlines()
-        ]
-        assert "run_started" in events and "run_finished" in events
+        counts = span["counts"]
+        assert counts["dips"] >= 1
+        assert counts["oracle_queries"] >= 1
+        assert counts["rounds"] >= 1
+        assert counts["solver_propagations"] > 0
 
     def test_run_json_records_the_parsed_arguments(
         self, tmp_path, capsys, monkeypatch
@@ -409,11 +286,11 @@ class TestRealAttackSpan:
             str(tmp_path / "cache"),
         ]
         assert main([*args, "--metrics-dir", str(tmp_path / "m")]) == 0
-        with_metrics = capsys.readouterr().out
-        assert "wrote metrics to" in capsys.readouterr().err or True
+        with_metrics = capsys.readouterr()
+        assert f"wrote metrics to {tmp_path / 'm'}" in with_metrics.err
         assert main(args) == 0
         without_metrics = capsys.readouterr().out
-        assert with_metrics == without_metrics
+        assert with_metrics.out == without_metrics
         snapshot = load_snapshot(tmp_path / "m")
         assert snapshot.run["command"] == "table2"
         computed = [s for s in snapshot.spans if s["status"] == "computed"]
@@ -423,6 +300,18 @@ class TestRealAttackSpan:
         # The artifact's run block joins back to this metrics dir.
         artifact = load_artifact(tmp_path / "m" / "BENCH_obs.json")
         assert artifact["run"]["run_id"] == snapshot.run["run_id"]
+
+    def test_metrics_dir_holds_only_the_span_files(self, tmp_path, capsys):
+        metrics_dir = tmp_path / "m"
+        argv = ["table2", "s5378", "--profile", "quick", "--no-resume"]
+        assert main([*argv, "--metrics-dir", str(metrics_dir)]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in metrics_dir.iterdir()) == [
+            "BENCH_obs.csv",
+            "BENCH_obs.json",
+            "run.json",
+            "spans.jsonl",
+        ]
 
     def test_fuzz_metrics(self, tmp_path, capsys):
         code = main(
@@ -444,9 +333,10 @@ class TestRealAttackSpan:
         )
         assert code == 0
         capsys.readouterr()
-        prom = (tmp_path / "m" / "metrics.prom").read_text()
-        assert 'repro_fuzz_trials_total{disposition="ran"} 2' in prom
-        assert "repro_fuzz_violations_total 0" in prom
+        (farm_round,) = load_snapshot(tmp_path / "m").farm_rounds
+        assert farm_round["trials"] == 2
+        assert farm_round["violations"] == 0
+        assert farm_round["trials_total"] == 2
 
 
 # ---------------------------------------------------------------------------
