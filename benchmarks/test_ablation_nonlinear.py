@@ -11,15 +11,14 @@ attack's refinement step correctly rejects every candidate -- the attack
 fails *safely* (it knows it failed), exactly as the paper concedes.
 """
 
-from repro.reports.experiments import ABLATION_HEADERS, run_nonlinear_ablation
+from repro import api
+from repro.reports.experiments import ABLATION_HEADERS
 from repro.reports.tables import render_table
 
 
 def test_nonlinear_prng_defeats_linear_modeling(benchmark, profile, jobs):
     rows = benchmark.pedantic(
-        run_nonlinear_ablation,
-        args=(profile,),
-        kwargs={"jobs": jobs},
+        lambda: api.run_grid("ablation", profile=profile, jobs=jobs).rows,
         rounds=1,
         iterations=1,
     )

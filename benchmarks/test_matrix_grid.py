@@ -8,20 +8,18 @@ The two defenses beyond the paper (SARLock-style point function, keyed
 chain scrambling) ride along with measured verdicts.
 """
 
+from repro import api
 from repro.matrix.grid import (
     MATRIX_HEADERS,
     PAPER_EXPECTATIONS,
     check_against_paper,
-    run_matrix,
 )
 from repro.reports.tables import render_table
 
 
 def test_matrix_paper_pairs_all_broken(benchmark, profile, jobs):
-    rows, _report = benchmark.pedantic(
-        run_matrix,
-        args=(profile,),
-        kwargs={"jobs": jobs},
+    rows = benchmark.pedantic(
+        lambda: api.run_matrix(profile=profile, jobs=jobs).rows,
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,8 @@ the SAT attack more (linear) observations per DIP, so the surviving seed
 space shrinks to a single candidate while execution time grows.
 """
 
-from repro.reports.experiments import SCALING_HEADERS, run_flop_scaling
+from repro import api
+from repro.reports.experiments import SCALING_HEADERS
 from repro.reports.tables import render_table
 
 FLOP_COUNTS = (13, 16, 24, 48)
@@ -16,14 +17,14 @@ KEY_BITS = 12  # near chain length at the small end, like the paper's ratio
 
 def test_candidates_shrink_as_flops_grow(benchmark, profile, jobs):
     rows = benchmark.pedantic(
-        run_flop_scaling,
-        args=(profile,),
-        kwargs={
-            "flop_counts": FLOP_COUNTS,
-            "key_bits": KEY_BITS,
-            "n_seeds": 3,
-            "jobs": jobs,
-        },
+        lambda: api.run_grid(
+            "scaling",
+            profile=profile,
+            jobs=jobs,
+            flop_counts=FLOP_COUNTS,
+            key_bits=KEY_BITS,
+            n_seeds=3,
+        ).rows,
         rounds=1,
         iterations=1,
     )

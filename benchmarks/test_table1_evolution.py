@@ -11,15 +11,14 @@ The bench locks one registry circuit four ways and requires every attack
 to succeed.
 """
 
-from repro.reports.experiments import TABLE1_HEADERS, run_table1
+from repro import api
+from repro.reports.experiments import TABLE1_HEADERS
 from repro.reports.tables import render_table
 
 
 def test_table1_every_defense_is_broken(benchmark, profile, jobs):
     rows = benchmark.pedantic(
-        run_table1,
-        args=(profile,),
-        kwargs={"jobs": jobs},
+        lambda: api.run_grid("table1", profile=profile, jobs=jobs).rows,
         rounds=1,
         iterations=1,
     )

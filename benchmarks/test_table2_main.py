@@ -23,17 +23,18 @@ the large circuits resolve a unique seed.
 
 import pytest
 
+from repro import api
 from repro.bench_suite.registry import TABLE2_BENCHMARKS
-from repro.reports.experiments import TABLE2_HEADERS, run_table2_row
+from repro.reports.experiments import TABLE2_HEADERS
 from repro.reports.tables import render_table
 
 
 @pytest.mark.parametrize("name", TABLE2_BENCHMARKS)
 def test_table2_row(benchmark, profile, jobs, name):
     row = benchmark.pedantic(
-        run_table2_row,
-        args=(name, profile),
-        kwargs={"jobs": jobs},
+        lambda: api.run_grid(
+            "table2", profile=profile, jobs=jobs, benchmarks=[name]
+        ).rows[0],
         rounds=1,
         iterations=1,
     )

@@ -15,8 +15,9 @@ monotonicity is noisy at laptop scale).
 
 import pytest
 
+from repro import api
 from repro.bench_suite.registry import TABLE3_BENCHMARKS
-from repro.reports.experiments import TABLE3_HEADERS, run_table3
+from repro.reports.experiments import TABLE3_HEADERS
 from repro.reports.tables import render_table
 
 
@@ -25,7 +26,9 @@ def test_table3_sweep(benchmark, profile, jobs, name):
     # One runner grid per circuit: the whole key-size sweep fans out
     # across REPRO_JOBS workers instead of looping cell by cell.
     rows = benchmark.pedantic(
-        lambda: run_table3(profile, benchmarks=[name], jobs=jobs),
+        lambda: api.run_grid(
+            "table3", profile=profile, jobs=jobs, benchmarks=[name]
+        ).rows,
         rounds=1,
         iterations=1,
     )

@@ -1,12 +1,10 @@
 """Typed programmatic facade: the one composition root for every workload.
 
-Until PR 8 the CLI was the only place that knew how to wire a workload
-together -- profile resolution, spec enumeration, the scheduler, the
-result store, row aggregation.  That wiring now lives here, and both
-front ends are thin layers over it:
-
-* :mod:`repro.cli` parses arguments and calls these functions;
-* tests drive workloads directly without spawning a CLI process.
+Profile resolution, spec enumeration, the scheduler, the result store
+and row aggregation are wired together here, and every caller is a thin
+layer over it: :mod:`repro.cli` parses arguments and calls these
+functions, and the benches under ``benchmarks/`` and the tests drive
+the same grids directly, without spawning a CLI process.
 
 The surface is deliberately small and typed:
 
@@ -16,9 +14,12 @@ The surface is deliberately small and typed:
 ``submit_jobs``
     The raw scheduler surface: run any spec list, return a
     :class:`~repro.runner.scheduler.RunReport`.
-``run_grid`` / ``run_matrix`` / ``run_farm`` / ``run_attack``
+``run_grid`` / ``run_matrix`` / ``run_attack``
     One call per workload family, each returning a structured result
-    (rows + the scheduler report, a farm report, an attack record).
+    (rows + the scheduler report, or an attack record).  ``run_grid``
+    is the one way into the paper's experiment grids; the matrix has
+    its own entry point because its rows need the attack/defense
+    filter lists.
 
 Everything here is deterministic given (specs, profile, store): the
 facade adds no randomness and no hidden state beyond what the runner
@@ -137,9 +138,10 @@ def run_grid(
 ) -> GridResult:
     """Run one named experiment grid end to end (table1..3, scaling, ...).
 
-    Raises :class:`~repro.runner.scheduler.RunnerError` if any cell
-    failed -- grids are all-or-nothing, matching the historical CLI
-    behaviour.
+    ``spec_kwargs`` go to the grid's spec enumeration (for example
+    ``benchmarks=[...]`` for Table II).  Raises
+    :class:`~repro.runner.scheduler.RunnerError` if any cell failed --
+    grids are all-or-nothing, matching the historical CLI behaviour.
     """
     from repro.reports.experiments import GRID
 
@@ -174,63 +176,33 @@ def run_matrix(
     """Run the attack x defense resilience grid; rows carry verdicts.
 
     Paper agreement is a separate judgement call, not part of running:
-    pass the returned rows to :func:`check_matrix_against_paper` when
-    the caller wants the Table I gate.
+    pass the returned rows to
+    :func:`repro.matrix.grid.check_against_paper` when the caller wants
+    the Table I gate.
     """
-    from repro.matrix.grid import run_matrix as run_matrix_grid
+    from repro.matrix.grid import matrix_rows, matrix_specs
     from repro.reports.experiments import GRID
 
     resolved = resolve_profile(profile)
-    rows, report = run_matrix_grid(
+    attacks = list(attacks) if attacks else None
+    defenses = list(defenses) if defenses else None
+    specs = matrix_specs(
         resolved,
-        progress if progress is not None else (lambda _msg: None),
-        jobs=jobs,
-        store=store,
-        attacks=list(attacks) if attacks else None,
-        defenses=list(defenses) if defenses else None,
+        attacks=attacks,
+        defenses=defenses,
         benchmarks=list(benchmarks) if benchmarks else None,
         opt_level=opt_level,
-        observer=observer,
     )
+    report = submit_jobs(
+        specs, jobs=jobs, store=store, progress=progress, observer=observer
+    )
+    report.raise_on_error()
     return GridResult(
         name="matrix",
-        title=f"Attack x defense resilience matrix (profile={resolved.name})",
+        title=f"{GRID['matrix'].title} (profile={resolved.name})",
         headers=list(GRID["matrix"].headers),
-        rows=rows,
+        rows=matrix_rows(report.outcomes, attacks=attacks, defenses=defenses),
         report=report,
-    )
-
-
-def check_matrix_against_paper(rows) -> list[str]:
-    """Mismatch strings vs the paper's Table I expectations (empty = agree)."""
-    from repro.matrix.grid import check_against_paper
-
-    return check_against_paper(rows)
-
-
-def run_farm(
-    *,
-    profile: str | ExperimentProfile | None = None,
-    farm_config=None,
-    store: JsonFileStore | None = None,
-    progress: ProgressFn | None = None,
-    observer=None,
-):
-    """Run one fuzz-farm invocation; returns the FarmReport.
-
-    ``farm_config`` is a :class:`repro.farm.FarmConfig` (default: one
-    budgetless round).  The farm's state dir owns the corpus, the
-    scheduler state, and the per-round checkpoints; calling this again
-    with the same config resumes where the last invocation stopped.
-    """
-    import repro.farm as farm
-
-    return farm.run_farm(
-        resolve_profile(profile),
-        farm_config if farm_config is not None else farm.FarmConfig(),
-        store=store,
-        progress=progress,
-        observer=observer,
     )
 
 
@@ -317,11 +289,9 @@ def run_attack(
 __all__ = [
     "AttackRun",
     "GridResult",
-    "check_matrix_against_paper",
     "grid_specs",
     "resolve_profile",
     "run_attack",
-    "run_farm",
     "run_grid",
     "run_matrix",
     "submit_jobs",

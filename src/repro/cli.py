@@ -49,6 +49,11 @@ renders a live ``top(1)``-style view over a running or finished
 instrumented run.  Without it, instrumentation is fully off: no spans
 are collected, and results/cache bytes are identical.
 
+SIGTERM (a CI timeout, ``timeout(1)``) stops any command the way C-c
+does.  A grid cancels its queued jobs, still writes its metrics
+summary, prints ``dynunlock: interrupted`` and exits 130; ``farm run``
+drops the torn round and reports up to its last checkpoint.
+
 Declarative configs (``docs/configs.md``): ``--config FILE`` on
 ``farm run``, ``matrix`` and every grid command resolves flags
 through a checked TOML/JSON profile (explicit CLI flags win; the
@@ -73,6 +78,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import signal
 import sys
 from contextlib import contextmanager
 
@@ -402,7 +408,7 @@ def cmd_ablation(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     """``dynunlock matrix``: run the attack x defense resilience grid."""
-    from repro.matrix.grid import PAPER_EXPECTATIONS
+    from repro.matrix.grid import PAPER_EXPECTATIONS, check_against_paper
     from repro.matrix.registry import attack_names, defense_names
 
     _resolve_config(args, "matrix")
@@ -437,9 +443,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         print(render_table(grid.headers, grid.as_cells(), title=grid.title))
         print(f"  [=] {grid.report.summary()}", file=sys.stderr)
 
-        mismatches = (
-            api.check_matrix_against_paper(rows) if args.check_paper else []
-        )
+        mismatches = check_against_paper(rows) if args.check_paper else []
         _emit_artifact(
             args,
             "matrix",
@@ -563,79 +567,70 @@ def cmd_farm_run(args: argparse.Namespace) -> int:
         defenses=args.defenses or None,
     )
 
-    # SIGTERM (a CI timeout, a container stop) must behave like C-c:
-    # the torn round is abandoned and the last checkpoint stands, so
-    # the next invocation resumes byte-identically.
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        with _observation(args, "farm") as observer:
-            try:
-                driver = FarmDriver(
-                    profile,
-                    config,
-                    store=_store_from_args(args),
-                    observer=observer,
-                    progress=_progress,
-                )
-            except (FarmStateError, CorpusError) as exc:
-                print(f"dynunlock: {exc}", file=sys.stderr)
-                return 2
-            report = driver.run()
-            rows = [
-                [*key.split("|"), int(stat["trials"]), int(stat["violations"]),
-                 f"{stat['hot']:.2f}"]
-                for key, stat in sorted(driver.scheduler.stats.items())
-                if stat["trials"] > 0
-            ]
-            title = (
-                f"Fuzz farm (seed={config.seed}, profile={profile.name}, "
-                f"round {report.total_rounds})"
+    # SIGTERM arrives here as KeyboardInterrupt (see main): the driver
+    # abandons the torn round and the last checkpoint stands, so the
+    # next invocation resumes byte-identically.
+    with _observation(args, "farm") as observer:
+        try:
+            driver = FarmDriver(
+                profile,
+                config,
+                store=_store_from_args(args),
+                observer=observer,
+                progress=_progress,
             )
-            print(render_table(FARM_HEADERS, rows, title=title))
-            print(f"  [=] {report.summary()}", file=sys.stderr)
-            if args.emit_json:
-                covered, total = report.coverage
-                meta = {
-                    "seed": config.seed,
-                    "rounds_this_run": len(report.rounds),
-                    "trials_this_run": report.trials_this_run,
-                    "violations_this_run": report.violations_this_run,
-                    "total_rounds": report.total_rounds,
-                    "total_trials": report.total_trials,
-                    "total_violations": report.total_violations,
-                    "corpus": report.corpus_stats,
-                    "cells_covered": covered,
-                    "n_cells": total,
-                    "stopped": report.stopped,
-                    "wall_s": report.wall_s,
-                    "trials_per_s": (
-                        report.trials_this_run / report.wall_s
-                        if report.wall_s > 0
-                        else 0.0
-                    ),
-                    "state_dir": str(config.state_dir),
-                    "code_version": code_version()[:20],
-                }
-                provenance = getattr(args, "config_provenance", None)
-                if provenance is not None:
-                    meta["config"] = provenance
-                path = write_artifact(
-                    args.emit_json,
-                    "farm",
-                    FARM_HEADERS,
-                    rows,
-                    title=title,
-                    profile=profile.name,
-                    meta=meta,
-                )
-                print(f"  [=] wrote {path}", file=sys.stderr)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+        except (FarmStateError, CorpusError) as exc:
+            print(f"dynunlock: {exc}", file=sys.stderr)
+            return 2
+        report = driver.run()
+        rows = [
+            [*key.split("|"), int(stat["trials"]), int(stat["violations"]),
+             f"{stat['hot']:.2f}"]
+            for key, stat in sorted(driver.scheduler.stats.items())
+            if stat["trials"] > 0
+        ]
+        title = (
+            f"Fuzz farm (seed={config.seed}, profile={profile.name}, "
+            f"round {report.total_rounds})"
+        )
+        print(render_table(FARM_HEADERS, rows, title=title))
+        print(f"  [=] {report.summary()}", file=sys.stderr)
+        if args.emit_json:
+            covered, total = report.coverage
+            meta = {
+                "seed": config.seed,
+                "rounds_this_run": len(report.rounds),
+                "trials_this_run": report.trials_this_run,
+                "violations_this_run": report.violations_this_run,
+                "total_rounds": report.total_rounds,
+                "total_trials": report.total_trials,
+                "total_violations": report.total_violations,
+                "corpus": report.corpus_stats,
+                "cells_covered": covered,
+                "n_cells": total,
+                "stopped": report.stopped,
+                "wall_s": report.wall_s,
+                "trials_per_s": (
+                    report.trials_this_run / report.wall_s
+                    if report.wall_s > 0
+                    else 0.0
+                ),
+                "state_dir": str(config.state_dir),
+                "code_version": code_version()[:20],
+            }
+            provenance = getattr(args, "config_provenance", None)
+            if provenance is not None:
+                meta["config"] = provenance
+            path = write_artifact(
+                args.emit_json,
+                "farm",
+                FARM_HEADERS,
+                rows,
+                title=title,
+                profile=profile.name,
+                meta=meta,
+            )
+            print(f"  [=] wrote {path}", file=sys.stderr)
     return 1 if report.violations_this_run else 0
 
 
@@ -1429,14 +1424,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    # timeout(1) signals the process and then its whole group, so one
+    # stop can arrive twice; a second interrupt raised mid-unwind would
+    # tear down the worker pool's manager thread under it.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    For the command's duration SIGTERM raises ``KeyboardInterrupt``, so
+    a stopped run unwinds like C-c (closing its metrics session on the
+    way out); an interrupt prints one line and exits 130.
+    """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     args.argv = list(argv)  # recorded in run.json by _observation
-    return args.func(args)
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        print("dynunlock: interrupted", file=sys.stderr)
+        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

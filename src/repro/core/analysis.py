@@ -57,18 +57,6 @@ def overlay_matrices(
     return GF2Matrix(m_in), GF2Matrix(m_out)
 
 
-def overlay_rank(spec: ScanChainSpec, taps: Sequence[int], key_bits: int) -> int:
-    """Rank of the stacked overlay ``[M_in; M_out]``.
-
-    An upper bound on how many seed bits scan observations can pin down
-    *linearly*; when it equals ``key_bits`` a unique seed is information-
-    theoretically reachable from chain observations alone.
-    """
-    m_in, m_out = overlay_matrices(spec, taps, key_bits)
-    stacked = GF2Matrix(np.vstack([m_in.data, m_out.data]))
-    return rank(stacked)
-
-
 def candidate_space_dimension(candidates: Sequence[Sequence[int]]) -> int:
     """Affine dimension of a set of seed candidates.
 

@@ -21,7 +21,7 @@ uninterrupted one.
 """
 
 from repro.farm.corpus import FarmCorpus
-from repro.farm.driver import FarmConfig, FarmDriver, FarmReport, run_farm
+from repro.farm.driver import FarmConfig, FarmDriver, FarmReport
 from repro.farm.schedule import SHAPE_BUCKETS, FarmScheduler, shape_bucket
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "FarmScheduler",
     "SHAPE_BUCKETS",
     "shape_bucket",
-    "run_farm",
 ]

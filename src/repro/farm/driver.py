@@ -439,21 +439,6 @@ class FarmDriver:
         return report
 
 
-def run_farm(
-    profile,
-    config: FarmConfig,
-    *,
-    store=None,
-    observer=None,
-    progress: ProgressFn | None = None,
-) -> FarmReport:
-    """Convenience wrapper: build a driver for ``config`` and run it."""
-    driver = FarmDriver(
-        profile, config, store=store, observer=observer, progress=progress
-    )
-    return driver.run()
-
-
 @dataclass
 class _Checkpoint:
     """The parsed fields of a ``state.json``."""

@@ -15,7 +15,6 @@ from repro.gf2.solve import (
     solve_affine,
     nullspace_basis,
     enumerate_affine_solutions,
-    AffineSystem,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "solve_affine",
     "nullspace_basis",
     "enumerate_affine_solutions",
-    "AffineSystem",
 ]

@@ -10,7 +10,6 @@ nullspace basis, and enumerate the ``2**(n - rank)`` candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -127,63 +126,3 @@ def enumerate_affine_solutions(
             rem >>= 1
             j += 1
         yield list(combo.astype(int))
-
-
-@dataclass
-class AffineSystem:
-    """An incrementally grown affine constraint system ``A x = b``.
-
-    DynUnlock's restart loop appends seed equations learned from each
-    capture-cycle model; this accumulator answers "how many candidates
-    remain" (``2 ** dof``) and enumerates them for brute-force refinement.
-    """
-
-    n_vars: int
-    rows: list[list[int]] = field(default_factory=list)
-    rhs: list[int] = field(default_factory=list)
-
-    def add_equation(self, coeffs: Sequence[int], value: int) -> None:
-        if len(coeffs) != self.n_vars:
-            raise ValueError("coefficient vector length mismatch")
-        if value not in (0, 1):
-            raise ValueError("rhs must be a bit")
-        self.rows.append([int(c) & 1 for c in coeffs])
-        self.rhs.append(value)
-
-    def add_assignment(self, var: int, value: int) -> None:
-        """Constrain a single variable (``x[var] = value``)."""
-        coeffs = [0] * self.n_vars
-        coeffs[var] = 1
-        self.add_equation(coeffs, value)
-
-    def _matrix(self) -> tuple[GF2Matrix, list[int]]:
-        if not self.rows:
-            return GF2Matrix(np.zeros((0, self.n_vars), dtype=np.uint8)), []
-        return GF2Matrix.from_rows(self.rows), list(self.rhs)
-
-    def is_consistent(self) -> bool:
-        a, b = self._matrix()
-        if not self.rows:
-            return True
-        return solve_affine(a, b) is not None
-
-    def degrees_of_freedom(self) -> int:
-        a, _ = self._matrix()
-        if not self.rows:
-            return self.n_vars
-        return self.n_vars - rank(a)
-
-    def candidate_count(self) -> int:
-        """Number of satisfying assignments (0 when inconsistent)."""
-        if not self.is_consistent():
-            return 0
-        return 1 << self.degrees_of_freedom()
-
-    def solutions(self, limit: int = 1 << 20) -> Iterator[list[int]]:
-        a, b = self._matrix()
-        if not self.rows:
-            # Unconstrained: enumerate the full space (only sane for tiny n).
-            zero = GF2Matrix(np.zeros((0, self.n_vars), dtype=np.uint8))
-            yield from enumerate_affine_solutions(zero, [], limit=limit)
-            return
-        yield from enumerate_affine_solutions(a, b, limit=limit)

@@ -13,7 +13,7 @@
   the paper's Table I expectations.
 
 Entry points: ``dynunlock matrix`` on the command line, or
-:func:`repro.matrix.grid.run_matrix` from code.  ``docs/matrix.md``
+:func:`repro.api.run_matrix` from code.  ``docs/matrix.md``
 documents the ~30-line recipe for adding a scheme.
 """
 
@@ -26,7 +26,6 @@ from repro.matrix.grid import (
     matrix_cell,
     matrix_rows,
     matrix_specs,
-    run_matrix,
 )
 from repro.matrix.registry import (
     AttackOutcome,
@@ -53,7 +52,6 @@ __all__ = [
     "matrix_cell",
     "matrix_rows",
     "matrix_specs",
-    "run_matrix",
     "AttackOutcome",
     "AttackSpec",
     "DefenseSpec",

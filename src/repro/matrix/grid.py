@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from statistics import mean
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.matrix.registry import (
     attack_names,
@@ -327,45 +327,3 @@ def check_against_paper(rows: Sequence[MatrixRow]) -> list[str]:
                 f"measured {row.verdict} ({row.n_broken}/{row.n_cells} broken)"
             )
     return mismatches
-
-
-ProgressFn = Callable[[str], None]
-
-
-def _noop_progress(_: str) -> None:
-    return None
-
-
-def run_matrix(
-    profile: ExperimentProfile,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store=None,
-    attacks: Sequence[str] | None = None,
-    defenses: Sequence[str] | None = None,
-    benchmarks: Sequence[str] | None = None,
-    opt_level: int | None = None,
-    observer=None,
-):
-    """Run the grid end to end: ``(rows, RunReport)``."""
-    from repro.reports.experiments import adapt_progress
-    from repro.runner.scheduler import run_jobs
-
-    specs = matrix_specs(
-        profile,
-        attacks=attacks,
-        defenses=defenses,
-        benchmarks=benchmarks,
-        opt_level=opt_level,
-    )
-    report = run_jobs(
-        specs,
-        jobs=jobs,
-        store=store,
-        progress=adapt_progress(progress),
-        observer=observer,
-    )
-    report.raise_on_error()
-    rows = matrix_rows(report.outcomes, attacks=attacks, defenses=defenses)
-    return rows, report

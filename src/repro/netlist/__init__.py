@@ -13,7 +13,6 @@ from repro.netlist.bench_io import parse_bench, write_bench, load_bench_file
 from repro.netlist.verilog_io import parse_verilog, write_verilog
 from repro.netlist.transform import (
     copy_with_prefix,
-    merge_netlists,
     extract_combinational_core,
 )
 from repro.netlist.validate import validate_netlist
@@ -31,7 +30,6 @@ __all__ = [
     "parse_verilog",
     "write_verilog",
     "copy_with_prefix",
-    "merge_netlists",
     "extract_combinational_core",
     "validate_netlist",
 ]

@@ -99,8 +99,3 @@ def load_bench_file(path: str | Path) -> Netlist:
     """Parse a ``.bench`` file from disk into a :class:`Netlist`."""
     path = Path(path)
     return parse_bench(path.read_text(), name=path.stem)
-
-
-def save_bench_file(netlist: Netlist, path: str | Path) -> None:
-    """Write a netlist to disk in ``.bench`` format."""
-    Path(path).write_text(write_bench(netlist))

@@ -17,7 +17,7 @@ IR purely about connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from repro.netlist.gates import GateType, check_arity
 
@@ -307,10 +307,3 @@ class NetNamer:
             if name not in self._taken:
                 self._taken.add(name)
                 return name
-
-
-def iter_gate_nets(gates: Iterable[Gate]) -> Iterator[str]:
-    """Iterate every net name touched by a gate collection."""
-    for gate in gates:
-        yield gate.output
-        yield from gate.inputs

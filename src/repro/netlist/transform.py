@@ -39,34 +39,6 @@ def copy_netlist(netlist: Netlist) -> Netlist:
     return rename_nets(netlist, lambda n: n)
 
 
-def merge_netlists(base: Netlist, other: Netlist, name: str | None = None) -> Netlist:
-    """Union of two netlists over a shared net namespace.
-
-    Nets with equal names are the same net; both sides may *read* a shared
-    net but only one may drive it.  Primary inputs present in both are kept
-    once.  Outputs are concatenated (duplicates removed).
-    """
-    merged = Netlist(name=name or f"{base.name}+{other.name}")
-    for net in base.inputs:
-        merged.add_input(net)
-    for net in other.inputs:
-        if net not in merged.inputs:
-            if net in merged.gates or net in merged.dffs:
-                raise NetlistError(f"input {net!r} collides with a driven net")
-            merged.add_input(net)
-    for source in (base, other):
-        for dff in source.dffs.values():
-            merged.add_dff(q=dff.q, d=dff.d)
-        for gate in source.gates.values():
-            merged.add_gate(gate.output, gate.gtype, gate.inputs)
-    seen: set[str] = set()
-    for net in list(base.outputs) + list(other.outputs):
-        if net not in seen:
-            merged.add_output(net)
-            seen.add(net)
-    return merged
-
-
 def extract_combinational_core(
     netlist: Netlist,
     state_input_prefix: str = "ppi_",
@@ -120,20 +92,3 @@ def strip_outputs(netlist: Netlist, keep: Iterable[str]) -> Netlist:
     # set_outputs (not direct assignment) so derived caches invalidate.
     clone.set_outputs([net for net in clone.outputs if net in keep_set])
     return clone
-
-
-def count_transitive_fanin(netlist: Netlist, net: str) -> int:
-    """Number of gates in the transitive fan-in cone of ``net``."""
-    seen: set[str] = set()
-    stack = [net]
-    count = 0
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        gate = netlist.gates.get(current)
-        if gate is not None:
-            count += 1
-            stack.extend(gate.inputs)
-    return count

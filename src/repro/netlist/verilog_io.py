@@ -12,7 +12,6 @@ express: ``and/nand/or/nor/xor/xnor/not/buf`` primitives, a behavioural
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist, NetlistError
@@ -171,14 +170,3 @@ def parse_verilog(text: str) -> Netlist:
     for net in outputs:
         netlist.add_output(net)
     return netlist
-
-
-def save_verilog_file(netlist: Netlist, path: str | Path) -> None:
-    """Write a netlist to disk as structural Verilog."""
-    Path(path).write_text(write_verilog(netlist))
-
-
-def load_verilog_file(path: str | Path) -> Netlist:
-    """Parse a structural Verilog file from disk into a :class:`Netlist`."""
-    path = Path(path)
-    return parse_verilog(path.read_text())

@@ -29,7 +29,6 @@ from repro.observability.spans import (
     JobSpan,
     active,
     add_phase,
-    annotate,
     begin_job_span,
     end_job_span,
     incr,
@@ -48,7 +47,6 @@ __all__ = [
     "JobSpan",
     "active",
     "add_phase",
-    "annotate",
     "begin_job_span",
     "end_job_span",
     "incr",

@@ -292,7 +292,6 @@ class RunObserver:
                 "ended_unix": round(float(span.get("ended_unix", now)), 6),
                 "phases": span.get("phases", {}),
                 "counts": span.get("counts", {}),
-                "attrs": span.get("attrs", {}),
                 "error": error,
             }
         )

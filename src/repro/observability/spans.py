@@ -2,8 +2,8 @@
 
 A *span* is the instrumented life of one cell execution: wall-clock
 endpoints, named phase timings (``model``/``opt``/``encode``/``solve``/
-``oracle``/``enumerate``/``replay``), event counts (DIPs, oracle
-queries, rounds), and free-form attributes.  The scheduler's worker
+``oracle``/``enumerate``/``replay``) and event counts (DIPs, oracle
+queries, rounds).  The scheduler's worker
 opens one span around :func:`repro.reports.cells.run_cell`
 (:func:`begin_job_span` / :func:`end_job_span`), and the instrumented
 hot paths -- :class:`~repro.attack.satattack.SatAttack`,
@@ -44,7 +44,6 @@ class JobSpan:
     started_unix: float = field(default_factory=time.time)
     phases: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
-    attrs: dict[str, object] = field(default_factory=dict)
     _t0: float = field(default_factory=time.perf_counter)
 
 
@@ -81,7 +80,6 @@ def end_job_span(span: JobSpan) -> dict:
         "duration_s": time.perf_counter() - span._t0,
         "phases": {k: span.phases[k] for k in sorted(span.phases)},
         "counts": {k: span.counts[k] for k in sorted(span.counts)},
-        "attrs": dict(span.attrs),
     }
 
 
@@ -97,13 +95,6 @@ def incr(name: str, n: int = 1) -> None:
     span = _CURRENT
     if span is not None:
         span.counts[name] = span.counts.get(name, 0) + n
-
-
-def annotate(**attrs: object) -> None:
-    """Attach free-form JSON-safe attributes to the active span."""
-    span = _CURRENT
-    if span is not None:
-        span.attrs.update(attrs)
 
 
 class _NullPhase:

@@ -12,16 +12,8 @@ from repro.prng.polynomials import default_taps, PRIMITIVE_TAPS, is_maximal_leng
 from repro.prng.matrix import companion_matrix, lfsr_state_after
 from repro.prng.symbolic import SymbolicLfsr
 from repro.prng.nonlinear import NonlinearPrng
-from repro.prng.berlekamp_massey import (
-    berlekamp_massey,
-    LfsrDescription,
-    recover_fibonacci_taps,
-)
 
 __all__ = [
-    "berlekamp_massey",
-    "LfsrDescription",
-    "recover_fibonacci_taps",
     "FibonacciLfsr",
     "GaloisLfsr",
     "Keystream",

@@ -1,12 +1,13 @@
-"""Experiment harness and paper-style table rendering.
+"""Experiment grids and paper-style table rendering.
 
-:mod:`repro.reports.experiments` runs the paper's experiments (Tables
-I-III plus the scalability and ablation studies) at a chosen profile;
-:mod:`repro.reports.cells` holds the single-cell computations the
-:mod:`repro.runner` scheduler fans out across cores;
-:mod:`repro.reports.tables` renders the resulting rows in the same shape
-the paper prints.  The pytest benches and the CLI are thin wrappers over
-these functions, so `EXPERIMENTS.md` numbers are regenerable either way.
+:mod:`repro.reports.experiments` enumerates the paper's experiments
+(Tables I-III plus the scalability and ablation studies) as job specs
+and folds finished cells into rows; :mod:`repro.reports.cells` holds
+the single-cell computations the :mod:`repro.runner` scheduler fans out
+across cores; :mod:`repro.reports.tables` renders the resulting rows in
+the same shape the paper prints.  :func:`repro.api.run_grid` runs a grid
+end to end, and the CLI, the pytest benches and the tests all call it,
+so `EXPERIMENTS.md` numbers are regenerable either way.
 """
 
 from repro.reports.experiments import (
@@ -15,14 +16,6 @@ from repro.reports.experiments import (
     Table1Row,
     Table2Row,
     Table3Row,
-    run_flop_scaling,
-    run_grid_experiment,
-    run_nonlinear_ablation,
-    run_table1,
-    run_table2,
-    run_table2_row,
-    run_table3,
-    run_table3_cell,
 )
 from repro.reports.profiles import PROFILES, ExperimentProfile, active_profile
 from repro.reports.tables import (
@@ -40,14 +33,6 @@ __all__ = [
     "Table1Row",
     "Table2Row",
     "Table3Row",
-    "run_table1",
-    "run_table2",
-    "run_table2_row",
-    "run_table3",
-    "run_table3_cell",
-    "run_flop_scaling",
-    "run_grid_experiment",
-    "run_nonlinear_ablation",
     "render_artifact",
     "render_table",
     "render_markdown_table",

@@ -35,7 +35,6 @@ from typing import Any, Callable
 from repro.core.dynunlock import DynUnlockConfig, dynunlock
 from repro.fuzz.campaign import fuzz_cell
 from repro.matrix.grid import matrix_cell
-from repro.netlist.netlist import Netlist
 from repro.reports.profiles import ExperimentProfile
 from repro.util.rng import hash_label
 
@@ -117,7 +116,6 @@ def table1_cell(
     profile: ExperimentProfile,
     *,
     defense: str,
-    netlist: Netlist | None = None,
     opt_level: int | None = None,
 ) -> dict[str, Any]:
     """Break one Table I defense with its published attack.
@@ -125,9 +123,8 @@ def table1_cell(
     Both sides resolve through the :mod:`repro.matrix.registry` plugin
     registry: the defense names its ``paper_attack`` and the adapter
     normalises the attack's result, so this cell carries no per-scheme
-    wiring of its own.  ``netlist`` is only for callers holding a custom
-    circuit (those runs bypass the cache); grid runs rebuild the
-    deterministic default.
+    wiring of its own.  Every cell locks the same deterministic s5378
+    instance.
     """
     from repro.bench_suite.registry import build_benchmark_netlist
     from repro.matrix.registry import call_attack, get_attack, get_defense
@@ -138,8 +135,7 @@ def table1_cell(
         )
     defense_spec = get_defense(defense)
     attack_spec = get_attack(defense_spec.paper_attack)
-    if netlist is None:
-        netlist = build_benchmark_netlist("s5378", scale=max(profile.scale, 8))
+    netlist = build_benchmark_netlist("s5378", scale=max(profile.scale, 8))
     key_bits = profile.effective_key_bits(netlist.n_dffs, min(8, profile.key_bits))
 
     rng = random.Random(

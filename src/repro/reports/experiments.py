@@ -1,27 +1,22 @@
-"""Runners for every experiment in the paper's evaluation section.
+"""Spec enumeration and row aggregation for every experiment in the paper.
 
-Each ``run_*`` function mirrors one table/figure/claim and returns
-structured rows; the benches and the CLI print them via
-:mod:`repro.reports.tables`.  All randomness is derived from fixed
-integer seeds, so two runs at the same profile produce identical rows
-(modulo wall-clock columns).
+Each experiment -- Tables I-III, the Section IV flop-count study, the
+Section V PRNG ablation and the resilience matrix -- is a pair of
+functions: ``*_specs`` enumerates its benchmark x config x seed grid as
+:class:`~repro.runner.spec.JobSpec` cells (one per
+:mod:`repro.reports.cells` invocation), and ``*_rows`` folds the
+finished cells into paper-style rows.  All randomness is derived from
+fixed integer seeds, so two runs at the same profile produce identical
+rows (modulo wall-clock columns).
 
-Since PR 2 the runners no longer loop inline: they enumerate the
-benchmark x config x seed grid as :class:`~repro.runner.spec.JobSpec`
-cells (one per :mod:`repro.reports.cells` invocation) and push them
-through :func:`repro.runner.scheduler.run_jobs`.  Every runner accepts
-
-* ``jobs`` -- worker processes (1 = serial in-process, the default);
-* ``store`` -- a :class:`~repro.runner.stores.JsonFileStore` memoising
-  finished cells, making re-runs resumable and incremental.
-
-Parallel and serial runs aggregate identical cell results in identical
-(spec) order, so the produced rows match cell-for-cell; with a store,
-repeated runs are byte-identical including the timing columns.
-
-The :data:`GRID` registry maps experiment names to (spec enumeration,
-row aggregation) pairs so callers like ``dynunlock run`` can fuse
-several experiments into one scheduler grid.
+The :data:`GRID` registry maps experiment names to those pairs.
+:func:`repro.api.run_grid` runs one entry through the scheduler, with
+``jobs`` worker processes and an optional
+:class:`~repro.runner.stores.JsonFileStore` memoising finished cells; it
+is the one driver the CLI, the benches and the tests share.  Parallel
+and serial runs aggregate identical cell results in identical (spec)
+order, so the produced rows match cell-for-cell; with a store, repeated
+runs are byte-identical including the timing columns.
 """
 
 from __future__ import annotations
@@ -32,19 +27,13 @@ from typing import Callable, Sequence
 
 from repro.bench_suite.registry import TABLE2_BENCHMARKS, TABLE3_BENCHMARKS
 from repro.matrix.grid import MATRIX_HEADERS, matrix_rows, matrix_specs
-from repro.netlist.netlist import Netlist
 from repro.opt import resolve_level
-from repro.reports.cells import _TABLE1_DEFENSES, table1_cell
+from repro.reports.cells import _TABLE1_DEFENSES
 from repro.reports.profiles import ExperimentProfile
-from repro.runner.scheduler import JobOutcome, run_jobs
+from repro.runner.scheduler import JobOutcome
 from repro.runner.spec import JobSpec
-from repro.runner.stores import JsonFileStore
 
 ProgressFn = Callable[[str], None]
-
-
-def _noop_progress(_: str) -> None:
-    return None
 
 
 _PROGRESS_KEYS = (
@@ -77,51 +66,6 @@ def adapt_progress(progress: ProgressFn) -> Callable[[JobOutcome], None]:
         progress(f"{outcome.spec.label}: {' '.join(bits)} [{state}]")
 
     return callback
-
-
-def _run_grid(
-    specs: Sequence[JobSpec],
-    progress: ProgressFn,
-    jobs: int,
-    store: JsonFileStore | None,
-) -> list[JobOutcome]:
-    """Run one experiment's specs, failing loudly if any cell failed."""
-    report = run_jobs(
-        specs, jobs=jobs, store=store, progress=adapt_progress(progress)
-    )
-    report.raise_on_error()
-    return report.outcomes
-
-
-def run_grid_experiment(
-    name: str,
-    profile: ExperimentProfile,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-    observer=None,
-    **spec_kwargs,
-):
-    """Run one :data:`GRID` experiment end to end: ``(rows, RunReport)``.
-
-    The one-stop surface for callers (the CLI, scripts) that also want
-    the scheduler accounting -- cached/computed counts, wall time --
-    next to the aggregated paper-style rows.  ``observer`` (a
-    :class:`~repro.observability.session.RunObserver`) turns on per-job
-    span collection; ``None`` keeps the run instrumentation-free.
-    """
-    experiment = GRID[name]
-    specs = experiment.build_specs(profile, **spec_kwargs)
-    report = run_jobs(
-        specs,
-        jobs=jobs,
-        store=store,
-        progress=adapt_progress(progress),
-        observer=observer,
-    )
-    report.raise_on_error()
-    return experiment.aggregate(report.outcomes), report
 
 
 # ----------------------------------------------------------------------
@@ -219,35 +163,6 @@ def table2_rows(outcomes: Sequence[JobOutcome]) -> list[Table2Row]:
     return rows
 
 
-def run_table2_row(
-    name: str,
-    profile: ExperimentProfile,
-    key_bits: int | None = None,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> Table2Row:
-    """Attack one benchmark for ``profile.n_seeds`` different LFSR seeds."""
-    specs = table2_specs(profile, [name], key_bits=key_bits)
-    outcomes = _run_grid(specs, progress, jobs, store)
-    return table2_rows(outcomes)[0]
-
-
-def run_table2(
-    profile: ExperimentProfile,
-    benchmarks: Sequence[str] | None = None,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> list[Table2Row]:
-    """Run every Table II row at the given profile."""
-    specs = table2_specs(profile, benchmarks)
-    outcomes = _run_grid(specs, progress, jobs, store)
-    return table2_rows(outcomes)
-
-
 # ----------------------------------------------------------------------
 # Table III: key-size scaling on the three largest circuits
 # ----------------------------------------------------------------------
@@ -330,36 +245,6 @@ def table3_rows(outcomes: Sequence[JobOutcome]) -> list[Table3Row]:
     return rows
 
 
-def run_table3_cell(
-    name: str,
-    key_bits: int,
-    profile: ExperimentProfile,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> Table3Row:
-    """Attack one circuit at one key size (a single Table III cell)."""
-    specs = table3_specs(profile, [name], [key_bits])
-    outcomes = _run_grid(specs, progress, jobs, store)
-    return table3_rows(outcomes)[0]
-
-
-def run_table3(
-    profile: ExperimentProfile,
-    benchmarks: Sequence[str] | None = None,
-    key_sizes: Sequence[int] | None = None,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> list[Table3Row]:
-    """Run the full Table III sweep at the given profile."""
-    specs = table3_specs(profile, benchmarks, key_sizes)
-    outcomes = _run_grid(specs, progress, jobs, store)
-    return table3_rows(outcomes)
-
-
 # ----------------------------------------------------------------------
 # Table I: the defense/attack evolution matrix
 # ----------------------------------------------------------------------
@@ -389,7 +274,12 @@ TABLE1_HEADERS = ["Defense", "Obfuscation", "Attack", "Broken", "Detail"]
 def table1_specs(
     profile: ExperimentProfile, opt_level: int | None = None
 ) -> list[JobSpec]:
-    """Enumerate the four defense/attack pairings of Table I."""
+    """Enumerate the four defense/attack pairings of Table I.
+
+    Every cell locks one mid-size circuit at a small key width: the
+    point is that each defense falls to its published attack, not
+    scaling.
+    """
     extra = {"opt_level": resolve_level(opt_level)}
     return [
         JobSpec.make("table1", profile, defense=defense, **extra)
@@ -409,41 +299,6 @@ def table1_rows(outcomes: Sequence[JobOutcome]) -> list[Table1Row]:
         )
         for o in outcomes
     ]
-
-
-def run_table1(
-    profile: ExperimentProfile,
-    circuit: Netlist | None = None,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> list[Table1Row]:
-    """Break each defense of Table I with its published attack.
-
-    Runs on one mid-size circuit; key widths are kept small because the
-    point is the four defense/attack pairings, not scaling.  Passing a
-    custom ``circuit`` bypasses the scheduler and cache (a foreign
-    netlist has no stable content identity to key on).
-    """
-    if circuit is not None:
-        rows = []
-        for defense in _TABLE1_DEFENSES:
-            cell = table1_cell(profile, defense=defense, netlist=circuit)
-            progress(f"table1 {cell['defense']}/{cell['attack']} "
-                     f"broken={cell['broken']}")
-            rows.append(
-                Table1Row(
-                    defense=cell["defense"],
-                    obfuscation_type=cell["obfuscation_type"],
-                    attack=cell["attack"],
-                    broken=cell["broken"],
-                    detail=cell["detail"],
-                )
-            )
-        return rows
-    outcomes = _run_grid(table1_specs(profile), progress, jobs, store)
-    return table1_rows(outcomes)
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +340,10 @@ def scaling_specs(
     n_seeds: int | None = None,
     opt_level: int | None = None,
 ) -> list[JobSpec]:
-    """Enumerate the (flop count x seed) grid of the scaling study."""
+    """Enumerate the (flop count x seed) grid of the scaling study.
+
+    Fixed key width, growing chains: candidates shrink, time grows.
+    """
     seeds = n_seeds if n_seeds is not None else profile.n_seeds
     extra = {"opt_level": resolve_level(opt_level)}
     return [
@@ -523,22 +381,6 @@ def scaling_rows(outcomes: Sequence[JobOutcome]) -> list[ScalingRow]:
     return rows
 
 
-def run_flop_scaling(
-    profile: ExperimentProfile,
-    flop_counts: Sequence[int] = (12, 20, 36, 60),
-    key_bits: int = 8,
-    n_seeds: int | None = None,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> list[ScalingRow]:
-    """Fixed key width, growing chains: candidates shrink, time grows."""
-    specs = scaling_specs(profile, flop_counts, key_bits, n_seeds)
-    outcomes = _run_grid(specs, progress, jobs, store)
-    return scaling_rows(outcomes)
-
-
 # ----------------------------------------------------------------------
 # Section V: crypto/PUF-keyed defenses are out of scope (ablation)
 # ----------------------------------------------------------------------
@@ -569,7 +411,13 @@ def ablation_specs(
     key_bits: int = 5,
     opt_level: int | None = None,
 ) -> list[JobSpec]:
-    """Enumerate the LFSR-vs-nonlinear pair of the Section V ablation."""
+    """Enumerate the LFSR-vs-nonlinear pair of the Section V ablation.
+
+    With the LFSR, the linear seed model reproduces the oracle and the
+    attack succeeds.  With the nonlinear PRNG swapped in (same interface,
+    same taps public), the linear model mispredicts and the refinement
+    step rejects every candidate -- the attack's stated limitation.
+    """
     extra = {"opt_level": resolve_level(opt_level)}
     return [
         JobSpec.make(
@@ -595,27 +443,6 @@ def ablation_rows(outcomes: Sequence[JobOutcome]) -> list[AblationRow]:
         )
         for o in outcomes
     ]
-
-
-def run_nonlinear_ablation(
-    profile: ExperimentProfile,
-    n_flops: int = 10,
-    key_bits: int = 5,
-    progress: ProgressFn = _noop_progress,
-    *,
-    jobs: int = 1,
-    store: JsonFileStore | None = None,
-) -> list[AblationRow]:
-    """LFSR vs nonlinear filter PRNG: the attack's stated limitation.
-
-    With the LFSR, the linear seed model reproduces the oracle and the
-    attack succeeds.  With the nonlinear PRNG swapped in (same interface,
-    same taps public), the linear model mispredicts and the refinement
-    step rejects every candidate -- reproducing Section V's discussion.
-    """
-    specs = ablation_specs(profile, n_flops, key_bits)
-    outcomes = _run_grid(specs, progress, jobs, store)
-    return ablation_rows(outcomes)
 
 
 # ----------------------------------------------------------------------

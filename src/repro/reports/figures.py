@@ -1,8 +1,8 @@
 """Terminal-friendly ASCII charts for experiment results.
 
 No plotting dependency exists in this environment, so scaling trends
-(Table III curves, the flop-count study) are rendered as ASCII charts in
-bench output and EXPERIMENTS.md.
+(the Table III key-size sweep) are rendered as ASCII bar charts in
+example output.
 """
 
 from __future__ import annotations
@@ -31,34 +31,4 @@ def ascii_bar_chart(
         lines.append(
             f"{str(label).rjust(label_width)} | {bar} {value:g}{unit}"
         )
-    return "\n".join(lines)
-
-
-def ascii_line_plot(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    height: int = 10,
-    width: int = 50,
-    title: str | None = None,
-) -> str:
-    """Scatter/line plot on a character grid (marks points with '*')."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    if not xs:
-        return title or ""
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    x_span = (x_max - x_min) or 1.0
-    y_span = (y_max - y_min) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = round((x - x_min) / x_span * (width - 1))
-        row = round((y - y_min) / y_span * (height - 1))
-        grid[height - 1 - row][col] = "*"
-    lines = [title] if title else []
-    lines.append(f"{y_max:>10.3g} +" + "-" * width)
-    for row in grid:
-        lines.append(" " * 11 + "|" + "".join(row))
-    lines.append(f"{y_min:>10.3g} +" + "-" * width)
-    lines.append(" " * 12 + f"{x_min:<10.6g}{' ' * max(0, width - 20)}{x_max:>10.6g}")
     return "\n".join(lines)

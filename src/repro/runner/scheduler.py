@@ -31,11 +31,15 @@ nondeterminism.  Features:
 Failures never raise mid-grid: they land in ``JobOutcome.error`` so one
 bad cell cannot waste the rest of a long run.  Call
 :meth:`RunReport.raise_on_error` (or use ``RunReport.results``) when
-partial grids are unacceptable.
+partial grids are unacceptable.  An interrupt is not a failure: a
+``KeyboardInterrupt`` (C-c, or SIGTERM through the CLI) cancels every
+queued job, stops the pool's workers and propagates.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -226,6 +230,17 @@ def _run_serial(
             _fail(report, index, last_exc, progress, observer)
 
 
+def _default_signals() -> None:
+    """Let C-c and SIGTERM kill a pool worker outright.
+
+    A worker holds nothing worth unwinding (the parent stores every
+    result), and a handler inherited across fork would raise
+    ``KeyboardInterrupt`` in it, which between jobs is a traceback.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _run_parallel(
     report: RunReport,
     pending: Sequence[int],
@@ -237,7 +252,8 @@ def _run_parallel(
     observer=None,
 ) -> None:
     collect = observer is not None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    others = set(multiprocessing.active_children())
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_default_signals) as pool:
 
         def submit(index: int):
             report.outcomes[index].attempts += 1
@@ -246,20 +262,28 @@ def _run_parallel(
                 observer.submitted(report.outcomes[index])
             return pool.submit(execute_job, spec_dict, timeout_s, collect)
 
-        futures = {submit(index): index for index in pending}
-        while futures:
-            done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures.pop(future)
-                try:
-                    payload = future.result()
-                except Exception as exc:
-                    if report.outcomes[index].attempts <= retries:
-                        try:
-                            futures[submit(index)] = index
-                        except Exception as resubmit_exc:
-                            _fail(report, index, resubmit_exc, progress, observer)
+        try:
+            futures = {submit(index): index for index in pending}
+            while futures:
+                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = futures.pop(future)
+                    try:
+                        payload = future.result()
+                    except Exception as exc:
+                        if report.outcomes[index].attempts <= retries:
+                            try:
+                                futures[submit(index)] = index
+                            except Exception as resubmit_exc:
+                                _fail(report, index, resubmit_exc, progress, observer)
+                        else:
+                            _fail(report, index, exc, progress, observer)
                     else:
-                        _fail(report, index, exc, progress, observer)
-                else:
-                    _finish(report, index, payload, store, progress, observer)
+                        _finish(report, index, payload, store, progress, observer)
+        except BaseException:
+            # Leaving the pool would otherwise wait for every queued job
+            # and for the cells the workers are running.
+            for worker in set(multiprocessing.active_children()) - others:
+                worker.terminate()
+            pool.shutdown(cancel_futures=True)
+            raise

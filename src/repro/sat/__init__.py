@@ -20,7 +20,7 @@ stack from scratch:
   clauses (used to count seed candidates).
 """
 
-from repro.sat.cnf import Cnf, lit_of, var_of, is_negative
+from repro.sat.cnf import Cnf
 from repro.sat.tseitin import (
     CircuitEncoder,
     NetlistEncoding,
@@ -33,9 +33,6 @@ from repro.sat.enumerate import enumerate_models
 
 __all__ = [
     "Cnf",
-    "lit_of",
-    "var_of",
-    "is_negative",
     "CircuitEncoder",
     "NetlistEncoding",
     "compile_encoding",

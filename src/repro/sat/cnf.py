@@ -23,25 +23,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
-def lit_of(var: int, positive: bool = True) -> int:
-    """Build a literal from a variable index."""
-    if var <= 0:
-        raise ValueError("variables are 1-based positive integers")
-    return var if positive else -var
-
-
-def var_of(lit: int) -> int:
-    """Variable index of a literal."""
-    if lit == 0:
-        raise ValueError("0 is not a literal")
-    return abs(lit)
-
-
-def is_negative(lit: int) -> bool:
-    """True when the literal is a negated variable."""
-    return lit < 0
-
-
 class Cnf:
     """A growable CNF formula.
 

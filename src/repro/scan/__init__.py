@@ -15,7 +15,7 @@ The shift semantics are implemented exactly once
   figure reproduction and cross-checking.
 """
 
-from repro.scan.chain import ScanChainSpec, shift_in, shift_out_start_indices
+from repro.scan.chain import ScanChainSpec, shift_in
 from repro.scan.oracle import ScanOracle, ScanResponse
 from repro.scan.structural import build_scan_netlist
 from repro.scan.multichain import MultiChainScanOracle, MultiChainSpec
@@ -25,7 +25,6 @@ __all__ = [
     "MultiChainSpec",
     "ScanChainSpec",
     "shift_in",
-    "shift_out_start_indices",
     "ScanOracle",
     "ScanResponse",
     "build_scan_netlist",

@@ -165,11 +165,6 @@ def shift_out(
     return by_position
 
 
-def shift_out_start_indices(n_flops: int) -> list[int]:
-    """For docs/tests: unload edge count after which position ``l`` appears."""
-    return [n_flops - 1 - l for l in range(n_flops)]
-
-
 def xor_int(a: int, b: int) -> int:
     """Concrete-bit XOR used by the oracle."""
     return a ^ b

@@ -87,6 +87,14 @@ class TestRunGrid:
         assert cells[0][0] == "s5378"
         assert grid.report.n_failed == 0
 
+    @pytest.mark.parametrize("name", ["table1", "scaling"])
+    def test_grid_rows_render_to_their_headers(self, name):
+        grid = api.run_grid(name, profile=TINY)
+        assert grid.report.n_failed == 0
+        assert grid.rows
+        for cells in grid.as_cells():
+            assert len(cells) == len(grid.headers)
+
 
 class TestRunAttack:
     def test_attack_small_benchmark(self):

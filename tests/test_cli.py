@@ -1,5 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 import repro.cli
@@ -391,3 +398,68 @@ class TestOptCommands:
         assert artifact["meta"]["outcome_mismatches"] == []
         assert artifact["meta"]["total_no_opt_time_s"] > 0
         assert len(artifact["rows"]) == 1
+
+
+class TestInterrupt:
+    """SIGTERM stops any command the way C-c does (see ``main``)."""
+
+    def test_interrupt_prints_one_line_and_exits_130(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.cli, "cmd_list", interrupted)
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["list"]) == 130
+        assert capsys.readouterr().err == "dynunlock: interrupted\n"
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    @pytest.mark.parametrize("group", [True, False], ids=["group", "process"])
+    def test_sigterm_stops_a_parallel_grid_and_keeps_its_metrics(
+        self, tmp_path, group
+    ):
+        metrics = tmp_path / "metrics"
+        command = [
+            sys.executable, "-c",
+            "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+            "table3", "--profile", "full", "--jobs", "2", "--no-resume",
+            "--metrics-dir", str(metrics),
+        ]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            command, cwd=tmp_path, env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            spans = metrics / "spans.jsonl"
+            deadline = time.monotonic() + 120
+            while process.poll() is None and time.monotonic() < deadline:
+                if spans.is_file() and '"kind": "span"' in spans.read_text():
+                    break
+                time.sleep(0.05)
+            assert process.poll() is None, "the grid ended before its stop"
+            process.send_signal(signal.SIGTERM)
+            if group:  # what timeout(1) does next: signal the whole group
+                os.killpg(process.pid, signal.SIGTERM)
+            stopped = time.monotonic()
+            _, err = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+        assert time.monotonic() - stopped < 10
+        assert process.returncode == 130
+        assert err.endswith("dynunlock: interrupted\n")
+        assert "Traceback" not in err
+        assert (metrics / "BENCH_obs.json").is_file()
+        assert (metrics / "BENCH_obs.csv").is_file()
+        # No worker outlives the command.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(process.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        else:
+            pytest.fail("a worker process outlived the interrupted command")

@@ -11,7 +11,6 @@ from repro.core.analysis import (
     candidate_space_dimension,
     is_affine_space,
     overlay_matrices,
-    overlay_rank,
 )
 from repro.locking.effdyn import lock_with_effdyn
 from repro.prng.polynomials import default_taps
@@ -61,11 +60,6 @@ class TestOverlayMatrices:
             for c, x in zip(captured, (m_out.data @ seed_vec) & 1)
         ]
         assert observed == predicted_out
-
-    def test_overlay_rank_bounded_by_width(self):
-        spec = ScanChainSpec(n_flops=12, keygate_positions=(0, 3, 7))
-        taps = default_taps(3)
-        assert overlay_rank(spec, taps, 3) <= 3
 
 
 class TestCandidateSpace:

@@ -43,7 +43,6 @@ from repro.farm.driver import (
     FarmDriver,
     FarmStateError,
     load_status,
-    run_farm,
 )
 from repro.farm.schedule import (
     BUCKET_FLOP_RANGES,
@@ -432,7 +431,7 @@ class TestDriverState:
         path = state / "state.json"
         with temporary_registrations():
             register_attack("liar", _liar, applicable_to=("eff",))
-            run_farm(QUICK, liar_config(state, max_rounds=1))
+            FarmDriver(QUICK, liar_config(state, max_rounds=1)).run()
             path.write_text(
                 json.dumps(self.DAMAGE[damage](json.loads(path.read_text())))
             )
@@ -466,21 +465,21 @@ class TestFarmEndToEnd:
         straight, split = tmp_path / "straight", tmp_path / "split"
         with temporary_registrations():
             register_attack("liar", _liar, applicable_to=("eff",))
-            report = run_farm(QUICK, liar_config(straight, max_rounds=2))
+            report = FarmDriver(QUICK, liar_config(straight, max_rounds=2)).run()
             assert report.total_rounds == 2
             assert report.stopped == "rounds"
             assert report.violations_this_run > 0
 
-            first = run_farm(QUICK, liar_config(split, max_rounds=1))
+            first = FarmDriver(QUICK, liar_config(split, max_rounds=1)).run()
             assert first.total_rounds == 1
-            resumed = run_farm(QUICK, liar_config(split, max_rounds=2))
+            resumed = FarmDriver(QUICK, liar_config(split, max_rounds=2)).run()
             assert resumed.total_rounds == 2
             assert len(resumed.rounds) == 1  # only round 1 ran now
         assert tree_bytes(straight) == tree_bytes(split)
         # max_rounds is a lifetime cap: a third invocation is a no-op.
         with temporary_registrations():
             register_attack("liar", _liar, applicable_to=("eff",))
-            again = run_farm(QUICK, liar_config(split, max_rounds=2))
+            again = FarmDriver(QUICK, liar_config(split, max_rounds=2)).run()
         assert again.rounds == []
         assert tree_bytes(straight) == tree_bytes(split)
 
@@ -498,7 +497,7 @@ class TestFarmEndToEnd:
         reference, torn = tmp_path / "reference", tmp_path / "torn"
         with temporary_registrations():
             register_attack("liar", _liar, applicable_to=("eff",))
-            run_farm(QUICK, liar_config(reference, max_rounds=1))
+            FarmDriver(QUICK, liar_config(reference, max_rounds=1)).run()
 
             driver = FarmDriver(QUICK, liar_config(torn, max_rounds=1))
             real_add = driver.corpus.add
@@ -516,7 +515,7 @@ class TestFarmEndToEnd:
             assert calls["n"] >= 2  # one write landed, then the tear
             assert not (torn / "state.json").is_file()  # round not committed
 
-            recovered = run_farm(QUICK, liar_config(torn, max_rounds=1))
+            recovered = FarmDriver(QUICK, liar_config(torn, max_rounds=1)).run()
             assert recovered.total_rounds == 1
         assert tree_bytes(reference) == tree_bytes(torn)
 
@@ -540,7 +539,7 @@ class TestFarmEndToEnd:
             report = driver.run()
             assert report.stopped == "interrupted"
             assert report.total_rounds == 1
-            resumed = run_farm(QUICK, liar_config(state, max_rounds=3))
+            resumed = FarmDriver(QUICK, liar_config(state, max_rounds=3)).run()
             assert resumed.total_rounds == 3
             assert len(resumed.rounds) == 2
 
@@ -550,10 +549,10 @@ class TestFarmEndToEnd:
         state = tmp_path / "farm"
         with temporary_registrations():
             register_attack("liar", _liar, applicable_to=("eff",))
-            first = run_farm(QUICK, liar_config(state))
+            first = FarmDriver(QUICK, liar_config(state)).run()
             assert [r.index for r in first.rounds] == [0]
             assert first.total_rounds == 1 and first.stopped == "rounds"
-            second = run_farm(QUICK, liar_config(state))
+            second = FarmDriver(QUICK, liar_config(state)).run()
             assert [r.index for r in second.rounds] == [1]
             assert second.total_rounds == 2
         assert load_status(state)["rounds"] == 2
@@ -564,7 +563,7 @@ class TestFarmEndToEnd:
         state = tmp_path / "farm"
         with temporary_registrations():
             register_attack("liar", _liar, applicable_to=("eff",))
-            report = run_farm(QUICK, liar_config(state, max_rounds=2))
+            report = FarmDriver(QUICK, liar_config(state, max_rounds=2)).run()
             assert report.violations_this_run > 0
             assert main(["fuzz-replay", str(state / "corpus")]) == 0
         out = capsys.readouterr().out

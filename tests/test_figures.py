@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reports.figures import ascii_bar_chart, ascii_line_plot
+from repro.reports.figures import ascii_bar_chart
 
 
 class TestBarChart:
@@ -28,20 +28,3 @@ class TestBarChart:
     def test_unit_suffix(self):
         chart = ascii_bar_chart(["a"], [3.5], unit="s")
         assert "3.5s" in chart
-
-
-class TestLinePlot:
-    def test_marks_all_points(self):
-        plot = ascii_line_plot([0, 1, 2], [0, 1, 4], height=5, width=20)
-        assert plot.count("*") == 3
-
-    def test_constant_series(self):
-        plot = ascii_line_plot([0, 1], [2, 2])
-        assert "*" in plot
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ascii_line_plot([1], [1, 2])
-
-    def test_empty(self):
-        assert ascii_line_plot([], [], title="t") == "t"

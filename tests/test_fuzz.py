@@ -28,7 +28,7 @@ from repro.bench_suite.generator import (
     sample_config,
 )
 from repro.farm.corpus import FarmCorpus, content_hash
-from repro.farm.driver import FarmConfig, run_farm
+from repro.farm.driver import FarmConfig, FarmDriver
 from repro.fuzz.campaign import fuzz_cell, sample_trial_params
 from repro.fuzz.corpus import (
     CorpusError,
@@ -84,14 +84,14 @@ def tree_bytes(root) -> dict[str, bytes]:
 
 def farm_round(state_dir, *, trials, seed, progress=None, store=None, **config):
     """One budgetless farm round: the seeded ``trials``-trial campaign."""
-    return run_farm(
+    return FarmDriver(
         QUICK,
         FarmConfig(
             seed=seed, round_trials=trials, state_dir=str(state_dir), **config
         ),
         store=store,
         progress=progress,
-    )
+    ).run()
 
 
 def findings(state_dir) -> list[tuple]:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gf2.matrix import GF2Matrix, identity, zeros
 from repro.gf2.solve import (
-    AffineSystem,
     enumerate_affine_solutions,
     gaussian_eliminate,
     nullspace_basis,
@@ -149,45 +148,3 @@ class TestEnumeration:
     def test_limit(self):
         a = zeros(1, 10)
         assert len(list(enumerate_affine_solutions(a, [0], limit=16))) == 16
-
-
-class TestAffineSystem:
-    def test_fresh_system_has_full_freedom(self):
-        system = AffineSystem(n_vars=5)
-        assert system.degrees_of_freedom() == 5
-        assert system.candidate_count() == 32
-
-    def test_assignment_reduces_freedom(self):
-        system = AffineSystem(n_vars=4)
-        system.add_assignment(2, 1)
-        assert system.degrees_of_freedom() == 3
-
-    def test_redundant_equation_costs_nothing(self):
-        system = AffineSystem(n_vars=4)
-        system.add_equation([1, 1, 0, 0], 1)
-        system.add_equation([1, 1, 0, 0], 1)
-        assert system.degrees_of_freedom() == 3
-
-    def test_contradiction_detected(self):
-        system = AffineSystem(n_vars=3)
-        system.add_equation([1, 0, 1], 0)
-        system.add_equation([1, 0, 1], 1)
-        assert not system.is_consistent()
-        assert system.candidate_count() == 0
-
-    def test_solutions_satisfy_equations(self):
-        system = AffineSystem(n_vars=4)
-        system.add_equation([1, 1, 0, 0], 1)
-        system.add_equation([0, 0, 1, 1], 0)
-        solutions = list(system.solutions())
-        assert len(solutions) == 4
-        for x in solutions:
-            assert (x[0] ^ x[1]) == 1
-            assert (x[2] ^ x[3]) == 0
-
-    def test_rejects_bad_equation(self):
-        system = AffineSystem(n_vars=3)
-        with pytest.raises(ValueError):
-            system.add_equation([1, 0], 1)
-        with pytest.raises(ValueError):
-            system.add_equation([1, 0, 1], 2)

@@ -9,6 +9,7 @@ completed grid, and the Table I expectation diff.
 
 import pytest
 
+from repro import api
 from repro.matrix.grid import (
     MATRIX_HEADERS,
     MatrixRow,
@@ -18,7 +19,6 @@ from repro.matrix.grid import (
     matrix_cell,
     matrix_rows,
     matrix_specs,
-    run_matrix,
 )
 from repro.matrix.registry import (
     RegistryError,
@@ -203,14 +203,15 @@ class TestSpecEnumeration:
 
 class TestGridExecution:
     def _run(self, *, jobs=1, store=None):
-        return run_matrix(
-            TINY,
+        grid = api.run_matrix(
+            profile=TINY,
             jobs=jobs,
             store=store,
             attacks=SUB_ATTACKS,
             defenses=SUB_DEFENSES,
             benchmarks=SUB_BENCH,
         )
+        return grid.rows, grid.report
 
     @staticmethod
     def _stable(row: MatrixRow) -> tuple:

@@ -87,14 +87,12 @@ class TestSpans:
         with obs.phase("solve"):
             sum(range(1000))
         obs.incr("dips", 4)
-        obs.annotate(note="hi")
         record = end_job_span(span)
         assert not obs.active()
         assert record["experiment"] == "demo"
         assert record["ended_unix"] >= record["started_unix"]
         assert record["duration_s"] >= record["phases"]["solve"] >= 0.0
         assert record["counts"] == {"dips": 4}
-        assert record["attrs"] == {"note": "hi"}
 
     def test_phase_times_accumulate(self):
         span = begin_job_span("demo", "demo")

@@ -3,8 +3,9 @@
 A reproduction repo lives or dies by its documentation; these tests keep
 it honest: every public module/class/function carries a docstring, the
 top-level docs exist and reference files that are actually in the tree,
-the examples advertised by the README are runnable scripts, and every
-example runs to completion.
+the examples advertised by the README are runnable scripts, every
+example runs to completion, and no ``src/`` definition is reached only
+by tests.
 """
 
 import ast
@@ -18,6 +19,34 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
+
+
+#: Directories whose code counts as a caller of ``src/`` definitions.
+CALLER_DIRS = ("perfbench", "examples", "scripts", "benchmarks")
+
+#: ``module:name`` definitions that only tests call, kept on purpose.
+TEST_ONLY_KEEP = {
+    "repro.core.analysis:is_affine_space":
+        "test oracle: is a candidate set an affine space",
+    "repro.prng.matrix:lfsr_state_after":
+        "test oracle: a matrix jump equals stepping the LFSR",
+    "repro.prng.polynomials:is_maximal_length":
+        "test oracle: the tap-table entries are maximal-length",
+    "repro.sat.enumerate:count_models":
+        "test oracle: solver model counts agree with GF(2)",
+    "repro.gf2.solve:enumerate_affine_solutions":
+        "GF(2) reference, kept with the rest of repro.gf2 as a test oracle",
+    "repro.netlist.verilog_io:parse_verilog":
+        "test oracle: reads write_verilog output back for round-trip checks",
+    "repro.util.bitvec:bits_from_int":
+        "only tests call it; delete it with its tests in a later change",
+    "repro.util.bitvec:bits_to_int":
+        "only tests call it; delete it with its tests in a later change",
+    "repro.netlist.bench_io:load_bench_file":
+        "top-level public API (repro.load_bench_file)",
+    "repro.matrix.registry:temporary_registrations":
+        "plugin test helper that docs/fuzzing.md documents",
+}
 
 
 def public_python_files():
@@ -127,3 +156,59 @@ class TestPackagingMetadata:
             assert any(rel.match(pattern) for pattern in patterns), (
                 f"{rel} is not shipped as package data"
             )
+
+
+def _definition_lines(node) -> set[int]:
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return set(range(first - 1, node.end_lineno))
+
+
+def _words(text: str) -> set[str]:
+    return set(re.findall(r"\w+", text))
+
+
+def test_every_src_definition_has_a_non_test_caller():
+    """Tripwire: code that only tests reach does not creep back into src/.
+
+    Each top-level function or class must appear as a whole word in its
+    own module outside its definition and ``__all__``, in another
+    ``src/`` module that is not a package ``__init__``, or under
+    :data:`CALLER_DIRS`.  :data:`TEST_ONLY_KEEP` names the exceptions.
+    """
+    sources = {path: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    callers = {
+        path: _words(text)
+        for path, text in sources.items()
+        if path.name != "__init__.py"
+    }
+    for directory in CALLER_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            callers[path] = _words(path.read_text())
+    orphans = []
+    for path, text in sources.items():
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        exports = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exports |= set(range(node.lineno - 1, node.end_lineno))
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            skip = exports | _definition_lines(node)
+            rest = "\n".join(line for i, line in enumerate(lines) if i not in skip)
+            if node.name in _words(rest) or any(
+                node.name in words
+                for other, words in callers.items()
+                if other != path
+            ):
+                continue
+            if f"{module}:{node.name}" not in TEST_ONLY_KEEP:
+                orphans.append(f"{module}:{node.name}")
+    assert not orphans, f"src/ definitions with no caller outside tests: {orphans}"

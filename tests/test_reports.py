@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.reports.profiles import PROFILES, active_profile
 from repro.reports.tables import render_markdown_table, render_table
 
@@ -81,26 +82,27 @@ class TestExperimentRunners:
         )
 
     def test_run_table2_row(self):
-        from repro.reports.experiments import run_table2_row
-
-        row = run_table2_row("s5378", self._tiny_profile())
+        (row,) = api.run_grid(
+            "table2", profile=self._tiny_profile(), benchmarks=["s5378"]
+        ).rows
         assert row.benchmark == "s5378"
         assert row.success_rate == 1.0
         assert row.n_seed_candidates >= 1
 
     def test_run_table3_cell(self):
-        from repro.reports.experiments import run_table3_cell
-
-        row = run_table3_cell("s5378", 6, self._tiny_profile())
+        (row,) = api.run_grid(
+            "table3",
+            profile=self._tiny_profile(),
+            benchmarks=["s5378"],
+            key_sizes=[6],
+        ).rows
         assert row.key_bits == 6
         assert row.success_rate == 1.0
 
     def test_run_nonlinear_ablation(self):
-        from repro.reports.experiments import run_nonlinear_ablation
-
-        rows = run_nonlinear_ablation(
-            self._tiny_profile(), n_flops=8, key_bits=4
-        )
+        rows = api.run_grid(
+            "ablation", profile=self._tiny_profile(), n_flops=8, key_bits=4
+        ).rows
         by_name = {r.prng: r for r in rows}
         assert by_name["lfsr"].modeled_correctly
         assert by_name["lfsr"].attack_success

@@ -11,9 +11,10 @@ import json
 
 import pytest
 
+from repro import api
 from repro.reports.cells import CELL_RUNNERS
 from repro.matrix.grid import matrix_specs
-from repro.reports.experiments import run_table2, table1_specs, table2_specs
+from repro.reports.experiments import table1_specs, table2_specs
 from repro.reports.profiles import (
     PROFILES,
     ExperimentProfile,
@@ -298,22 +299,27 @@ class TestTable2ThroughRunner:
             row.exact_seed_rate,
         )
 
+    def _rows(self, **kwargs):
+        return api.run_grid(
+            "table2", profile=QUICK, benchmarks=self.BENCH, **kwargs
+        ).rows
+
     def test_parallel_rows_equal_serial_rows(self):
-        serial = run_table2(QUICK, self.BENCH, jobs=1)
-        parallel = run_table2(QUICK, self.BENCH, jobs=2)
+        serial = self._rows(jobs=1)
+        parallel = self._rows(jobs=2)
         assert [self._key(r) for r in serial] == [self._key(r) for r in parallel]
 
     def test_cached_rerun_is_identical_including_times(self, tmp_path):
         store = JsonFileStore(tmp_path)
-        first = run_table2(QUICK, self.BENCH, store=store)
+        first = self._rows(store=store)
         events = []
-        second = run_table2(QUICK, self.BENCH, store=store, progress=events.append)
+        second = self._rows(store=store, progress=events.append)
         assert first == second  # byte-identical rows, time column included
         assert events and all("[cached]" in e for e in events)
 
     def test_profile_change_misses_the_cache(self, tmp_path):
         store = JsonFileStore(tmp_path)
-        run_table2(QUICK, self.BENCH, store=store)
+        self._rows(store=store)
         specs = table2_specs(TINY, self.BENCH)
         assert all(store.get(s) is None for s in specs)
 

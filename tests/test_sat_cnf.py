@@ -2,29 +2,7 @@
 
 import pytest
 
-from repro.sat.cnf import Cnf, is_negative, lit_of, var_of
-
-
-class TestLiterals:
-    def test_lit_of(self):
-        assert lit_of(3) == 3
-        assert lit_of(3, positive=False) == -3
-
-    def test_lit_of_rejects_nonpositive_var(self):
-        with pytest.raises(ValueError):
-            lit_of(0)
-
-    def test_var_of(self):
-        assert var_of(-7) == 7
-        assert var_of(7) == 7
-
-    def test_var_of_zero(self):
-        with pytest.raises(ValueError):
-            var_of(0)
-
-    def test_is_negative(self):
-        assert is_negative(-1)
-        assert not is_negative(1)
+from repro.sat.cnf import Cnf
 
 
 class TestCnf:

@@ -10,7 +10,6 @@ from repro.scan.chain import (
     shift_cycle,
     shift_in,
     shift_out,
-    shift_out_start_indices,
     xor_int,
 )
 
@@ -97,9 +96,6 @@ class TestShiftInOut:
         applied = shift_in(spec, [0] * 4, pattern, ones, xor_int)
         # Bit l crosses l gates (all gates below l), so parity = l mod 2.
         assert applied == [0, 1, 0, 1]
-
-    def test_shift_out_start_indices(self):
-        assert shift_out_start_indices(4) == [3, 2, 1, 0]
 
     def test_pattern_length_checked(self):
         spec = ScanChainSpec(n_flops=3)

@@ -11,9 +11,7 @@ from repro.netlist.netlist import Netlist, NetlistError
 from repro.netlist.transform import (
     copy_netlist,
     copy_with_prefix,
-    count_transitive_fanin,
     extract_combinational_core,
-    merge_netlists,
     strip_outputs,
 )
 from repro.netlist.validate import validate_netlist
@@ -35,42 +33,6 @@ class TestCopy:
         clone = copy_netlist(original)
         clone.add_input("extra")
         assert "extra" not in original.inputs
-
-
-class TestMerge:
-    def test_disjoint_merge(self):
-        a = Netlist("a")
-        a.add_input("x")
-        a.add_gate("y", GateType.NOT, ["x"])
-        a.add_output("y")
-        b = Netlist("b")
-        b.add_input("p")
-        b.add_gate("q", GateType.NOT, ["p"])
-        b.add_output("q")
-        merged = merge_netlists(a, b)
-        assert set(merged.inputs) == {"x", "p"}
-        assert set(merged.outputs) == {"y", "q"}
-        validate_netlist(merged)
-
-    def test_shared_input_kept_once(self):
-        a = Netlist("a")
-        a.add_input("x")
-        a.add_gate("y", GateType.NOT, ["x"])
-        b = Netlist("b")
-        b.add_input("x")
-        b.add_gate("z", GateType.BUF, ["x"])
-        merged = merge_netlists(a, b)
-        assert merged.inputs.count("x") == 1
-
-    def test_driver_collision_rejected(self):
-        a = Netlist("a")
-        a.add_input("x")
-        a.add_gate("y", GateType.NOT, ["x"])
-        b = Netlist("b")
-        b.add_input("x")
-        b.add_gate("y", GateType.BUF, ["x"])
-        with pytest.raises(NetlistError):
-            merge_netlists(a, b)
 
 
 class TestExtractCombinationalCore:
@@ -135,15 +97,3 @@ class TestStripOutputs:
         netlist.add_input("a")
         with pytest.raises(NetlistError):
             strip_outputs(netlist, ["a"])
-
-
-class TestFanin:
-    def test_counts_cone(self):
-        netlist = Netlist("t")
-        netlist.add_input("a")
-        netlist.add_gate("x", GateType.NOT, ["a"])
-        netlist.add_gate("y", GateType.NOT, ["x"])
-        netlist.add_gate("z", GateType.NOT, ["a"])
-        assert count_transitive_fanin(netlist, "y") == 2
-        assert count_transitive_fanin(netlist, "z") == 1
-        assert count_transitive_fanin(netlist, "a") == 0
