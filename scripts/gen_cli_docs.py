@@ -104,10 +104,20 @@ def render_cli_markdown() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    parser = argparse.ArgumentParser(
+        prog="gen_cli_docs.py",
+        description="Generate the CLI reference from the live argparse tree.",
+    )
+    parser.add_argument(
+        "output",
+        nargs="?",
+        type=Path,
+        help="file to write (default: standard output)",
+    )
+    args = parser.parse_args(argv)
     text = render_cli_markdown()
-    if args:
-        out = Path(args[0])
+    if args.output is not None:
+        out = args.output
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
         print(f"wrote {out} ({len(text.splitlines())} lines)")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+from repro.util.bitvec import random_bits
 
 KEY_INPUT_PREFIX = "keyin_"
 
@@ -54,7 +55,7 @@ def lock_combinational_rll(
             f"cannot insert {key_bits} key gates into {len(candidates)} gates"
         )
     sites = sorted(rng.sample(candidates, key_bits))
-    secret_key = tuple(rng.randrange(2) for _ in range(key_bits))
+    secret_key = tuple(random_bits(key_bits, rng))
     site_to_index = {net: i for i, net in enumerate(sites)}
 
     locked = Netlist(name=f"{netlist.name}_rll")

@@ -30,6 +30,7 @@ from repro.locking.iolock import IoLock
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
+from repro.util.bitvec import random_bits
 
 KEY_INPUT_PREFIX = "sarkey_"
 
@@ -56,7 +57,7 @@ def lock_with_sarlock(
             f"cannot tap {key_bits} comparator inputs from "
             f"{len(core.inputs)} core inputs"
         )
-    secret_key = tuple(rng.randrange(2) for _ in range(key_bits))
+    secret_key = tuple(random_bits(key_bits, rng))
     x_taps = list(core.inputs[:key_bits])
     target = protected_output if protected_output is not None else core.outputs[0]
     if target not in core.outputs:

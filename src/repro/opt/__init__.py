@@ -3,13 +3,20 @@
 Every attack model, replay oracle and fuzz trial in this repo
 re-encodes and re-simulates a netlist; :func:`repro.opt.optimize`
 shrinks that netlist first while provably preserving its interface
-semantics.  Two passes, iterated to a fixpoint, make up the pipeline:
+semantics.  The pipeline runs rounds of
+:func:`repro.opt.structhash.optimize_round`, and each round has two
+passes:
 
-* :mod:`repro.opt.structhash` -- structural hashing into a canonical
-  DAG: constant folding, commutative-input sorting, double-negation and
+* ``structhash`` -- structural hashing into a canonical DAG: constant
+  folding, commutative-input sorting, double-negation and
   XOR-involution rewrites, and common-subexpression merging;
-* :mod:`repro.opt.sweep` -- cone-of-influence dead-logic elimination
-  (plus unused-input reporting, the "unused key gate" detector).
+* ``sweep`` -- cone-of-influence dead-logic elimination over the gates
+  the rewrite emitted, plus unused-input reporting (the "unused key
+  gate" detector), after which the round builds its one output netlist.
+
+The pipeline stops as soon as a read-count check on a round's output
+shows another round could change nothing (:mod:`repro.opt.structhash`
+gives the argument), which for almost every netlist is after the first.
 
 The contract optimization never breaks: primary inputs, primary
 outputs, and flip-flop Q/D nets keep their names, order and semantics,

@@ -3,10 +3,12 @@
 Levels:
 
 * ``0`` -- no-op: the input netlist is returned untouched.
-* ``1`` (default) -- structural hashing + cone-of-influence sweep,
-  iterated to a structural fixpoint.  Pure graph rewriting, linear in
-  the netlist; this is the level every attack encodes through unless
-  told otherwise.
+* ``1`` (default) -- rounds of structural hashing followed by a
+  cone-of-influence sweep (:func:`repro.opt.structhash.optimize_round`),
+  until another round could change nothing.  Pure graph rewriting,
+  linear in the netlist per round; almost every netlist takes one
+  round.  This is the level every attack encodes through unless told
+  otherwise.
 
 The pipeline pins the whole netlist interface automatically: primary
 inputs (hence key inputs), primary outputs, and flip-flop Q/D nets are
@@ -16,8 +18,9 @@ pinned with ``pin=``.
 
 The level is chosen per call (``level=``; ``None`` means
 :data:`DEFAULT_LEVEL`).  Every pass reports an :class:`OptStats` entry
-(gates before/after, wall time) so callers -- the ``dynunlock opt``
-CLI, the opt bench -- can show where the reduction came from.
+(gates before/after, wall time), two per round, so callers -- the
+``dynunlock opt`` CLI, the opt bench -- can show where the reduction
+came from.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from dataclasses import dataclass, field
 
 from repro.netlist.netlist import Netlist
 from repro.observability import spans as obs
-from repro.opt.structhash import structural_hash
-from repro.opt.sweep import sweep
+from repro.opt.structhash import optimize_round
 
 #: The level attacks preprocess with when nothing is specified.
 DEFAULT_LEVEL = 1
 MAX_LEVEL = 1
 
-#: Safety bound on fixpoint iteration (reached only by pathological
+#: Safety bound on the rounds (reached only by pathological
 #: oscillation, which the rewrites are not expected to exhibit).
 _MAX_FIXPOINT_ROUNDS = 8
 
@@ -148,7 +150,7 @@ def optimize(
     current = _level1_fixpoint(netlist, pinned, stats)
     stats.gates_after = current.n_gates
     stats.time_s = time.perf_counter() - started
-    # The fixpoint always ends on a sweep pass.
+    # Every round ends on its sweep pass.
     stats.unused_inputs = list(stats.passes[-1].detail["unused_inputs"])
     if obs.active():
         # One span update per pipeline run; nothing on the per-pass path.
@@ -160,32 +162,19 @@ def optimize(
 def _level1_fixpoint(
     netlist: Netlist, pinned: frozenset[str], stats: OptStats
 ) -> Netlist:
-    """Iterate structhash + sweep until the gate set stops changing."""
+    """Run rounds until another round could change nothing.
+
+    Each round records its rewrite walk (``structhash``) and its sweep as
+    two passes.  The loop stops on the first settled round (the rule and
+    its argument are in :mod:`repro.opt.structhash`), so it returns what
+    repeating rounds until the gate set stops changing returns, one
+    round sooner.
+    """
     current = netlist
     for _ in range(_MAX_FIXPOINT_ROUNDS):
-        t0 = time.perf_counter()
-        hashed, detail = structural_hash(current, pinned)
-        stats.passes.append(
-            PassStats(
-                "structhash",
-                current.n_gates,
-                hashed.n_gates,
-                time.perf_counter() - t0,
-                detail,
-            )
-        )
-        t0 = time.perf_counter()
-        swept, detail = sweep(hashed, pinned)
-        stats.passes.append(
-            PassStats(
-                "sweep",
-                hashed.n_gates,
-                swept.n_gates,
-                time.perf_counter() - t0,
-                detail,
-            )
-        )
-        if swept.gates == current.gates:
-            return swept
-        current = swept
+        step = optimize_round(current, pinned)
+        stats.passes.extend(PassStats(*record) for record in step.passes)
+        current = step.netlist
+        if step.settled:
+            break
     return current

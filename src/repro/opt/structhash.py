@@ -1,7 +1,8 @@
-"""Structural hashing: rewrite a netlist into a canonical DAG.
+"""One optimizer round: structural hashing, then a cone-of-influence sweep.
 
-One linear pass over the topological gate order rewrites every gate to a
-canonical form and merges structurally identical logic:
+:func:`optimize_round` walks the netlist once in topological order and
+rewrites every gate to a canonical form, merging structurally identical
+logic:
 
 * **constant folding** -- CONST0/CONST1 operands are absorbed per gate
   semantics (``AND(x, 0) = 0``, ``XOR(x, 1) = NOT x``, ``MUX`` with a
@@ -16,14 +17,41 @@ canonical form and merges structurally identical logic:
 * **common-subexpression elimination** -- two gates with the same
   canonical ``(type, operands)`` share one output net.
 
+The rewritten gates go to a list in emission order, which is
+topological.  The sweep then walks the cone of influence of the
+observable roots (primary outputs, flip-flop D pins and pinned nets)
+backwards over that list, and the round builds its output
+:class:`~repro.netlist.netlist.Netlist` once, from the live gates in
+emission order.  It also *reports* (never removes) the primary inputs
+left driving nothing: on a locked attack model those are exactly the
+unused key gates, whose overlay cancelled out or whose cone was
+constant-folded away.
+
 Nets listed in ``pinned`` (primary outputs, flip-flop D pins, caller
 extras) always stay present and driven under their own name: when a
 pinned gate output simplifies away, a BUF (or constant gate) alias is
 materialised so the interface contract of :mod:`repro.opt` holds.  The
-pass never renames or reorders primary inputs, outputs or flip-flops.
+round never renames or reorders primary inputs, outputs or flip-flops.
+
+**When a round is the last one.**  Every rewrite but one reads only a
+gate's resolved operands and the canonical forms of their drivers.  A
+round leaves both canonical, so a round over a round's output re-emits
+each gate unchanged and its sweep finds nothing dead.  The exception is
+the fanout-1 XOR flattening, which also reads a global quantity: how
+many sinks read each net.  A round's CSE merges and dead-logic removal
+can lower those counts, so the next round flattens exactly when some
+unpinned XOR/XNOR gate that is read at most once feeds an XOR/XNOR gate
+sharing one of its operands.  :attr:`Round.settled` is that check made
+on the round's output, so the pipeline stops without running a round
+only to see it change nothing.
 """
 
 from __future__ import annotations
+
+import time
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist, NetNamer
@@ -47,20 +75,32 @@ _COMMUTATIVE = frozenset(
 _XOR_CLASS = frozenset({GateType.XOR, GateType.XNOR})
 
 
+@dataclass
+class Round:
+    """What one :func:`optimize_round` produced."""
+
+    netlist: Netlist
+    #: The rewrite walk's and the sweep's ``(name, gates_before,
+    #: gates_after, time_s, detail)``, the fields of a ``PassStats``.
+    passes: list[tuple]
+    #: True when another round would change nothing (module docstring).
+    settled: bool
+
+
 class _Rewriter:
-    """One structural-hashing run over a source netlist."""
+    """One round over a source netlist: rewrite walk, sweep, build."""
 
     def __init__(self, src: Netlist, pinned: frozenset[str]):
         self.src = src
         self.pinned = pinned
-        self.out = Netlist(name=src.name)
         # net -> canonical Value of every gate output folded away.
         self.value: dict[str, Value] = {}
         # canonical (gtype, operands) -> output net of the emitted gate.
         self.cse: dict[tuple, str] = {}
-        # emitted gate output -> its canonical (gtype, operands) form.
+        # emitted gate output -> its (gtype, operands), in emission order.
         self.driver: dict[str, tuple[GateType, tuple[str, ...]]] = {}
-        self.namer = NetNamer(src, "opt_")
+        # Built on the first fresh inverter a MUX rewrite asks for.
+        self.namer: NetNamer | None = None
         self.reads = _read_counts(src)
         self.stats = {
             "folded_const": 0,
@@ -71,17 +111,41 @@ class _Rewriter:
         }
 
     # ------------------------------------------------------------------
-    def run(self) -> Netlist:
-        out = self.out
-        for net in self.src.inputs:
-            out.add_input(net)
-        for dff in self.src.dffs.values():
-            out.add_dff(q=dff.q, d=dff.d)
-        for gate in self.src.topological_gates():
+    def run(self) -> Round:
+        src, driver = self.src, self.driver
+        started = time.perf_counter()
+        for gate in src.topological_gates():
             self._rewrite(gate)
-        for net in self.src.outputs:
+        rewritten = time.perf_counter()
+        # The sweep.  Emission order is topological, so one backward pass
+        # over it marks the cone of influence of every observable root.
+        live = set(src.outputs)
+        live.update(dff.d for dff in src.dffs.values())
+        live.update(self.pinned)
+        for net in reversed(driver):
+            if net in live:
+                live.update(driver[net][1])
+        out = Netlist(name=src.name)
+        for net in src.inputs:
+            out.add_input(net)
+        for dff in src.dffs.values():
+            out.add_dff(q=dff.q, d=dff.d)
+        for net, (gtype, ins) in driver.items():
+            if net in live:
+                out.add_gate(net, gtype, ins)
+        for net in src.outputs:
             out.add_output(net)
-        return out
+        reads = _read_counts(out)
+        sweep = {
+            "removed_gates": len(driver) - out.n_gates,
+            "unused_inputs": [net for net in out.inputs if net not in reads],
+        }
+        settled = not _flattenable(out, reads, self.pinned)
+        passes = [
+            ("structhash", src.n_gates, len(driver), rewritten - started, self.stats),
+            ("sweep", len(driver), out.n_gates, time.perf_counter() - rewritten, sweep),
+        ]
+        return Round(out, passes, settled)
 
     # ------------------------------------------------------------------
     def resolve(self, net: str) -> Value:
@@ -108,15 +172,14 @@ class _Rewriter:
         """Drive a pinned net whose logic simplified away.
 
         Deliberately bypasses CSE: every pinned net needs its own driver
-        even when several pins share one representative.
+        even when several pins share one representative.  Readers of
+        ``name`` resolve to ``val``, so no rewrite looks up this alias.
         """
         self.stats["pinned_aliases"] += 1
         if isinstance(val, int):
-            self.out.add_gate(
-                name, GateType.CONST1 if val else GateType.CONST0, []
-            )
+            self.driver[name] = (GateType.CONST1 if val else GateType.CONST0, ())
         else:
-            self.out.add_gate(name, GateType.BUF, [val])
+            self.driver[name] = (GateType.BUF, (val,))
 
     def _emit(self, out_net: str, gtype: GateType, ins: tuple[str, ...]) -> Value | None:
         """CSE-aware gate emission; returns a Value on a merge hit."""
@@ -125,7 +188,6 @@ class _Rewriter:
         if hit is not None:
             self.stats["cse_merged"] += 1
             return hit
-        self.out.add_gate(out_net, gtype, list(ins))
         self.driver[out_net] = key
         self.cse[key] = out_net
         return None
@@ -139,8 +201,9 @@ class _Rewriter:
         hit = self.cse.get(key)
         if hit is not None:
             return hit
+        if self.namer is None:
+            self.namer = NetNamer(self.src, "opt_")
         fresh = self.namer.fresh("not")
-        self.out.add_gate(fresh, GateType.NOT, [net])
         self.driver[fresh] = key
         self.cse[key] = fresh
         return fresh
@@ -310,30 +373,46 @@ class _Rewriter:
         return self._emit(out_net, GateType.MUX, (sel, d0, d1))
 
 
-def _read_counts(netlist: Netlist) -> dict[str, int]:
-    """How many sinks read each net.
-
-    Gate-input fanout comes from the netlist's cached
-    :meth:`~repro.netlist.netlist.Netlist.fanout_map`; DFF D pins and
-    primary outputs are additional sinks the fanout map excludes.
-    """
-    reads = {net: len(gates) for net, gates in netlist.fanout_map().items()}
-    for dff in netlist.dffs.values():
-        reads[dff.d] = reads.get(dff.d, 0) + 1
-    for net in netlist.outputs:
-        reads[net] = reads.get(net, 0) + 1
+def _read_counts(netlist: Netlist) -> Counter:
+    """How many sinks read each net: gate inputs, DFF D pins, outputs."""
+    reads = Counter(
+        chain.from_iterable(gate.inputs for gate in netlist.gates.values())
+    )
+    reads.update(dff.d for dff in netlist.dffs.values())
+    reads.update(netlist.outputs)
     return reads
 
 
-def structural_hash(
-    netlist: Netlist,
-    pinned: frozenset[str] = frozenset(),
-) -> tuple[Netlist, dict[str, int]]:
-    """Rewrite ``netlist`` into canonical form; see the module docstring.
+def _flattenable(netlist: Netlist, reads: Counter, pinned: frozenset[str]) -> bool:
+    """Would a round over ``netlist`` flatten an XOR operand?
 
-    Returns ``(rewritten, stats)``.  The input netlist is never mutated;
-    the result preserves input/output/DFF names and order, and every net
-    in ``pinned`` remains present and driven.
+    :meth:`_Rewriter._simplify_xor`'s test: an unpinned XOR/XNOR read at
+    most once that shares an operand with the XOR/XNOR gate reading it.
     """
-    rewriter = _Rewriter(netlist, pinned)
-    return rewriter.run(), rewriter.stats
+    gates = netlist.gates
+    for gate in gates.values():
+        if gate.gtype not in _XOR_CLASS:
+            continue
+        for net in gate.inputs:
+            inner = gates.get(net)
+            if (
+                inner is not None
+                and inner.gtype in _XOR_CLASS
+                and net not in pinned
+                and reads[net] <= 1
+                and not set(gate.inputs).isdisjoint(inner.inputs)
+            ):
+                return True
+    return False
+
+
+def optimize_round(
+    netlist: Netlist, pinned: frozenset[str] = frozenset()
+) -> Round:
+    """Run one round over ``netlist``; see the module docstring.
+
+    The input netlist is never mutated; the result preserves
+    input/output/DFF names and order, and every net in ``pinned``
+    remains present and driven.
+    """
+    return _Rewriter(netlist, pinned).run()

@@ -1,8 +1,6 @@
 """Shared low-level utilities: bit vectors, deterministic RNG, timing."""
 
 from repro.util.bitvec import (
-    bits_from_int,
-    bits_to_int,
     bits_from_str,
     bits_to_str,
     parity,
@@ -12,8 +10,6 @@ from repro.util.rng import DeterministicRng
 from repro.util.timing import Stopwatch
 
 __all__ = [
-    "bits_from_int",
-    "bits_to_int",
     "bits_from_str",
     "bits_to_str",
     "parity",

@@ -21,34 +21,6 @@ import random
 from typing import Iterable, Sequence
 
 
-def bits_from_int(value: int, width: int) -> list[int]:
-    """Expand ``value`` into ``width`` bits, LSB first.
-
-    >>> bits_from_int(6, 4)
-    [0, 1, 1, 0]
-    """
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return [(value >> i) & 1 for i in range(width)]
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Pack a LSB-first bit sequence into an integer.
-
-    >>> bits_to_int([0, 1, 1, 0])
-    6
-    """
-    result = 0
-    for i, bit in enumerate(bits):
-        _check_bit(bit)
-        result |= (bit & 1) << i
-    return result
-
-
 def bits_from_str(text: str) -> list[int]:
     """Parse a human-oriented bit string such as ``"0110"``.
 
@@ -82,8 +54,20 @@ def parity(bits: Iterable[int]) -> int:
 
 
 def random_bits(width: int, rng: random.Random) -> list[int]:
-    """Draw ``width`` uniform bits from ``rng``."""
-    return [rng.randrange(2) for _ in range(width)]
+    """Draw ``width`` uniform bits from ``rng``.
+
+    The stream is ``[rng.randrange(2) for _ in range(width)]``'s, and
+    ``rng`` ends in the same state.  On CPython ``randrange(2)`` draws
+    ``getrandbits(2)`` until the value is below 2; this loop does the
+    same without ``randrange``'s argument handling.
+    """
+    draw = rng.getrandbits
+    bits: list[int] = []
+    while len(bits) < width:
+        bit = draw(2)
+        if bit < 2:
+            bits.append(bit)
+    return bits
 
 
 # ----------------------------------------------------------------------

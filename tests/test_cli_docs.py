@@ -7,6 +7,8 @@ added without regenerating the reference fails locally first.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -34,3 +36,12 @@ def test_reference_covers_every_subcommand():
         "cache gc", "top",
     ):
         assert f"## `dynunlock {command}`" in text
+
+
+def test_help_prints_usage_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        load_generator().main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

@@ -12,8 +12,9 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.validate import validate_netlist
 from repro.opt import DEFAULT_LEVEL, MAX_LEVEL, optimize, resolve_level
-from repro.opt.structhash import structural_hash
-from repro.opt.sweep import sweep
+from repro.opt import pipeline
+from repro.opt.structhash import optimize_round
+from repro.sat.tseitin import compile_encoding
 from repro.sim.logicsim import evaluate
 from repro.util.bitvec import random_bits
 
@@ -70,7 +71,7 @@ class TestOptimizeProperties:
         netlist = sampled_netlist(seed)
         once = optimize(netlist, level=level)
         twice = optimize(once.netlist, level=level)
-        assert twice.netlist.n_gates == once.netlist.n_gates
+        assert twice.netlist.gates == once.netlist.gates
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), level=st.sampled_from(LEVELS))
@@ -120,7 +121,7 @@ class TestStructuralHash:
         return netlist
 
     def out_gate(self, netlist, net="y"):
-        optimized, _ = structural_hash(netlist, frozenset(netlist.outputs))
+        optimized = optimize_round(netlist, frozenset(netlist.outputs)).netlist
         return optimized, optimized.gates[net]
 
     def test_constant_folding_through_and(self):
@@ -160,7 +161,7 @@ class TestStructuralHash:
                 n.add_output("y"),
             )
         )
-        optimized, _ = structural_hash(netlist, frozenset(netlist.outputs))
+        optimized = optimize_round(netlist, frozenset(netlist.outputs)).netlist
         # g1 == g2, so y = XOR(x, x) = 0.
         assert optimized.gates["y"].gtype is GateType.CONST0
 
@@ -172,7 +173,7 @@ class TestStructuralHash:
                 n.add_output("y"),
             )
         )
-        optimized, _ = structural_hash(netlist, frozenset(netlist.outputs))
+        optimized = optimize_round(netlist, frozenset(netlist.outputs)).netlist
         gate = optimized.gates["y"]
         # XOR(XOR(a, b), b) = a; the pinned output keeps a BUF alias.
         assert gate.gtype is GateType.BUF and gate.inputs == ("a",)
@@ -192,7 +193,7 @@ class TestStructuralHash:
                 n.add_output("andg"),
             )
         )
-        optimized, _ = structural_hash(netlist, frozenset(netlist.outputs))
+        optimized = optimize_round(netlist, frozenset(netlist.outputs)).netlist
         assert optimized.gates["same"].inputs == ("b",)  # BUF alias
         assert optimized.gates["asel"].inputs == ("a",)
         assert optimized.gates["inv"].gtype is GateType.NOT
@@ -209,13 +210,13 @@ class TestStructuralHash:
                 n.add_output("z"),
             )
         )
-        optimized, _ = structural_hash(netlist, frozenset(netlist.outputs))
+        optimized = optimize_round(netlist, frozenset(netlist.outputs)).netlist
         assert optimized.gates["y"].gtype is GateType.CONST0
         assert optimized.gates["z"].gtype is GateType.CONST1
 
 
 # ----------------------------------------------------------------------
-# sweep unit cases
+# sweep unit cases (the second half of every round)
 # ----------------------------------------------------------------------
 class TestSweep:
     def test_dead_cone_removed_and_unused_inputs_reported(self):
@@ -226,21 +227,23 @@ class TestSweep:
         netlist.add_gate("dead1", GateType.OR, ["a", "k"])
         netlist.add_gate("dead2", GateType.NOT, ["dead1"])
         netlist.add_output("live")
-        swept, stats = sweep(netlist)
-        assert set(swept.gates) == {"live"}
-        assert stats["removed_gates"] == 2
+        result = optimize(netlist)
+        assert set(result.netlist.gates) == {"live"}
+        assert result.stats.gates_removed == 2
+        assert result.stats.passes[1].detail["removed_gates"] == 2
         # k fed only dead logic: the unused-key-gate detector flags it.
-        assert stats["unused_inputs"] == ["k"]
-        assert swept.inputs == netlist.inputs  # never removed, only reported
+        assert result.stats.unused_inputs == ["k"]
+        # never removed, only reported
+        assert result.netlist.inputs == netlist.inputs
 
     def test_dff_d_pins_are_roots(self):
         netlist = Netlist()
         netlist.add_input("a")
         netlist.add_gate("ns", GateType.NOT, ["a"])
         netlist.add_dff(q="q0", d="ns")
-        swept, stats = sweep(netlist)
-        assert "ns" in swept.gates
-        assert stats["removed_gates"] == 0
+        result = optimize(netlist)
+        assert "ns" in result.netlist.gates
+        assert result.stats.gates_removed == 0
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +288,172 @@ class TestPipeline:
         # Without the pin, "keep" would be absorbed by double negation.
         result = optimize(netlist, level=1, pin=("keep",))
         assert "keep" in result.netlist.gates
+
+
+# ----------------------------------------------------------------------
+# the stopping rule against iterating until nothing changes
+# ----------------------------------------------------------------------
+def reference_rounds(netlist: Netlist, pinned: frozenset[str]):
+    """Repeat the round until the gate dict stops changing.
+
+    The reference for the pipeline's stopping rule: it runs one more
+    round to see that round change nothing.  Returns the result and the
+    number of rounds run.
+    """
+    current = netlist
+    for rounds in range(1, pipeline._MAX_FIXPOINT_ROUNDS + 1):
+        step = optimize_round(current, pinned)
+        if step.netlist.gates == current.gates:
+            return step.netlist, rounds
+        current = step.netlist
+    return current, rounds
+
+
+def assert_same_netlist(got: Netlist, want: Netlist) -> None:
+    """Same interface, gate set and order; byte-identical Tseitin template."""
+    assert got.inputs == want.inputs
+    assert got.outputs == want.outputs
+    assert list(got.dffs.items()) == list(want.dffs.items())
+    assert got.gates == want.gates
+    assert got.topological_gates() == want.topological_gates()
+    if not got.dffs:
+        mine, theirs = compile_encoding(got), compile_encoding(want)
+        assert mine.lits == theirs.lits
+        assert mine.lengths == theirs.lengths
+        assert list(mine.net_local.items()) == list(theirs.net_local.items())
+
+
+def assert_matches_reference(netlist: Netlist, pin: tuple[str, ...] = ()):
+    """Check ``optimize`` against :func:`reference_rounds`.
+
+    Returns the number of rounds each of the two ran.
+    """
+    result = optimize(netlist, pin=pin)
+    pinned = pipeline._interface_pins(netlist, frozenset(pin))
+    want, reference = reference_rounds(netlist, pinned)
+    assert_same_netlist(result.netlist, want)
+    return len(result.stats.passes) // 2, reference
+
+
+_XOR_HEAVY_KINDS = [GateType.XOR] * 4 + [GateType.XNOR] * 2 + [
+    GateType.AND, GateType.OR, GateType.NOT, GateType.BUF, GateType.MUX,
+    GateType.CONST0,
+]
+_FIXED_ARITY = {
+    GateType.NOT: 1, GateType.BUF: 1, GateType.MUX: 3, GateType.CONST0: 0,
+}
+
+
+@st.composite
+def xor_heavy_netlists(draw):
+    """Random XOR-heavy netlists with duplicate gates and extra pins.
+
+    Duplicates (operands reversed) give CSE merges, the thing that can
+    leave an XOR read once only after a round.
+    """
+    netlist = Netlist()
+    nets = [netlist.add_input(f"i{k}") for k in range(draw(st.integers(2, 5)))]
+    forms: list[tuple[GateType, list[str]]] = []
+    for index in range(draw(st.integers(3, 24))):
+        if forms and draw(st.integers(0, 3)) == 0:
+            gtype, ins = draw(st.sampled_from(forms))
+            ins = ins[::-1]
+        else:
+            gtype = draw(st.sampled_from(_XOR_HEAVY_KINDS))
+            arity = _FIXED_ARITY.get(gtype)
+            if arity is None:
+                arity = draw(st.integers(2, 4))
+            ins = [draw(st.sampled_from(nets)) for _ in range(arity)]
+        nets.append(netlist.add_gate(f"g{index}", gtype, ins).output)
+        forms.append((gtype, ins))
+    gates = list(netlist.gates)
+    outputs = st.lists(st.sampled_from(gates), min_size=1, max_size=4, unique=True)
+    for net in draw(outputs):
+        netlist.add_output(net)
+    pin = tuple(draw(st.lists(st.sampled_from(gates), max_size=3, unique=True)))
+    return netlist, pin
+
+
+class TestStoppingRule:
+    def test_table2_quick_models_match_reference(self):
+        from repro import api
+        from repro.core.modeling import build_combinational_model
+        from repro.reports.cells import build_table2_lock
+
+        profile = api.resolve_profile("quick")
+        cells = [
+            (spec.params["benchmark"], spec.params["seed_index"], None)
+            for spec in api.grid_specs("table2", profile)
+        ]
+        cells += [("b17", 0, 20), ("b17", 0, 24)]
+        for cell in cells:
+            netlist, lock, kb = build_table2_lock(profile, *cell)
+            model = build_combinational_model(netlist, lock.spec, lock.lfsr_taps, kb)
+            assert_matches_reference(model.netlist)
+
+    def test_fuzz_trial_netlists_match_reference(self, monkeypatch):
+        from repro import api
+        from repro.fuzz.campaign import fuzz_cell, sample_trial_params
+
+        seen = []
+        fixpoint = pipeline._level1_fixpoint
+
+        def recording(netlist, pinned, stats):
+            result = fixpoint(netlist, pinned, stats)
+            seen.append((netlist, pinned, result))
+            return result
+
+        monkeypatch.setattr(pipeline, "_level1_fixpoint", recording)
+        profile = api.resolve_profile("quick")
+        for index in range(60):
+            fuzz_cell(profile, **sample_trial_params(0, index))
+        monkeypatch.undo()
+        assert len(seen) > 60
+        for netlist, pinned, result in seen:
+            assert_same_netlist(result, reference_rounds(netlist, pinned)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=xor_heavy_netlists())
+    def test_xor_heavy_netlists_match_reference(self, case):
+        netlist, pin = case
+        assert_matches_reference(netlist, pin)
+
+    def test_cse_merge_that_leaves_an_xor_read_once_takes_two_rounds(self):
+        netlist = Netlist()
+        for net in ("a", "b"):
+            netlist.add_input(net)
+        netlist.add_gate("x", GateType.XOR, ["a", "b"])
+        # y2 merges into y1, so x loses its second reader in round 1 and
+        # round 2 may flatten it: XOR(XOR(a, b), a) = b.
+        netlist.add_gate("y1", GateType.XOR, ["x", "a"])
+        netlist.add_gate("y2", GateType.XOR, ["a", "x"])
+        netlist.add_output("y1")
+        netlist.add_output("y2")
+        assert assert_matches_reference(netlist) == (2, 3)
+        optimized = optimize(netlist).netlist
+        assert optimized.gates["y1"].inputs == ("b",)
+        assert optimized.gates["y2"].inputs == ("b",)
+        assert "x" not in optimized.gates
+
+    def test_canonical_netlist_takes_one_round(self):
+        netlist = Netlist()
+        for net in ("a", "b", "c"):
+            netlist.add_input(net)
+        # x shares a with y1, but a second reader (or a pin) keeps it;
+        # z is read once, but shares nothing with y3.
+        netlist.add_gate("x", GateType.XOR, ["a", "b"])
+        netlist.add_gate("y1", GateType.XOR, ["a", "x"])
+        netlist.add_gate("y2", GateType.AND, ["c", "x"])
+        netlist.add_gate("z", GateType.XOR, ["b", "c"])
+        netlist.add_gate("y3", GateType.XOR, ["a", "z"])
+        for net in ("y1", "y2", "y3"):
+            netlist.add_output(net)
+        assert assert_matches_reference(netlist) == (1, 1)
+        assert optimize(netlist).netlist.gates == netlist.gates
+        netlist.remove_gate("y2")
+        netlist.set_outputs(["y1", "y3"])
+        assert assert_matches_reference(netlist, pin=("x",)) == (1, 1)
+        assert optimize(netlist, pin=("x",)).netlist.gates == netlist.gates
 
 
 # ----------------------------------------------------------------------

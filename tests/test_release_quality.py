@@ -38,10 +38,6 @@ TEST_ONLY_KEEP = {
         "GF(2) reference, kept with the rest of repro.gf2 as a test oracle",
     "repro.netlist.verilog_io:parse_verilog":
         "test oracle: reads write_verilog output back for round-trip checks",
-    "repro.util.bitvec:bits_from_int":
-        "only tests call it; delete it with its tests in a later change",
-    "repro.util.bitvec:bits_to_int":
-        "only tests call it; delete it with its tests in a later change",
     "repro.netlist.bench_io:load_bench_file":
         "top-level public API (repro.load_bench_file)",
     "repro.matrix.registry:temporary_registrations":

@@ -6,53 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.bitvec import (
-    bits_from_int,
     bits_from_str,
-    bits_to_int,
     bits_to_str,
     parity,
     random_bits,
 )
-
-
-class TestBitsFromInt:
-    def test_basic(self):
-        assert bits_from_int(6, 4) == [0, 1, 1, 0]
-
-    def test_zero_width(self):
-        assert bits_from_int(0, 0) == []
-
-    def test_all_ones(self):
-        assert bits_from_int(15, 4) == [1, 1, 1, 1]
-
-    def test_value_too_large(self):
-        with pytest.raises(ValueError):
-            bits_from_int(16, 4)
-
-    def test_negative_value(self):
-        with pytest.raises(ValueError):
-            bits_from_int(-1, 4)
-
-    def test_negative_width(self):
-        with pytest.raises(ValueError):
-            bits_from_int(0, -1)
-
-
-class TestBitsToInt:
-    def test_basic(self):
-        assert bits_to_int([0, 1, 1, 0]) == 6
-
-    def test_empty(self):
-        assert bits_to_int([]) == 0
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            bits_to_int([0, 2, 1])
-
-    @given(st.integers(min_value=0, max_value=2**63 - 1))
-    def test_roundtrip(self, value):
-        width = max(1, value.bit_length())
-        assert bits_to_int(bits_from_int(value, width)) == value
 
 
 class TestBitStrings:
@@ -97,6 +55,15 @@ class TestRandomBits:
 
     def test_deterministic(self):
         assert random_bits(32, random.Random(5)) == random_bits(32, random.Random(5))
+
+    def test_stream_is_randrange_2s(self):
+        for seed in range(200):
+            for width in (0, 1, 2, 7, 64, 300):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert random_bits(width, ours) == [
+                    theirs.randrange(2) for _ in range(width)
+                ]
+                assert ours.random() == theirs.random()
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +115,14 @@ class TestPackedLaneProperties:
 
     @given(st.integers(min_value=0, max_value=256))
     def test_lane_mask_is_all_ones(self, n):
-        assert lane_mask(n) == bits_to_int([1] * n)
+        assert lane_mask(n) == sum(1 << lane for lane in range(n))
 
     @given(st.lists(bit, min_size=1, max_size=64))
     def test_int_round_trip_at_exact_width(self, bits):
-        assert bits_from_int(bits_to_int(bits), len(bits)) == bits
+        """One column packs into the int whose bit ``i`` is ``bits[i]``."""
+        (word,) = pack_lanes([[b] for b in bits])
+        assert word == sum(b << lane for lane, b in enumerate(bits))
+        assert unpack_lanes([word], len(bits)) == [[b] for b in bits]
 
     def test_pack_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
