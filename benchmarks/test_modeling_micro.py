@@ -42,7 +42,7 @@ def test_model_build_unrolled(benchmark, locked_case):
     model = benchmark(
         build_combinational_model,
         netlist, lock.spec, lock.lfsr_taps, lock.key_bits,
-        "dynamic", 1, True, "unrolled",
+        encoding="unrolled",
     )
     benchmark.extra_info["model_gates"] = model.netlist.n_gates
 

@@ -89,8 +89,6 @@ def submit_jobs(
     store: JsonFileStore | None = None,
     progress: ProgressFn | None = None,
     observer=None,
-    timeout_s: float | None = None,
-    retries: int = 0,
 ) -> RunReport:
     """Run any spec list through the scheduler; the raw facade surface.
 
@@ -104,8 +102,6 @@ def submit_jobs(
         specs,
         jobs=jobs,
         store=store,
-        timeout_s=timeout_s,
-        retries=retries,
         progress=adapt_progress(progress) if progress is not None else None,
         observer=observer,
     )

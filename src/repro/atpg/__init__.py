@@ -10,14 +10,13 @@ fully restored once DynUnlock recovers the seed.
 """
 
 from repro.atpg.faults import StuckAtFault, enumerate_faults
-from repro.atpg.fault_sim import FaultSimulator, fault_coverage
+from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.atpg import generate_test, generate_test_set, AtpgResult
 
 __all__ = [
     "StuckAtFault",
     "enumerate_faults",
     "FaultSimulator",
-    "fault_coverage",
     "generate_test",
     "generate_test_set",
     "AtpgResult",

@@ -117,13 +117,11 @@ def generate_test(
 def generate_test_set(
     netlist: Netlist,
     faults: list[StuckAtFault],
-    fault_sim_pruning: bool = True,
 ) -> AtpgResult:
     """Generate patterns covering a fault list.
 
-    With ``fault_sim_pruning`` each new pattern is fault-simulated against
-    the remaining faults so already-covered faults are skipped -- the
-    standard ATPG flow.
+    Each new pattern is fault-simulated against the remaining faults so
+    already-covered faults are skipped -- the standard ATPG flow.
     """
     sim = FaultSimulator(netlist)
     remaining = list(faults)
@@ -144,14 +142,13 @@ def generate_test_set(
             continue
         patterns.append(pattern)
         detected.append(fault)
-        if fault_sim_pruning and remaining:
-            still_remaining = []
-            for other in remaining:
-                if sim.detects(pattern, other):
-                    detected.append(other)
-                else:
-                    still_remaining.append(other)
-            remaining = still_remaining
+        still_remaining = []
+        for other in remaining:
+            if sim.detects(pattern, other):
+                detected.append(other)
+            else:
+                still_remaining.append(other)
+        remaining = still_remaining
     return AtpgResult(
         patterns=patterns,
         detected=detected,

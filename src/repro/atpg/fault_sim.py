@@ -5,25 +5,16 @@ the fault site to its stuck value and everything downstream recomputes.
 Works on combinational netlists (use
 :func:`repro.netlist.transform.extract_combinational_core` first for
 sequential designs, which is exactly what scan-based testing does).
-
-Two speeds:
-
-* the scalar methods (:meth:`FaultSimulator.detects` and friends) keep
-  the reference one-pattern-at-a-time semantics;
-* :meth:`FaultSimulator.detection_lanes` and :func:`fault_coverage` run
-  bit-parallel — patterns are packed 64 to a word, the good machine is
-  simulated once per chunk, and each fault costs one more packed pass.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.atpg.faults import StuckAtFault
 from repro.netlist.gates import evaluate_gate
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.sim.logicsim import BitParallelSimulator, CombinationalSimulator
-from repro.util.bitvec import PACK_WORD_BITS, lane_mask, pack_lanes
+from repro.sim.logicsim import CombinationalSimulator
 
 
 class FaultSimulator:
@@ -36,7 +27,6 @@ class FaultSimulator:
             )
         self.netlist = netlist
         self._good_sim = CombinationalSimulator(netlist)
-        self._packed_sim = BitParallelSimulator(netlist)
         self._order = netlist.topological_gates()
 
     def good_outputs(self, inputs: Mapping[str, int]) -> list[int]:
@@ -63,70 +53,3 @@ class FaultSimulator:
     def detects(self, inputs: Mapping[str, int], fault: StuckAtFault) -> bool:
         """True when the pattern produces a fault-free/faulty mismatch."""
         return self.good_outputs(inputs) != self.faulty_outputs(inputs, fault)
-
-    # ------------------------------------------------------------------
-    # bit-parallel batch path
-    # ------------------------------------------------------------------
-    def pack_patterns(
-        self, patterns: Sequence[Mapping[str, int]]
-    ) -> list[tuple[dict[str, int], int, list[int]]]:
-        """Column-pack patterns into 64-lane chunks for the batch methods.
-
-        Each chunk is ``(packed inputs, lane count, fault-free output
-        words)`` — the good machine is simulated once per chunk here, so
-        a fault sweep over the same pattern set never recomputes it.
-        """
-        chunks: list[tuple[dict[str, int], int, list[int]]] = []
-        inputs = self.netlist.inputs
-        for start in range(0, len(patterns), PACK_WORD_BITS):
-            chunk = patterns[start : start + PACK_WORD_BITS]
-            rows = [[pattern[net] for net in inputs] for pattern in chunk]
-            packed = dict(zip(inputs, pack_lanes(rows)))
-            n_lanes = len(chunk)
-            good = self._packed_sim.run_packed_outputs(packed, n_lanes)
-            chunks.append((packed, n_lanes, good))
-        return chunks
-
-    def detection_lanes(
-        self,
-        packed_chunks: Sequence[tuple[Mapping[str, int], int, list[int]]],
-        fault: StuckAtFault,
-    ) -> bool:
-        """Whether *any* packed pattern lane detects ``fault``.
-
-        ``packed_chunks`` comes from :meth:`pack_patterns`; each chunk
-        costs one packed pass with the stuck value forced at the fault
-        site, compared word-wise against the precomputed good responses.
-        """
-        sim = self._packed_sim
-        for packed, n_lanes, good in packed_chunks:
-            stuck_word = lane_mask(n_lanes) if fault.stuck_value else 0
-            faulty = sim.run_packed_outputs(
-                packed, n_lanes, force={fault.net: stuck_word}
-            )
-            for g, f in zip(good, faulty):
-                if g ^ f:
-                    return True
-        return False
-
-
-def fault_coverage(
-    netlist: Netlist,
-    patterns: Sequence[Mapping[str, int]],
-    faults: Sequence[StuckAtFault],
-) -> float:
-    """Fraction of ``faults`` detected by at least one pattern.
-
-    Bit-parallel: the pattern set is packed once, the fault-free machine
-    simulated once per 64-lane chunk, and each fault adds a single packed
-    pass with the stuck value forced at the fault site.
-    """
-    if not faults:
-        return 1.0
-    sim = FaultSimulator(netlist)
-    chunks = sim.pack_patterns(patterns)
-    detected = 0
-    for fault in faults:
-        if sim.detection_lanes(chunks, fault):
-            detected += 1
-    return detected / len(faults)

@@ -278,27 +278,14 @@ class SatAttack:
                 cnf.add_clause([var if bit else -var])
         self._sync_solver()
 
-    def current_key(self, extra_assumptions: Sequence[int] = ()) -> list[int] | None:
-        """A key consistent with all constraints so far (miter disabled).
-
-        Returns the ``K_A`` assignment of any model of the accumulated
-        constraint formula, or None when no such key remains.
-        """
-        result = self.solver.solve(
-            assumptions=[-self.act_var, *extra_assumptions]
-        )
-        if result.satisfiable is not True:
-            return None
-        return self.solver.values(self.key_vars_a)
-
     def _keys_left(
         self, limit: int, timeout_s: float | None = None
     ) -> list[list[int]] | None:
         """Up to ``limit`` keys satisfying every constraint (miter off).
 
         Blocking clauses go into a retractable group so enumeration does
-        not poison the session: current_key() and further solver use
-        keep seeing every surviving key.  The activation variable must
+        not poison the session: the resumed miter solve and later DIP
+        copies keep seeing every surviving key.  The activation variable must
         come from the shared CNF namespace -- allocating it in the
         solver alone would let the next stamped copy reuse the same id
         for a circuit net.  Returns None when ``timeout_s`` ran out

@@ -27,9 +27,7 @@ def scansat_attack(
     public_view: EffStaticPublicView,
     oracle: ScanOracle,
     candidate_limit: int = 256,
-    verify_patterns: int = 16,
     timeout_s: float | None = None,
-    rng_seed: int = 0x5CA9,
     opt_level: int | None = None,
 ) -> AttackResult:
     """Recover a static EFF scan-locking key through the oracle."""
@@ -48,6 +46,6 @@ def scansat_attack(
         candidate_limit=candidate_limit,
         timeout_s=timeout_s,
         opt_level=opt_level,
-        verify_patterns=verify_patterns,
-        rng_seed=rng_seed,
+        verify_patterns=16,
+        rng_seed=0x5CA9,
     )

@@ -25,15 +25,17 @@ from repro.netlist.netlist import Netlist
 from repro.scan.oracle import ScanOracle
 from repro.util.timing import Stopwatch
 
+# Replay patterns per refinement step, and the seed they come from.
+_VERIFY_PATTERNS = 16
+_RNG_SEED = 0xD05
+
 
 def scansat_dyn_attack(
     netlist: Netlist,
     public_view: DosPublicView,
     oracle: ScanOracle,
     candidate_limit: int = 256,
-    verify_patterns: int = 16,
     timeout_s: float | None = None,
-    rng_seed: int = 0xD05,
     opt_level: int | None = None,
 ) -> AttackResult:
     """Recover the DOS LFSR seed (works for any update period ``p``).
@@ -55,15 +57,15 @@ def scansat_dyn_attack(
         candidate_limit=candidate_limit,
         timeout_s=timeout_s,
         opt_level=opt_level,
-        verify_patterns=verify_patterns,
-        rng_seed=rng_seed,
+        verify_patterns=_VERIFY_PATTERNS,
+        rng_seed=_RNG_SEED,
         choose=lambda survivors: _full_replay_survivor(
             netlist,
             public_view,
             oracle,
             survivors,
-            random.Random(rng_seed ^ 0x51D),
-            verify_patterns,
+            random.Random(_RNG_SEED ^ 0x51D),
+            _VERIFY_PATTERNS,
         ),
     )
 

@@ -110,9 +110,7 @@ def scramble_sat_attack(
     public_view: ScramblePublicView,
     oracle,
     candidate_limit: int = 256,
-    verify_patterns: int = 16,
     timeout_s: float | None = None,
-    rng_seed: int = 0x5C2A,
     opt_level: int | None = None,
 ) -> AttackResult:
     """Recover a scramble routing key through the scan oracle."""
@@ -125,6 +123,6 @@ def scramble_sat_attack(
         candidate_limit=candidate_limit,
         timeout_s=timeout_s,
         opt_level=opt_level,
-        verify_patterns=verify_patterns,
-        rng_seed=rng_seed,
+        verify_patterns=16,
+        rng_seed=0x5C2A,
     )

@@ -20,16 +20,13 @@ Validation is schema-driven and collects *every* problem, each tagged
 with its precise dotted path (``farm.round_trials: must be >= 1``).
 ``dynunlock config check --strict`` additionally rejects unknown keys,
 so a typo'd ``[farm] round_trails = 500`` cannot silently run the
-default.
-
-TOML parsing uses :mod:`tomllib` where available (Python >= 3.11) and
-falls back to a minimal single-line-value subset parser on 3.10 -- the
-schema is flat enough that the subset covers every valid config.
+default.  TOML files are parsed with :mod:`tomllib`.
 """
 
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -293,109 +290,7 @@ def check_config(
 
 
 # --------------------------------------------------------------------------
-# File loading: tomllib where available, a minimal TOML subset otherwise.
-
-
-def _parse_toml_value(text: str, where: str) -> Any:
-    text = text.strip()
-    if not text:
-        raise ValueError(f"{where}: missing value")
-    if text[0] in "\"'":
-        quote = text[0]
-        end = text.find(quote, 1)
-        if end < 0:
-            raise ValueError(f"{where}: unterminated string")
-        rest = text[end + 1 :].strip()
-        if rest and not rest.startswith("#"):
-            raise ValueError(f"{where}: trailing junk after string")
-        return text[1:end]
-    # Non-string values may carry a trailing comment.
-    text = text.split("#", 1)[0].strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"{where}: unterminated array")
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        items = []
-        depth = 0
-        current = ""
-        in_str: str | None = None
-        for char in inner:
-            if in_str:
-                if char == in_str:
-                    in_str = None
-                current += char
-            elif char in "\"'":
-                in_str = char
-                current += char
-            elif char == "[":
-                depth += 1
-                current += char
-            elif char == "]":
-                depth -= 1
-                current += char
-            elif char == "," and depth == 0:
-                items.append(current)
-                current = ""
-            else:
-                current += char
-        if current.strip():
-            items.append(current)
-        return [_parse_toml_value(item, where) for item in items]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{where}: cannot parse value {text!r}")
-
-
-def _parse_toml_minimal(text: str) -> dict[str, Any]:
-    """Parse the TOML subset the config schema needs (3.10 fallback).
-
-    Sections, ``key = value`` with strings/ints/floats/bools and
-    single-line flat arrays, full-line and trailing comments.  Anything
-    fancier (multi-line values, dotted keys, inline tables) is rejected
-    loudly rather than mis-parsed.
-    """
-    data: dict[str, Any] = {}
-    table = data
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            if not line.split("#", 1)[0].strip().endswith("]"):
-                raise ValueError(f"{where}: malformed section header")
-            name = line.split("#", 1)[0].strip()[1:-1].strip()
-            if not name or "." in name or '"' in name:
-                raise ValueError(f"{where}: unsupported section {name!r}")
-            table = data.setdefault(name, {})
-            if not isinstance(table, dict):
-                raise ValueError(f"{where}: section {name!r} clashes with a key")
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or not key or "." in key or '"' in key:
-            raise ValueError(f"{where}: expected 'key = value'")
-        table[key] = _parse_toml_value(value, where)
-    return data
-
-
-def _loads_toml(text: str) -> dict[str, Any]:
-    try:
-        import tomllib
-    except ImportError:  # Python 3.10: use the subset parser
-        return _parse_toml_minimal(text)
-    return tomllib.loads(text)
+# File loading
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
@@ -410,7 +305,7 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         if suffix == ".json":
             data = json.loads(text)
         elif suffix == ".toml":
-            data = _loads_toml(text)
+            data = tomllib.loads(text)
         else:
             raise ValueError(
                 f"unsupported config format {suffix or path.name!r} "

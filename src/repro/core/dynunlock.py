@@ -37,6 +37,12 @@ from repro.observability import spans as obs
 from repro.scan.oracle import ScanOracle
 from repro.util.timing import Stopwatch
 
+# Capture cycles the restart refinement may grow the model to.
+_MAX_CAPTURES = 3
+# Random patterns the brute-force step replays, and the seed they come from.
+_VERIFY_PATTERNS = 24
+_VERIFY_RNG_SEED = 0xD15C0
+
 
 @dataclass
 class DynUnlockConfig:
@@ -44,22 +50,16 @@ class DynUnlockConfig:
 
     ``candidate_limit`` bounds candidate enumeration per round (the paper
     observes at most 128 candidates for practical key sizes);
-    ``max_captures`` bounds the restart refinement; ``verify_patterns``
-    sets the replay budget of the brute-force step.  ``opt_level``
-    selects the :mod:`repro.opt` preprocessing level the combinational
-    model is rewritten at before SAT encoding and bit-parallel replay
-    (None = the default level, 0 = attack the raw model); the
-    optimizer pins the model's interface, so recovered seeds are
-    identical at every level.
+    ``timeout_s`` is the wall-clock budget of each round's SAT attack.
+    ``opt_level`` selects the :mod:`repro.opt` preprocessing level the
+    combinational model is rewritten at before SAT encoding and
+    bit-parallel replay (None = the default level, 0 = attack the raw
+    model); the optimizer pins the model's interface, so recovered seeds
+    are identical at every level.
     """
 
     candidate_limit: int = 256
-    max_iterations: int = 10_000
     timeout_s: float | None = None
-    max_captures: int = 3
-    verify_patterns: int = 24
-    include_pos: bool = True
-    verify_rng_seed: int = 0xD15C0
     opt_level: int | None = None
 
 
@@ -133,7 +133,6 @@ class DynUnlock:
                 key_bits=self.view.lfsr_width,
                 mode="dynamic",
                 n_captures=n_captures,
-                include_pos=self.config.include_pos,
             )
 
     def _oracle_fn(self, model: CombinationalModel, n_captures: int):
@@ -162,7 +161,7 @@ class DynUnlock:
         candidates: list[list[int]] = []
 
         timed_out = False
-        for n_captures in range(1, cfg.max_captures + 1):
+        for n_captures in range(1, _MAX_CAPTURES + 1):
             model = self._build_model(n_captures)
             oracle_fn = self._oracle_fn(model, n_captures)
             attack = SatAttack(
@@ -170,7 +169,6 @@ class DynUnlock:
                 key_inputs=model.key_inputs,
                 oracle_fn=oracle_fn,
                 config=SatAttackConfig(
-                    max_iterations=cfg.max_iterations,
                     candidate_limit=cfg.candidate_limit,
                     timeout_s=cfg.timeout_s,
                     opt_level=cfg.opt_level,
@@ -215,8 +213,8 @@ class DynUnlock:
                     model,
                     candidates,
                     lambda scan_in, pi: oracle_fn(scan_in + pi),
-                    random.Random(cfg.verify_rng_seed),
-                    n_patterns=cfg.verify_patterns,
+                    random.Random(_VERIFY_RNG_SEED),
+                    n_patterns=_VERIFY_PATTERNS,
                     stop_at_one=False,
                 ).survivors
             if survivors:

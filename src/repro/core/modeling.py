@@ -138,7 +138,7 @@ class CombinationalModel:
     """The SAT-attack-ready combinational model of one scan query.
 
     ``netlist`` has inputs ``a_inputs + pi_inputs + key_inputs`` and
-    outputs ``b_outputs (+ po_outputs)``; the ``key_inputs`` are the LFSR
+    outputs ``b_outputs + po_outputs``; the ``key_inputs`` are the LFSR
     seed bits in dynamic modes, the static key bits in static mode, or
     the routing key of the scramble model.  Every scan attack runs the
     SAT attack and the replay refinement on this one type.
@@ -161,15 +161,9 @@ class CombinationalModel:
         return self.b_outputs + self.po_outputs
 
     def observe(self, response: ScanResponse) -> list[int]:
-        """The chip's answer to one query in :attr:`observed_outputs` order.
-
-        Scan-out by position, then the primary outputs when the model
-        observes them.
-        """
-        observed = list(response.scan_out)
-        if self.po_outputs:
-            observed += list(response.primary_outputs)
-        return observed
+        """The chip's answer to one query in :attr:`observed_outputs` order:
+        scan-out by position, then the primary outputs."""
+        return list(response.scan_out) + list(response.primary_outputs)
 
 
 def build_combinational_model(
@@ -179,7 +173,6 @@ def build_combinational_model(
     key_bits: int,
     mode: ObfuscationMode = "dynamic",
     n_captures: int = 1,
-    include_pos: bool = True,
     encoding: Literal["dense", "unrolled"] = "dense",
 ) -> CombinationalModel:
     """Build the locked combinational model (the paper's modeling step).
@@ -242,7 +235,6 @@ def build_combinational_model(
         taps,
         mode=mode,
         n_captures=n_captures,
-        include_pos=include_pos,
         encoding=encoding,
     )
 
@@ -256,7 +248,6 @@ def assemble_model(
     taps: Sequence[int] | None,
     mode: ObfuscationMode = "dynamic",
     n_captures: int = 1,
-    include_pos: bool = True,
     encoding: Literal["dense", "unrolled"] = "dense",
 ) -> CombinationalModel:
     """Wire the XOR overlays around ``n_captures`` copies of the core.
@@ -359,11 +350,10 @@ def assemble_model(
         model.add_output(b_outputs[l])
 
     po_outputs: list[str] = []
-    if include_pos:
-        for net in netlist.outputs:
-            po_net = f"{last}{net}"
-            model.add_output(po_net)
-            po_outputs.append(po_net)
+    for net in netlist.outputs:
+        po_net = f"{last}{net}"
+        model.add_output(po_net)
+        po_outputs.append(po_net)
 
     return CombinationalModel(
         netlist=model,

@@ -57,7 +57,6 @@ def build_multichain_model(
     taps: Sequence[int],
     key_bits: int,
     n_captures: int = 1,
-    include_pos: bool = True,
 ) -> CombinationalModel:
     """Combinational model of a multi-chain EFF-Dyn lock.
 
@@ -80,7 +79,6 @@ def build_multichain_model(
         crossings_out,
         taps,
         n_captures=n_captures,
-        include_pos=include_pos,
     )
 
 
@@ -91,9 +89,7 @@ def dynunlock_multichain(
     key_bits: int,
     oracle: MultiChainScanOracle,
     candidate_limit: int = 256,
-    verify_patterns: int = 24,
     timeout_s: float | None = None,
-    rng_seed: int = 0x3C4A,
 ) -> AttackResult:
     """Run DynUnlock against a multi-chain oracle.
 
@@ -108,7 +104,7 @@ def dynunlock_multichain(
         candidate_limit=candidate_limit,
         timeout_s=timeout_s,
         opt_level=None,
-        verify_patterns=verify_patterns,
-        rng_seed=rng_seed,
+        verify_patterns=24,
+        rng_seed=0x3C4A,
         stop_at_one=False,
     )

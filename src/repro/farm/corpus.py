@@ -34,7 +34,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.fuzz.corpus import CorpusError, CrashEntry
 
@@ -242,10 +242,6 @@ class FarmCorpus:
 
     def __len__(self) -> int:
         return len(self._by_hash)
-
-    def records(self) -> Iterator[IndexRecord]:
-        for digest in sorted(self._by_hash):
-            yield self._by_hash[digest]
 
     def stats(self) -> dict[str, Any]:
         by_kind: dict[str, int] = {}

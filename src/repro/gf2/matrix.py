@@ -6,7 +6,7 @@ implemented; everything reduces mod 2 eagerly so values stay in {0, 1}.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,11 +29,6 @@ class GF2Matrix:
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("GF(2) matrix entries must be 0 or 1")
         self.data = arr
-
-    # -- construction helpers -------------------------------------------------
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "GF2Matrix":
-        return cls(np.array(list(rows), dtype=np.uint8))
 
     @property
     def shape(self) -> tuple[int, int]:

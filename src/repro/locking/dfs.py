@@ -34,7 +34,6 @@ class DfsPublicView:
     """Reverse-engineerable facts about a DFS-protected chip."""
     key_inputs: tuple[str, ...]
     key_bits: int
-    scan_out_blocked: bool = True
 
 
 @dataclass

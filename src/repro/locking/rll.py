@@ -40,7 +40,6 @@ def lock_combinational_rll(
     netlist: Netlist,
     key_bits: int,
     rng: random.Random,
-    key_prefix: str = KEY_INPUT_PREFIX,
 ) -> RllLock:
     """Insert ``key_bits`` XOR/XNOR key gates on random gate outputs.
 
@@ -61,7 +60,7 @@ def lock_combinational_rll(
     locked = Netlist(name=f"{netlist.name}_rll")
     for net in netlist.inputs:
         locked.add_input(net)
-    key_inputs = [f"{key_prefix}{i}" for i in range(key_bits)]
+    key_inputs = [f"{KEY_INPUT_PREFIX}{i}" for i in range(key_bits)]
     for net in key_inputs:
         locked.add_input(net)
     for dff in netlist.dffs.values():

@@ -39,13 +39,12 @@ def lock_with_sarlock(
     netlist: Netlist,
     key_bits: int,
     rng: random.Random,
-    protected_output: str | None = None,
 ) -> IoLock:
     """Apply the point-function lock to ``netlist``'s combinational core.
 
     ``key_bits`` comparator taps are taken from the core's first inputs
     (primary inputs first, then pseudo-primary state inputs); the
-    protected output defaults to the core's first output.  Requires at
+    protected output is the core's first output.  Requires at
     least 2 key bits (the comparator is an AND tree) and no more than
     the core has inputs.
     """
@@ -59,9 +58,7 @@ def lock_with_sarlock(
         )
     secret_key = tuple(random_bits(key_bits, rng))
     x_taps = list(core.inputs[:key_bits])
-    target = protected_output if protected_output is not None else core.outputs[0]
-    if target not in core.outputs:
-        raise ValueError(f"{target!r} is not an output of the core")
+    target = core.outputs[0]
     if target not in core.gates:
         raise ValueError(f"protected output {target!r} has no gate driver")
 

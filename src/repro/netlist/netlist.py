@@ -59,7 +59,6 @@ class Netlist:
         self._drivers: set[str] = set()
         self._version = 0
         self._topo_cache: list[Gate] | None = None
-        self._fanout_cache: dict[str, list[Gate]] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -83,7 +82,7 @@ class Netlist:
 
         The supported way to retarget outputs in place -- assigning
         ``netlist.outputs`` directly bypasses cache/version invalidation
-        and can serve stale derived structures (fanout map, Tseitin
+        and can serve stale derived structures (topological order, Tseitin
         template) to later callers.
         """
         nets = list(nets)
@@ -134,7 +133,6 @@ class Netlist:
     def _invalidate_caches(self) -> None:
         self._version += 1
         self._topo_cache = None
-        self._fanout_cache = None
 
     @property
     def version(self) -> int:
@@ -173,22 +171,6 @@ class Netlist:
     def dff_d_nets(self) -> list[str]:
         return [self.dffs[q].d for q in self.dffs]
 
-    def has_net(self, net: str) -> bool:
-        return net in self._drivers or any(
-            net in g.inputs for g in self.gates.values()
-        )
-
-    def driver_of(self, net: str) -> Gate | Dff | str | None:
-        """The object driving ``net``: a Gate, a Dff, the string 'input',
-        or None when the net is undriven (dangling)."""
-        if net in self.gates:
-            return self.gates[net]
-        if net in self.dffs:
-            return self.dffs[net]
-        if net in self.inputs:
-            return "input"
-        return None
-
     def all_nets(self) -> set[str]:
         nets: set[str] = set(self.inputs) | set(self.outputs)
         for gate in self.gates.values():
@@ -198,23 +180,6 @@ class Netlist:
             nets.add(dff.q)
             nets.add(dff.d)
         return nets
-
-    def fanout_map(self) -> dict[str, list[Gate]]:
-        """Map net -> gates reading it (DFF D pins excluded).
-
-        Cached between mutations (``add_gate``/``add_dff`` invalidate),
-        since hot loops -- the optimizer's rewrite passes, structural
-        analyses -- call this repeatedly on a settled netlist.  Treat
-        the returned mapping as read-only.
-        """
-        if self._fanout_cache is not None:
-            return self._fanout_cache
-        fanout: dict[str, list[Gate]] = {}
-        for gate in self.gates.values():
-            for net in gate.inputs:
-                fanout.setdefault(net, []).append(gate)
-        self._fanout_cache = fanout
-        return fanout
 
     # ------------------------------------------------------------------
     # topological ordering of the combinational part

@@ -41,8 +41,6 @@ def copy_netlist(netlist: Netlist) -> Netlist:
 
 def extract_combinational_core(
     netlist: Netlist,
-    state_input_prefix: str = "ppi_",
-    state_output_prefix: str = "ppo_",
 ) -> tuple[Netlist, list[str], list[str]]:
     """Cut all flip-flops, exposing them as pseudo-primary I/O.
 
@@ -61,7 +59,7 @@ def extract_combinational_core(
     ppi_nets: list[str] = []
     ppo_nets: list[str] = []
     for index, q_net in enumerate(netlist.dff_q_nets()):
-        ppi = f"{state_input_prefix}{index}"
+        ppi = f"ppi_{index}"
         core.add_input(ppi)
         # Alias the old Q name so downstream gates keep their connections.
         core.add_gate(q_net, GateType.BUF, [ppi])
@@ -72,7 +70,7 @@ def extract_combinational_core(
 
     for index, q_net in enumerate(netlist.dff_q_nets()):
         d_net = netlist.dffs[q_net].d
-        ppo = f"{state_output_prefix}{index}"
+        ppo = f"ppo_{index}"
         core.add_gate(ppo, GateType.BUF, [d_net])
         core.add_output(ppo)
         ppo_nets.append(ppo)

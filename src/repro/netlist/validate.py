@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.netlist.netlist import Netlist, NetlistError
 
 
-def validate_netlist(netlist: Netlist, allow_dangling: bool = False) -> dict[str, int]:
+def validate_netlist(netlist: Netlist) -> dict[str, int]:
     """Check structural invariants.
 
     * every gate/DFF input and every primary output is driven;
@@ -31,7 +31,7 @@ def validate_netlist(netlist: Netlist, allow_dangling: bool = False) -> dict[str
     for net in netlist.outputs:
         if net not in driven:
             undriven.append(net)
-    if undriven and not allow_dangling:
+    if undriven:
         sample = sorted(set(undriven))[:10]
         raise NetlistError(f"undriven nets: {sample}")
 
@@ -46,5 +46,4 @@ def validate_netlist(netlist: Netlist, allow_dangling: bool = False) -> dict[str
         "nets": len(netlist.all_nets()),
         "gates": len(order),
         "dffs": netlist.n_dffs,
-        "undriven": len(set(undriven)),
     }

@@ -38,8 +38,12 @@ def _escape(net: str) -> str:
     return f"\\{net} "  # escaped identifier: backslash + trailing space
 
 
-def write_verilog(netlist: Netlist, clock: str = "clk") -> str:
-    """Serialise a netlist as one flat structural Verilog module."""
+def write_verilog(netlist: Netlist) -> str:
+    """Serialise a netlist as one flat structural Verilog module.
+
+    A sequential netlist gets one clock input port, ``clk``.
+    """
+    clock = "clk"
     ports = [_escape(n) for n in netlist.inputs] + [
         _escape(n) for n in netlist.outputs
     ]

@@ -8,7 +8,7 @@ only files a run keeps:
 * ``run.json`` -- run identity (id, command, the command's argument
   list, start time);
 * ``spans.jsonl`` -- streamed per-job records (``kind: submitted`` when
-  a job is dispatched, ``kind: span`` when it finishes), appended as
+  a worker takes a job, ``kind: span`` when it finishes), appended as
   they happen so ``dynunlock top`` can watch a live run;
 * ``BENCH_obs.json``/``.csv`` -- the per-experiment phase-time summary
   as a standard artifact, written at :meth:`ObsSession.finalize`.
@@ -247,7 +247,6 @@ class RunObserver:
             job_id=outcome.index,
             status=status,
             cached=outcome.cached,
-            attempts=outcome.attempts,
             queue_s=queue_s,
             duration_s=outcome.duration_s,
             error=outcome.error,
@@ -265,7 +264,6 @@ class RunObserver:
         job_id: int = 0,
         status: str = "computed",
         cached: bool = False,
-        attempts: int = 1,
         queue_s: float = 0.0,
         error: str | None = None,
     ) -> None:
@@ -285,7 +283,6 @@ class RunObserver:
                 "spec_hash": span["spec_hash"],
                 "status": status,
                 "cached": cached,
-                "attempts": attempts,
                 "queue_s": round(queue_s, 6),
                 "duration_s": duration_s,
                 "started_unix": round(float(span.get("started_unix", now)), 6),

@@ -24,6 +24,10 @@ from pathlib import Path
 
 from repro.observability.session import SUMMARY_PHASES, aggregate_spans
 
+# Lines of the running-jobs and slowest-completed lists in one frame.
+_MAX_RUNNING = 8
+_MAX_SLOWEST = 5
+
 
 @dataclass
 class RunSnapshot:
@@ -92,13 +96,7 @@ def _props_per_s(span: dict) -> float | None:
     return propagations / solve_s
 
 
-def render_top(
-    snapshot: RunSnapshot,
-    *,
-    now: float | None = None,
-    max_running: int = 8,
-    max_slowest: int = 5,
-) -> str:
+def render_top(snapshot: RunSnapshot, *, now: float | None = None) -> str:
     """Render one frame of the live view as plain text."""
     from repro.reports.tables import render_table
 
@@ -146,16 +144,16 @@ def render_top(
     if running:
         lines.append("")
         lines.append("running jobs:")
-        for rec in running[:max_running]:
+        for rec in running[:_MAX_RUNNING]:
             age = _fmt_age(now - rec.get("t", now))
             lines.append(f"  #{rec.get('job_id', '?')} {rec.get('label', '?')} — {age}")
-        if len(running) > max_running:
-            lines.append(f"  ... and {len(running) - max_running} more")
+        if len(running) > _MAX_RUNNING:
+            lines.append(f"  ... and {len(running) - _MAX_RUNNING} more")
     computed = [s for s in snapshot.spans if s.get("status") == "computed"]
     if computed:
         slowest = sorted(
             computed, key=lambda s: -float(s.get("duration_s", 0.0))
-        )[:max_slowest]
+        )[:_MAX_SLOWEST]
         lines.append("")
         lines.append("slowest completed:")
         for span in slowest:

@@ -149,15 +149,13 @@ class _Rewriter:
 
     # ------------------------------------------------------------------
     def resolve(self, net: str) -> Value:
-        """Follow the alias chain of ``net`` to its canonical value."""
-        seen: list[str] = []
-        current: Value = net
-        while isinstance(current, str) and current in self.value:
-            seen.append(current)
-            current = self.value[current]
-        for name in seen:  # path compression
-            self.value[name] = current
-        return current
+        """The canonical value of ``net``.
+
+        One lookup suffices: every stored value is built from resolved
+        operands, so it is a constant, an emitted net or a source net,
+        never another folded net.
+        """
+        return self.value.get(net, net)
 
     def _rewrite(self, gate: Gate) -> None:
         out_net = gate.output

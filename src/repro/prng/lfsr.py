@@ -60,9 +60,6 @@ class FibonacciLfsr:
         """Reload the seed (models power-on reset of the chip)."""
         self.state = list(self.seed)
 
-    def peek(self) -> list[int]:
-        return list(self.state)
-
 
 class GaloisLfsr:
     """Internal-feedback (Galois) LFSR.
@@ -104,22 +101,17 @@ class GaloisLfsr:
     def reset(self) -> None:
         self.state = list(self.seed)
 
-    def peek(self) -> list[int]:
-        return list(self.state)
-
 
 class Keystream:
     """The per-cycle dynamic key sequence of a PRNG.
 
-    ``key_for_cycle(t)`` (t >= 0) is the key-gate control vector during
-    obfuscated clock cycle ``t``: the LFSR state after ``t + 1`` updates
-    from the seed.  Instances are single-use streams; ``restart`` rewinds
-    to power-on.
+    The ``t + 1``-th :meth:`next_key` is the key-gate control vector
+    during obfuscated clock cycle ``t`` (t >= 0): the LFSR state after
+    ``t + 1`` updates from the seed.  ``restart`` rewinds to power-on.
     """
 
     def __init__(self, lfsr: FibonacciLfsr | GaloisLfsr):
         self._lfsr = lfsr
-        self._cycle = -1  # last cycle whose key was produced
 
     @property
     def width(self) -> int:
@@ -127,26 +119,10 @@ class Keystream:
 
     def next_key(self) -> list[int]:
         """Advance one clock cycle and return the key for it."""
-        self._cycle += 1
         return list(self._lfsr.advance())
-
-    def key_for_cycle(self, t: int) -> list[int]:
-        """Random access (recomputes from the seed; for tests/analysis)."""
-        if t < 0:
-            raise ValueError("cycle index must be >= 0")
-        probe = type(self._lfsr)(
-            width=self._lfsr.width,
-            seed_bits=self._lfsr.seed,
-            taps=self._lfsr.taps,
-        )
-        state = probe.peek()
-        for _ in range(t + 1):
-            state = probe.advance()
-        return list(state)
 
     def restart(self) -> None:
         self._lfsr.reset()
-        self._cycle = -1
 
 
 def _bit(value: int) -> int:

@@ -45,14 +45,5 @@ class NonlinearPrng:
     def next_key(self) -> list[int]:
         return self._filter(self._lfsr.advance())
 
-    def key_for_cycle(self, t: int) -> list[int]:
-        probe = FibonacciLfsr(
-            width=self.width, seed_bits=self._lfsr.seed, taps=self._lfsr.taps
-        )
-        state = probe.peek()
-        for _ in range(t + 1):
-            state = probe.advance()
-        return self._filter(state)
-
     def restart(self) -> None:
         self._lfsr.reset()

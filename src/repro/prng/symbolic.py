@@ -71,10 +71,6 @@ class SymbolicLfsr:
         self._cache[target] = result
         return result
 
-    def key_row(self, t: int, bit: int) -> np.ndarray:
-        """Seed-dependence vector of key bit ``bit`` during cycle ``t``."""
-        return self.rows_for_cycle(t)[bit]
-
     def iter_rows(self, cycles) -> "list[tuple[int, np.ndarray]]":
         """Yield ``(cycle, rows)`` for many cycles in one forward sweep.
 
@@ -168,7 +164,3 @@ class LfsrUnrolling:
                 self.netlist.add_gate(net, gate, operands)
                 self._newbit_nets[pending] = net
         return self._newbit_nets[update]
-
-    @property
-    def n_gates_created(self) -> int:
-        return len(self._newbit_nets)

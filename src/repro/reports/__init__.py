@@ -18,11 +18,7 @@ from repro.reports.experiments import (
     Table3Row,
 )
 from repro.reports.profiles import PROFILES, ExperimentProfile, active_profile
-from repro.reports.tables import (
-    render_artifact,
-    render_markdown_table,
-    render_table,
-)
+from repro.reports.tables import render_table
 
 __all__ = [
     "ExperimentProfile",
@@ -33,7 +29,5 @@ __all__ = [
     "Table1Row",
     "Table2Row",
     "Table3Row",
-    "render_artifact",
     "render_table",
-    "render_markdown_table",
 ]

@@ -273,9 +273,10 @@ def selfcheck_cell(
 ) -> dict[str, Any]:
     """Trivial cell for exercising the scheduler itself (tests, CI smoke).
 
-    Sleeps ``duration_s`` (timeout tests), echoes ``payload``, and --
+    Sleeps ``duration_s`` (scheduling tests), echoes ``payload``, and --
     when ``fail_marker`` names a path that does not exist yet -- creates
-    it and raises once, so retry logic can be observed across processes.
+    it and raises once, so failure handling can be observed across
+    processes.
     """
     if duration_s:
         time.sleep(duration_s)

@@ -1,14 +1,8 @@
-"""Plain-text and markdown table rendering for experiment results.
-
-Tables render either from live row objects (the ``run_*`` functions in
-:mod:`repro.reports.experiments`) or from a JSON artifact previously
-emitted by :mod:`repro.runner.artifacts` -- see :func:`render_artifact`.
-"""
+"""Plain-text table rendering for experiment results, paper style."""
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 
 def _stringify(cell: object) -> str:
@@ -38,38 +32,4 @@ def render_table(
     lines.append(fmt(list(headers)))
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt(row) for row in str_rows)
-    return "\n".join(lines)
-
-
-def render_artifact(
-    artifact: str | Path | Mapping[str, Any], *, markdown: bool = False
-) -> str:
-    """Render a stored run artifact (path or loaded dict) as a table.
-
-    Accepts either the path to a ``BENCH_*.json`` file written by
-    :func:`repro.runner.artifacts.write_artifact` or its already-loaded
-    payload, so CI logs and notebooks can re-render archived results
-    without re-running anything.
-    """
-    from repro.runner.artifacts import load_artifact
-
-    data = artifact if isinstance(artifact, Mapping) else load_artifact(artifact)
-    if markdown:
-        return render_markdown_table(data["headers"], data["rows"])
-    return render_table(data["headers"], data["rows"], title=data.get("title"))
-
-
-def render_markdown_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> str:
-    """GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
-    str_rows = [[_stringify(c) for c in row] for row in rows]
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match header count")
-        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)

@@ -5,8 +5,7 @@ a ``meta`` block with timing/cache accounting) and a sibling ``.csv``
 with the same grid, into a ``results/`` directory of the caller's
 choosing.  The JSON is the machine-readable record CI uploads and diffs
 against the checked-in baseline (``scripts/check_bench_regression.py``);
-:func:`repro.reports.tables.render_artifact` turns either file's data
-back into the paper-style text table.
+:func:`load_artifact` reads it back.
 
 Every artifact carries the same versioned envelope on top of the
 legacy ``format`` marker (the documented contract lives in

@@ -7,24 +7,24 @@ order -- so aggregation code downstream never sees scheduling
 nondeterminism.  Features:
 
 * ``jobs=1`` runs serially in-process (no pickling, easy debugging);
-  ``jobs>1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`.
+  ``jobs>1`` uses a :class:`~concurrent.futures.ProcessPoolExecutor`
+  holding at most ``jobs`` cells, so a submitted cell has a worker and
+  the next one goes in as one lands.
 * A result store (:class:`~repro.runner.stores.JsonFileStore`)
   short-circuits cells whose (spec hash, code version) pair is
   already on disk, and absorbs every
   freshly computed cell -- an interrupted grid resumes where it stopped.
   A result with a true ``timed_out`` (an attack that ran out of its
   wall-clock budget) is reported but not stored.
-* Per-job ``timeout_s`` (enforced by an interval timer inside the
-  worker) and ``retries`` re-submissions for transient failures
-  (default 0: cells are deterministic, so an identical resubmission
-  usually just doubles the cost of a real failure -- and with a store,
-  simply re-running the grid retries the failed cells anyway).
+* No per-job timeout or retry: a cell's time budget is its attack's
+  own ``timeout_s``, and cells are deterministic, so with a store
+  re-running the grid is the retry.
 * ``progress`` receives every :class:`JobOutcome` as it lands, cached or
   computed, for streaming CLI/bench output.
 * ``observer`` (a :class:`~repro.observability.session.RunObserver`,
   or any object with ``submitted``/``finished`` hooks) turns on per-job
   instrumentation: workers collect phase spans, and every
-  dispatch/landing is reported for queue-latency accounting.  ``None``
+  submission/landing is reported for queue-latency accounting.  ``None``
   (the default) is strictly zero-cost -- no span collection,
   byte-identical results.
 
@@ -32,8 +32,8 @@ Failures never raise mid-grid: they land in ``JobOutcome.error`` so one
 bad cell cannot waste the rest of a long run.  Call
 :meth:`RunReport.raise_on_error` (or use ``RunReport.results``) when
 partial grids are unacceptable.  An interrupt is not a failure: a
-``KeyboardInterrupt`` (C-c, or SIGTERM through the CLI) cancels every
-queued job, stops the pool's workers and propagates.
+``KeyboardInterrupt`` (C-c, or SIGTERM through the CLI) stops the
+pool's workers, submits no further cell and propagates.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,7 +64,6 @@ class JobOutcome:
     spec: JobSpec
     result: dict | None
     cached: bool = False
-    attempts: int = 0
     duration_s: float = 0.0
     error: str | None = None
     #: Worker-collected instrumentation record (observer runs only).
@@ -95,7 +94,7 @@ class RunReport:
 
     @property
     def n_failed(self) -> int:
-        """Cells that errored out even after retries."""
+        """Cells that errored out."""
         return sum(1 for o in self.outcomes if not o.ok)
 
     def raise_on_error(self) -> None:
@@ -131,8 +130,6 @@ def run_jobs(
     *,
     jobs: int = 1,
     store: JsonFileStore | None = None,
-    timeout_s: float | None = None,
-    retries: int = 0,
     progress: ProgressFn | None = None,
     observer=None,
 ) -> RunReport:
@@ -156,11 +153,9 @@ def run_jobs(
 
     if pending:
         if jobs <= 1:
-            _run_serial(report, pending, store, timeout_s, retries, progress, observer)
+            _run_serial(report, pending, store, progress, observer)
         else:
-            _run_parallel(
-                report, pending, jobs, store, timeout_s, retries, progress, observer
-            )
+            _run_parallel(report, pending, jobs, store, progress, observer)
 
     report.wall_s = time.perf_counter() - started
     return report
@@ -205,29 +200,20 @@ def _run_serial(
     report: RunReport,
     pending: Sequence[int],
     store: JsonFileStore | None,
-    timeout_s: float | None,
-    retries: int,
     progress: ProgressFn | None,
     observer=None,
 ) -> None:
     collect = observer is not None
     for index in pending:
         outcome = report.outcomes[index]
-        last_exc: BaseException | None = None
-        for _ in range(retries + 1):
-            outcome.attempts += 1
-            if observer is not None:
-                observer.submitted(outcome)
-            try:
-                payload = execute_job(outcome.spec.to_dict(), timeout_s, collect)
-            except Exception as exc:
-                last_exc = exc
-            else:
-                _finish(report, index, payload, store, progress, observer)
-                last_exc = None
-                break
-        if last_exc is not None:
-            _fail(report, index, last_exc, progress, observer)
+        if observer is not None:
+            observer.submitted(outcome)
+        try:
+            payload = execute_job(outcome.spec.to_dict(), collect)
+        except Exception as exc:
+            _fail(report, index, exc, progress, observer)
+        else:
+            _finish(report, index, payload, store, progress, observer)
 
 
 def _default_signals() -> None:
@@ -246,24 +232,35 @@ def _run_parallel(
     pending: Sequence[int],
     jobs: int,
     store: JsonFileStore | None,
-    timeout_s: float | None,
-    retries: int,
     progress: ProgressFn | None,
     observer=None,
 ) -> None:
     collect = observer is not None
     others = set(multiprocessing.active_children())
+    queue = iter(pending)
+    futures: dict[Future, int] = {}
     with ProcessPoolExecutor(max_workers=jobs, initializer=_default_signals) as pool:
 
-        def submit(index: int):
-            report.outcomes[index].attempts += 1
-            spec_dict = report.outcomes[index].spec.to_dict()
-            if observer is not None:
-                observer.submitted(report.outcomes[index])
-            return pool.submit(execute_job, spec_dict, timeout_s, collect)
+        def top_up() -> None:
+            # At most ``jobs`` cells are in the pool, so a submitted cell
+            # has a worker: ``top`` shows only those as running, and a
+            # span's ``queue_s`` is the hand-off, not the wait in line.
+            while len(futures) < jobs:
+                index = next(queue, None)
+                if index is None:
+                    return
+                outcome = report.outcomes[index]
+                if observer is not None:
+                    observer.submitted(outcome)
+                try:
+                    future = pool.submit(execute_job, outcome.spec.to_dict(), collect)
+                except Exception as exc:  # a broken pool takes no more cells
+                    _fail(report, index, exc, progress, observer)
+                else:
+                    futures[future] = index
 
         try:
-            futures = {submit(index): index for index in pending}
+            top_up()
             while futures:
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
                 for future in done:
@@ -271,18 +268,13 @@ def _run_parallel(
                     try:
                         payload = future.result()
                     except Exception as exc:
-                        if report.outcomes[index].attempts <= retries:
-                            try:
-                                futures[submit(index)] = index
-                            except Exception as resubmit_exc:
-                                _fail(report, index, resubmit_exc, progress, observer)
-                        else:
-                            _fail(report, index, exc, progress, observer)
+                        _fail(report, index, exc, progress, observer)
                     else:
                         _finish(report, index, payload, store, progress, observer)
+                top_up()
         except BaseException:
-            # Leaving the pool would otherwise wait for every queued job
-            # and for the cells the workers are running.
+            # Leaving the pool would otherwise wait for the cells the
+            # workers are running.
             for worker in set(multiprocessing.active_children()) - others:
                 worker.terminate()
             pool.shutdown(cancel_futures=True)

@@ -157,10 +157,6 @@ class JsonFileStore:
                 pass
             raise
 
-    def invalidate(self, spec: JobSpec) -> bool:
-        """Drop one cached cell; returns whether an entry existed."""
-        return self._delete(spec.experiment, entry_key(spec))
-
     def _delete(self, experiment: str, key: str) -> bool:
         try:
             self._path(experiment, key).unlink()

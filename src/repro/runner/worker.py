@@ -3,9 +3,9 @@
 :func:`execute_job` is the single entry point a
 :class:`~concurrent.futures.ProcessPoolExecutor` invokes: it takes a
 pickled spec dict (not a :class:`JobSpec` -- plain dicts survive every
-start method), resolves the cell function by experiment name, enforces
-the per-job wall-clock budget with ``SIGALRM`` where the platform has
-it, and returns the cell's JSON-safe result plus the measured duration.
+start method), resolves the cell function by experiment name, and
+returns the cell's JSON-safe result plus the measured duration.  A
+cell's only time budget is its attack's own ``timeout_s``.
 
 The cell registry import happens lazily inside the function so that
 ``repro.runner`` never imports ``repro.reports`` at module load time
@@ -14,30 +14,12 @@ The cell registry import happens lazily inside the function so that
 
 from __future__ import annotations
 
-import signal
 import time
 from typing import Any
 
 
-class JobTimeout(Exception):
-    """Raised inside a worker when a cell exceeds its wall-clock budget."""
-
-
-def _alarm_handler(signum, frame):
-    raise JobTimeout("job exceeded its wall-clock budget")
-
-
-def execute_job(
-    spec_dict: dict[str, Any],
-    timeout_s: float | None = None,
-    collect_span: bool = False,
-) -> dict:
+def execute_job(spec_dict: dict[str, Any], collect_span: bool = False) -> dict:
     """Run one cell; returns ``{"result": ..., "duration_s": ...}``.
-
-    ``timeout_s`` arms an interval timer that aborts the cell with
-    :class:`JobTimeout` (delivered to the caller as an exception result
-    of the future).  Only the main thread of a process may set signal
-    handlers, which holds for pool workers and for the serial path.
 
     ``collect_span`` opens a :mod:`repro.observability.spans` span
     around the cell so instrumented hot paths (SatAttack, DynUnlock,
@@ -50,8 +32,6 @@ def execute_job(
     from repro.runner.spec import JobSpec
 
     spec = JobSpec.from_dict(spec_dict)
-    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
-    previous = None
     span = None
     if collect_span:
         from repro.observability.spans import begin_job_span
@@ -59,15 +39,9 @@ def execute_job(
         span = begin_job_span(spec.experiment, spec.label, spec.spec_hash[:12])
     span_record = None
     start = time.perf_counter()
-    if use_alarm:
-        previous = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.setitimer(signal.ITIMER_REAL, max(timeout_s, 1e-3))
     try:
         result = run_cell(spec)
     finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         if span is not None:
             from repro.observability.spans import end_job_span
 

@@ -19,8 +19,9 @@ activity arithmetic).
 
 :class:`NativeCore` is the ctypes side of one C solver.  Its ``solve``
 runs the C search in slices of 64 conflicts, returning to the
-interpreter at the reference's clock check, so timeouts, ``SIGALRM``
-job limits and ``KeyboardInterrupt`` work as they do on the reference.
+interpreter at the reference's clock check, so timeouts and signal
+handlers (``KeyboardInterrupt``, SIGTERM through the CLI) work as they
+do on the reference.
 """
 
 from __future__ import annotations

@@ -40,9 +40,6 @@ class Cnf:
         self.n_vars += 1
         return self.n_vars
 
-    def new_vars(self, count: int) -> list[int]:
-        return [self.new_var() for _ in range(count)]
-
     def add_clause(self, lits: Iterable[int]) -> None:
         """Append one clause; ``n_vars`` grows to cover its literals."""
         clause = list(lits)

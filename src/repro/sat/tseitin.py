@@ -270,9 +270,6 @@ class CircuitEncoder:
             self._net_vars[net] = var
         return var
 
-    def has_net(self, net: str) -> bool:
-        return net in self._net_vars
-
     def alias(self, net: str, var: int) -> None:
         """Force a net to use an existing variable (key sharing)."""
         existing = self._net_vars.get(net)

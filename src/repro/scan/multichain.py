@@ -89,17 +89,6 @@ class MultiChainSpec:
         lengths = tuple(base + (1 if c < extra else 0) for c in range(n_chains))
         return cls(chain_lengths=lengths, keygates=tuple(keygates))
 
-    # -- global flop index <-> (chain, position) -------------------------
-    def chain_of(self, flop_index: int) -> tuple[int, int]:
-        if flop_index < 0:
-            raise ValueError("flop index must be non-negative")
-        offset = 0
-        for chain, length in enumerate(self.chain_lengths):
-            if flop_index < offset + length:
-                return chain, flop_index - offset
-            offset += length
-        raise ValueError(f"flop index {flop_index} out of range")
-
     def flop_index(self, chain: int, position: int) -> int:
         return sum(self.chain_lengths[:chain]) + position
 

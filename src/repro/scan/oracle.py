@@ -136,10 +136,6 @@ class ScanOracle(MaskedScan):
     def n_flops(self) -> int:
         return self.spec.n_flops
 
-    @property
-    def n_primary_inputs(self) -> int:
-        return len(self.netlist.inputs)
-
     def _input_map(self, primary_inputs: Sequence[int] | None) -> dict[str, int]:
         nets = self.netlist.inputs
         if primary_inputs is None:

@@ -35,20 +35,16 @@ class ScanPins:
 
 
 def build_scan_netlist(
-    netlist: Netlist,
-    spec: ScanChainSpec,
-    se_net: str = "scan_SE",
-    si_net: str = "scan_SI",
-    so_net: str = "scan_SO",
-    key_prefix: str = "scan_KG",
+    netlist: Netlist, spec: ScanChainSpec
 ) -> tuple[Netlist, ScanPins]:
     """Insert a locked scan chain into a sequential netlist.
 
     Chain order follows the netlist's canonical flop order.  Returns the
-    new netlist and the pin-name record.  The key inputs are primary
-    inputs: during simulation they are driven with the dynamic key of the
-    current cycle (shift) or the secret key (capture -- irrelevant since
-    the gates only feed scan muxes).
+    new netlist and the pin-name record: ``scan_SE``, ``scan_SI``,
+    ``scan_SO`` and one key input ``scan_KG<g>`` per key gate.  The key
+    inputs are primary inputs: during simulation they are driven with the
+    dynamic key of the current cycle (shift) or the secret key (capture
+    -- irrelevant since the gates only feed scan muxes).
     """
     if spec.n_flops != netlist.n_dffs:
         raise ValueError("chain spec does not match the flop count")
@@ -56,9 +52,10 @@ def build_scan_netlist(
     locked = Netlist(name=f"{netlist.name}_scan")
     for net in netlist.inputs:
         locked.add_input(net)
+    se_net, si_net, so_net = "scan_SE", "scan_SI", "scan_SO"
     locked.add_input(se_net)
     locked.add_input(si_net)
-    key_nets = [f"{key_prefix}{g}" for g in range(spec.n_keygates)]
+    key_nets = [f"scan_KG{g}" for g in range(spec.n_keygates)]
     for net in key_nets:
         locked.add_input(net)
 
@@ -71,7 +68,7 @@ def build_scan_netlist(
         if gate is None:
             scan_src.append(q_nets[p])
         else:
-            xor_net = f"{key_prefix}{gate}_xor"
+            xor_net = f"scan_KG{gate}_xor"
             locked.add_gate(xor_net, GateType.XOR, [q_nets[p], key_nets[gate]])
             scan_src.append(xor_net)
 
@@ -147,7 +144,7 @@ class StructuralScanSimulator:
             raise ValueError("primary input width mismatch")
 
         self.keystream.restart()
-        self._sim.reset(0)
+        self._sim.reset()
 
         # Load: n shift edges, farthest bit first.
         for c in range(n):

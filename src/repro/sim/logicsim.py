@@ -13,8 +13,8 @@ One reference walk and one lowered program share the gate semantics of
   one-lane ints (:meth:`CombinationalSimulator.run`, hence
   :class:`~repro.sim.seqsim.SequentialSimulator` and every scan
   oracle's capture edge), packed lane words (:class:`BitParallelSimulator`,
-  under brute-force replay, fault simulation and SAT sweeping), or uint8
-  numpy columns (:meth:`CombinationalSimulator.run_many`).
+  under brute-force replay and the fuzz invariants), or uint8 numpy
+  columns (:meth:`CombinationalSimulator.run_many`).
 
 Slot layout: the primary inputs, then the DFF Q nets, then one slot per
 gate output in topological order, then two reserved slots -- the lane
@@ -128,10 +128,8 @@ class GateProgram:
     ``nets[s]`` names slot ``s`` and ``index`` is its inverse.  The
     caller loads the ``free`` slots (``inputs``, then the DFF Q nets
     ``states``) and appends the two reserved slots after the named ones:
-    the lane mask, then 0.  ``ends`` maps a gate-output slot to the
-    position just past its last instruction, where a forced word
-    replaces it.  ``version`` is the netlist version the program was
-    lowered from.
+    the lane mask, then 0.  ``version`` is the netlist version the
+    program was lowered from.
     """
 
     version: int
@@ -141,36 +139,15 @@ class GateProgram:
     nets: tuple[str, ...]
     index: Mapping[str, int]
     code: tuple[tuple[Op, int, int, int], ...]
-    ends: Mapping[int, int]
 
     def blank(self, fill: Any = 0) -> list:
         """Placeholders for the gate-output slots (appended after the free ones)."""
         return [fill] * (len(self.nets) - len(self.free))
 
-    def execute(self, slots: list, force: Mapping[int, Any] | None = None) -> None:
-        """Run the program over ``slots`` in place.
-
-        ``force`` maps slots to words that override them once their driver
-        has run (free slots before the first instruction): the program
-        runs up to the forced slot's last instruction, the word is stored,
-        and the run continues.
-        """
-        code = self.code
-        if not force:
-            _run(code, slots)
-            return
-        ends = self.ends
-        start = 0
-        for stop, slot in sorted((ends.get(slot, 0), slot) for slot in force):
-            _run(code[start:stop], slots)
-            slots[slot] = force[slot]
-            start = stop
-        _run(code[start:], slots)
-
-
-def _run(code: Sequence[tuple[Op, int, int, int]], slots: list) -> None:
-    for op, out, a, b in code:
-        slots[out] = op(slots[a], slots[b])
+    def execute(self, slots: list) -> None:
+        """Run the program over ``slots`` in place."""
+        for op, out, a, b in self.code:
+            slots[out] = op(slots[a], slots[b])
 
 
 def lower(netlist: Netlist) -> GateProgram:
@@ -183,7 +160,6 @@ def lower(netlist: Netlist) -> GateProgram:
     index = {net: slot for slot, net in enumerate(nets)}
     mask, zero = len(nets), len(nets) + 1
     code: list[tuple[Op, int, int, int]] = []
-    ends: dict[int, int] = {}
     for gate in order:
         out = index[gate.output]
         ins = [index[net] for net in gate.inputs]
@@ -207,7 +183,6 @@ def lower(netlist: Netlist) -> GateProgram:
             code.extend((op, out, out, x) for x in ins[2:])
             if invert:
                 code.append((_XOR, out, out, mask))
-        ends[out] = len(code)
     return GateProgram(
         version=netlist.version,
         inputs=inputs,
@@ -216,7 +191,6 @@ def lower(netlist: Netlist) -> GateProgram:
         nets=nets,
         index=index,
         code=tuple(code),
-        ends=ends,
     )
 
 
@@ -339,27 +313,19 @@ class BitParallelSimulator:
             self._output_index = [program.index[net] for net in self.netlist.outputs]
         return program
 
-    @property
-    def net_index(self) -> Mapping[str, int]:
-        """Net name -> dense slot index (stable for this netlist version)."""
-        return self._lowered().index
-
     def run_packed(
         self,
         packed_inputs: Mapping[str, int],
         n_lanes: int,
-        force: Mapping[str, int] | None = None,
     ) -> dict[str, int]:
         """Evaluate ``n_lanes`` patterns in one pass.
 
         ``packed_inputs`` maps every primary input and DFF Q net to a
-        packed word (lane ``j`` in bit ``j``).  ``force`` overrides nets
-        with fixed packed words *after* their driver is evaluated — the
-        stuck-at injection hook used by fault simulation.  Returns the
-        packed word of every net.
+        packed word (lane ``j`` in bit ``j``).  Returns the packed word of
+        every net.
         """
         program = self._lowered()
-        slots = self._run_slots(program, packed_inputs, n_lanes, force)
+        slots = self._run_slots(program, packed_inputs, n_lanes)
         return dict(zip(program.nets, slots))
 
     def _run_slots(
@@ -367,7 +333,6 @@ class BitParallelSimulator:
         program: GateProgram,
         packed_inputs: Mapping[str, int],
         n_lanes: int,
-        force: Mapping[str, int] | None,
     ) -> list[int]:
         """Packed evaluation; returns the raw slot array."""
         mask = lane_mask(n_lanes)
@@ -378,25 +343,20 @@ class BitParallelSimulator:
             raise NetlistError(f"missing packed value for net {missing!r}") from None
         slots += program.blank()
         slots += (mask, 0)
-        forced = None
-        if force:
-            forced = {program.index[net]: word & mask for net, word in force.items()}
-        program.execute(slots, forced)
+        program.execute(slots)
         return slots
 
     def run_packed_outputs(
         self,
         packed_inputs: Mapping[str, int],
         n_lanes: int,
-        force: Mapping[str, int] | None = None,
     ) -> list[int]:
         """Packed words of the primary outputs only (see :meth:`run_packed`).
 
-        Skips the name -> word dict entirely — this is the per-fault hot
-        path of fault simulation.
+        Skips the name -> word dict entirely.
         """
         program = self._lowered()
-        slots = self._run_slots(program, packed_inputs, n_lanes, force)
+        slots = self._run_slots(program, packed_inputs, n_lanes)
         return [slots[slot] for slot in self._output_index]
 
     def run_patterns(

@@ -19,33 +19,20 @@ class SequentialSimulator:
 
     State is a dict ``q_net -> bit``.  ``step`` evaluates the combinational
     logic under the current state and primary inputs, then clocks every DFF
-    (Q <= D simultaneously).  ``set_state``/``get_state`` give the scan
-    machinery direct access, mimicking physical scan chain load/unload.
+    (Q <= D simultaneously); every flop powers on at 0.
+    ``set_state_vector``/``get_state_vector`` give the scan machinery
+    direct access, mimicking physical scan chain load/unload.
     """
 
-    def __init__(self, netlist: Netlist, initial_state: int = 0):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self._comb = CombinationalSimulator(netlist)
-        if initial_state not in (0, 1):
-            raise NetlistError("initial_state must be the bit 0 or 1")
-        self.state: dict[str, int] = {q: initial_state for q in netlist.dffs}
+        self.state: dict[str, int] = {q: 0 for q in netlist.dffs}
 
     # -- state access ---------------------------------------------------
-    def get_state(self) -> dict[str, int]:
-        return dict(self.state)
-
     def get_state_vector(self) -> list[int]:
         """State bits in canonical flop order."""
         return [self.state[q] for q in self.netlist.dff_q_nets()]
-
-    def set_state(self, state: Mapping[str, int]) -> None:
-        for q_net in self.netlist.dffs:
-            if q_net not in state:
-                raise NetlistError(f"missing state bit for {q_net!r}")
-            value = state[q_net]
-            if value not in (0, 1):
-                raise NetlistError(f"state bit for {q_net!r} must be 0/1")
-            self.state[q_net] = int(value)
 
     def set_state_vector(self, bits: Sequence[int]) -> None:
         q_nets = self.netlist.dff_q_nets()
@@ -58,9 +45,10 @@ class SequentialSimulator:
                 raise NetlistError("state bits must be 0/1")
             self.state[q_net] = int(bit)
 
-    def reset(self, value: int = 0) -> None:
+    def reset(self) -> None:
+        """Return every flop to its power-on 0."""
         for q_net in self.state:
-            self.state[q_net] = value
+            self.state[q_net] = 0
 
     # -- evaluation -----------------------------------------------------
     def evaluate_combinational(self, inputs: Mapping[str, int]) -> dict[str, int]:

@@ -21,24 +21,8 @@ import random
 from typing import Iterable, Sequence
 
 
-def bits_from_str(text: str) -> list[int]:
-    """Parse a human-oriented bit string such as ``"0110"``.
-
-    The leftmost character becomes index 0.  Underscores are ignored so
-    long constants can be grouped: ``"1010_1100"``.
-    """
-    bits = []
-    for ch in text:
-        if ch == "_":
-            continue
-        if ch not in "01":
-            raise ValueError(f"invalid bit character {ch!r} in {text!r}")
-        bits.append(int(ch))
-    return bits
-
-
 def bits_to_str(bits: Sequence[int]) -> str:
-    """Render a bit vector with index 0 leftmost (inverse of bits_from_str)."""
+    """Render a bit vector with index 0 leftmost, e.g. ``"0110"``."""
     for bit in bits:
         _check_bit(bit)
     return "".join("1" if b else "0" for b in bits)

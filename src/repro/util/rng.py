@@ -1,46 +1,14 @@
-"""Deterministic random-number management.
+"""Stable seed derivation.
 
 Every stochastic component in the library (benchmark generator, key-gate
-placement, seed selection, DIP-free fallback patterns) draws from a
-:class:`DeterministicRng` so that experiments are exactly reproducible from
-a single integer seed, mirroring how the paper reports averages over ten
-fixed LFSR seeds.
+placement, lock secrets, fuzz trials) draws from a :class:`random.Random`
+its caller passes in.  The experiment grids, the fuzzer and the farm
+seed it with :func:`hash_label` of an integer seed and a label naming
+the cell, so every cell is exactly reproducible from its own parameters,
+mirroring how the paper reports averages over ten fixed LFSR seeds.
 """
 
 from __future__ import annotations
-
-import random
-
-
-class DeterministicRng:
-    """A named tree of :class:`random.Random` streams.
-
-    A single root seed fans out into independent, stable sub-streams keyed
-    by a label.  Two runs with the same root seed and the same labels see
-    identical randomness regardless of call interleaving across labels.
-
-    >>> rng = DeterministicRng(42)
-    >>> a = rng.stream("keygates").randrange(100)
-    >>> b = DeterministicRng(42).stream("keygates").randrange(100)
-    >>> a == b
-    True
-    """
-
-    def __init__(self, root_seed: int):
-        self.root_seed = int(root_seed)
-        self._streams: dict[str, random.Random] = {}
-
-    def stream(self, label: str) -> random.Random:
-        """Return (creating on first use) the sub-stream for ``label``."""
-        if label not in self._streams:
-            # Derive a stable child seed from the root seed and the label.
-            child_seed = hash_label(self.root_seed, label)
-            self._streams[label] = random.Random(child_seed)
-        return self._streams[label]
-
-    def fork(self, label: str) -> "DeterministicRng":
-        """Create a child rng tree rooted at a label-derived seed."""
-        return DeterministicRng(hash_label(self.root_seed, label))
 
 
 def hash_label(seed: int, label: str) -> int:

@@ -1,14 +1,11 @@
 """Bit-parallel packed evaluation must agree with the scalar reference
-everywhere it is used: plain simulation, fault detection, and candidate
-refinement."""
+everywhere it is used: plain simulation and candidate refinement."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atpg.fault_sim import FaultSimulator, fault_coverage
-from repro.atpg.faults import enumerate_faults
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
@@ -139,46 +136,3 @@ class TestPartialFinalChunk:
             assert len(got) == width
             for pattern, outputs in zip(patterns, got):
                 assert outputs == scalar.run_outputs(pattern)
-
-
-class TestPackedFaultSimulation:
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_detection_matches_scalar(self, seed):
-        core, rng = random_core(seed, n_flops=4, n_inputs=3, n_outputs=2)
-        sim = FaultSimulator(core)
-        faults = list(enumerate_faults(core))[:12]
-        patterns = [
-            {net: rng.randrange(2) for net in core.inputs} for _ in range(9)
-        ]
-        chunks = sim.pack_patterns(patterns)
-        for fault in faults:
-            scalar = any(sim.detects(p, fault) for p in patterns)
-            assert sim.detection_lanes(chunks, fault) == scalar
-
-    def test_coverage_matches_scalar_definition(self):
-        core, rng = random_core(5, n_flops=4, n_inputs=3, n_outputs=2)
-        sim = FaultSimulator(core)
-        faults = list(enumerate_faults(core))[:10]
-        patterns = [
-            {net: rng.randrange(2) for net in core.inputs} for _ in range(6)
-        ]
-        expected = sum(
-            1 for f in faults if any(sim.detects(p, f) for p in patterns)
-        ) / len(faults)
-        assert fault_coverage(core, patterns, faults) == expected
-
-    def test_chunking_beyond_one_word(self):
-        core, rng = random_core(9, n_flops=4, n_inputs=3, n_outputs=2)
-        sim = FaultSimulator(core)
-        patterns = [
-            {net: rng.randrange(2) for net in core.inputs}
-            for _ in range(PACK_WORD_BITS + 17)
-        ]
-        chunks = sim.pack_patterns(patterns)
-        assert len(chunks) == 2
-        assert chunks[0][1] == PACK_WORD_BITS
-        assert chunks[1][1] == 17
-        fault = next(iter(enumerate_faults(core)))
-        scalar = any(sim.detects(p, fault) for p in patterns)
-        assert sim.detection_lanes(chunks, fault) == scalar

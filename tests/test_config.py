@@ -9,9 +9,7 @@ The contract pinned here:
 * resolution order is explicit CLI flag > config file > built-in
   default, with flag-vs-file conflicts recorded as overrides;
 * the shipped example profiles in ``examples/configs/`` all pass
-  ``config check --strict``;
-* the 3.10 fallback TOML parser agrees with :mod:`tomllib` on every
-  shipped profile.
+  ``config check --strict``.
 """
 
 import json
@@ -23,7 +21,6 @@ from repro.config import (
     COMMAND_MAPS,
     ConfigError,
     SCHEMA,
-    _parse_toml_minimal,
     apply_config,
     check_config,
     load_and_check,
@@ -177,50 +174,6 @@ class TestLoading:
         with pytest.raises(ConfigError) as excinfo:
             load_and_check(path)
         assert "farm.seed" in str(excinfo.value)
-
-
-class TestMinimalTomlParser:
-    @pytest.mark.parametrize(
-        "path", EXAMPLES, ids=[p.name for p in EXAMPLES]
-    )
-    def test_fallback_agrees_with_tomllib_on_examples(self, path):
-        tomllib = pytest.importorskip("tomllib")
-        text = path.read_text()
-        assert _parse_toml_minimal(text) == tomllib.loads(text)
-
-    def test_values_strings_bools_numbers_arrays(self):
-        data = _parse_toml_minimal(
-            "# header comment\n"
-            'name = "x"  \n'
-            "flag = true\n"
-            "n = 3  # trailing comment\n"
-            "f = 1.5\n"
-            "[filters]\n"
-            'benchmarks = ["s5378", "s13207"]\n'
-            "empty = []\n"
-        )
-        assert data == {
-            "name": "x",
-            "flag": True,
-            "n": 3,
-            "f": 1.5,
-            "filters": {"benchmarks": ["s5378", "s13207"], "empty": []},
-        }
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "key\n",  # no '='
-            "a = \n",  # missing value
-            'a = "unterminated\n',
-            "a = [1, 2\n",  # unterminated array
-            "[sec.dotted]\n",  # dotted sections unsupported
-            "a.b = 1\n",  # dotted keys unsupported
-        ],
-    )
-    def test_malformed_lines_rejected_loudly(self, bad):
-        with pytest.raises(ValueError, match="line 1"):
-            _parse_toml_minimal(bad)
 
 
 class TestShippedExamples:

@@ -116,15 +116,3 @@ class TestDynUnlockConfigKnobs:
         )
         assert not result.success
         assert result.seed_candidates == []
-
-    def test_pos_can_be_excluded(self):
-        netlist = s27_netlist()
-        lock = lock_with_effdyn(netlist, key_bits=2, rng=random.Random(0))
-        result = dynunlock(
-            netlist,
-            lock.public_view(),
-            lock.make_oracle(),
-            DynUnlockConfig(include_pos=False),
-        )
-        assert result.success
-        assert result.model.po_outputs == []

@@ -42,7 +42,7 @@ class TestWrongReverseEngineering:
         )
         result = dynunlock(
             netlist, wrong_view, lock.make_oracle(),
-            DynUnlockConfig(timeout_s=120, max_captures=1),
+            DynUnlockConfig(timeout_s=120),
         )
         # Either the constraints became contradictory (no candidates) or
         # replay verification killed all survivors.
@@ -65,7 +65,7 @@ class TestWrongReverseEngineering:
         )
         result = dynunlock(
             netlist, wrong_view, lock.make_oracle(),
-            DynUnlockConfig(timeout_s=120, max_captures=1),
+            DynUnlockConfig(timeout_s=120),
         )
         assert not result.success
 
@@ -78,7 +78,7 @@ class TestWrongReverseEngineering:
         netlist_b = generate_circuit(config, rng, name="other")
         result = dynunlock(
             netlist_b, lock_a.public_view(), lock_a.make_oracle(),
-            DynUnlockConfig(timeout_s=120, max_captures=1),
+            DynUnlockConfig(timeout_s=120),
         )
         assert not result.success
 
@@ -108,8 +108,7 @@ class TestGracefulDegradation:
         netlist, lock = make_lock(seed=11)
         result = dynunlock(
             netlist, lock.public_view(), lock.make_oracle(),
-            DynUnlockConfig(candidate_limit=1, max_captures=1,
-                            timeout_s=120),
+            DynUnlockConfig(candidate_limit=1, timeout_s=120),
         )
         # With limit 1 the single enumerated candidate is either the real
         # equivalence class (success) or enumeration flagged exhaustion

@@ -56,9 +56,12 @@ class TestMultiChainSpec:
 
     def test_flop_index_roundtrip(self):
         spec = MultiChainSpec.balanced(10, 3)
-        for flop in range(10):
-            chain, position = spec.chain_of(flop)
-            assert spec.flop_index(chain, position) == flop
+        flops = [
+            spec.flop_index(chain, position)
+            for chain, length in enumerate(spec.chain_lengths)
+            for position in range(length)
+        ]
+        assert flops == list(range(10))
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from repro.netlist.gates import (
     check_arity,
     evaluate_gate,
 )
-from repro.netlist.netlist import Gate, NetNamer, Netlist, NetlistError
+from repro.netlist.netlist import NetNamer, Netlist, NetlistError
 
 
 class TestGateEvaluation:
@@ -138,15 +138,6 @@ class TestNetlistConstruction:
         netlist.add_gate("d", GateType.NOT, ["q"])
         assert len(netlist.topological_gates()) == 1
 
-    def test_driver_of(self):
-        netlist = Netlist("t")
-        netlist.add_input("a")
-        netlist.add_dff("q", "a")
-        netlist.add_gate("y", GateType.NOT, ["q"])
-        assert netlist.driver_of("a") == "input"
-        assert isinstance(netlist.driver_of("y"), Gate)
-        assert netlist.driver_of("nothere") is None
-
     def test_stats(self):
         netlist = Netlist("t")
         netlist.add_input("a")
@@ -157,14 +148,6 @@ class TestNetlistConstruction:
         assert stats["dffs"] == 1
         assert stats["gate_NOT"] == 1
 
-    def test_fanout_map(self):
-        netlist = Netlist("t")
-        netlist.add_input("a")
-        netlist.add_gate("x", GateType.NOT, ["a"])
-        netlist.add_gate("y", GateType.NOT, ["a"])
-        fanout = netlist.fanout_map()
-        assert {g.output for g in fanout["a"]} == {"x", "y"}
-
     def test_topo_cache_invalidated_by_mutation(self):
         netlist = Netlist("t")
         netlist.add_input("a")
@@ -172,25 +155,6 @@ class TestNetlistConstruction:
         assert len(netlist.topological_gates()) == 1
         netlist.add_gate("y", GateType.NOT, ["x"])
         assert len(netlist.topological_gates()) == 2
-
-    def test_fanout_map_is_cached_until_mutation(self):
-        netlist = Netlist("t")
-        netlist.add_input("a")
-        netlist.add_gate("x", GateType.NOT, ["a"])
-        first = netlist.fanout_map()
-        assert netlist.fanout_map() is first  # settled netlist: cached
-        netlist.add_gate("y", GateType.NOT, ["a"])
-        second = netlist.fanout_map()
-        assert second is not first
-        assert {g.output for g in second["a"]} == {"x", "y"}
-
-    def test_fanout_cache_invalidated_by_add_dff(self):
-        netlist = Netlist("t")
-        netlist.add_input("a")
-        netlist.add_gate("x", GateType.NOT, ["a"])
-        first = netlist.fanout_map()
-        netlist.add_dff(q="q0", d="x")
-        assert netlist.fanout_map() is not first
 
 
 class TestCacheInvalidation:
@@ -204,8 +168,8 @@ class TestCacheInvalidation:
         netlist.add_output("y")
         return netlist
 
-    def test_mutators_invalidate_topo_and_fanout(self):
-        """Every mutator drops the derived caches and bumps ``version``."""
+    def test_mutators_invalidate_topo_cache(self):
+        """Every mutator drops the topological order and bumps ``version``."""
         mutations = [
             lambda n: n.add_gate("z", GateType.NOT, ["x"]),
             lambda n: n.add_input("c"),
@@ -217,21 +181,11 @@ class TestCacheInvalidation:
         for mutate in mutations:
             netlist = self._base()
             netlist.topological_gates()
-            netlist.fanout_map()
             assert netlist._topo_cache is not None
-            assert netlist._fanout_cache is not None
             version = netlist.version
             mutate(netlist)
             assert netlist._topo_cache is None, mutate
-            assert netlist._fanout_cache is None, mutate
             assert netlist.version > version, mutate
-
-    def test_fanout_map_fresh_after_remove_gate(self):
-        netlist = self._base()
-        assert any(g.output == "y" for g in netlist.fanout_map()["x"])
-        netlist.set_outputs(["x"])
-        netlist.remove_gate("y")
-        assert netlist.fanout_map().get("x", []) == []
 
 
 class TestNetNamer:

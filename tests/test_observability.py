@@ -151,6 +151,25 @@ class TestSessionWithScheduler:
         computed = [s for s in spans if s["status"] == "computed"]
         assert sum(s["duration_s"] for s in computed) >= 3 * 0.005
 
+    def test_submitted_jobs_never_outnumber_workers(self, tmp_path):
+        # ``top`` counts a job as running from its ``submitted`` record
+        # until its ``span``, so at most ``jobs`` may be open at once.
+        session = start_session(metrics_dir=tmp_path, command="test")
+        run_jobs(
+            tiny_specs(n=6, duration_s=0.05), jobs=2, observer=RunObserver(session)
+        )
+        end_session()
+        open_jobs: set[int] = set()
+        most = 0
+        for line in (tmp_path / "spans.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if record["kind"] == "submitted":
+                open_jobs.add(record["job_id"])
+            elif record["kind"] == "span":
+                open_jobs.discard(record["job_id"])
+            most = max(most, len(open_jobs))
+        assert most == 2 and not open_jobs
+
     def test_obs_artifact_summarises_phases(self, tmp_path):
         self.run_instrumented(tmp_path, jobs=1)
         artifact = load_artifact(tmp_path / "metrics" / "BENCH_obs.json")

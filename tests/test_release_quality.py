@@ -24,7 +24,8 @@ SRC = REPO / "src" / "repro"
 #: Directories whose code counts as a caller of ``src/`` definitions.
 CALLER_DIRS = ("perfbench", "examples", "scripts", "benchmarks")
 
-#: ``module:name`` definitions that only tests call, kept on purpose.
+#: ``module:name`` or ``module:Class.method`` definitions that only tests
+#: reach, kept on purpose: test oracles and paper artefacts.
 TEST_ONLY_KEEP = {
     "repro.core.analysis:is_affine_space":
         "test oracle: is a candidate set an affine space",
@@ -42,6 +43,19 @@ TEST_ONLY_KEEP = {
         "top-level public API (repro.load_bench_file)",
     "repro.matrix.registry:temporary_registrations":
         "plugin test helper that docs/fuzzing.md documents",
+    "repro.core.algorithm1:algorithm1":
+        "paper artefact: Algorithm 1, the reference for the closed forms",
+    "repro.core.cnf_dump:CnfDumper":
+        "paper artefact: the paper's per-iteration CNF dump",
+    "repro.gf2.matrix:GF2Matrix.transpose":
+        "GF(2) reference, kept with the rest of repro.gf2 as a test oracle",
+    "repro.runner.artifacts:load_artifact":
+        "test oracle: reads write_artifact output back to pin the schema "
+        "that docs/observability.md documents",
+    "repro.sim.logicsim:CombinationalSimulator.run_outputs":
+        "test oracle: the scalar reference the packed simulator is checked against",
+    "repro.util.bitvec:unpack_lanes":
+        "test oracle: the inverse of pack_lanes for packing round trips",
 }
 
 
@@ -154,57 +168,116 @@ class TestPackagingMetadata:
             )
 
 
-def _definition_lines(node) -> set[int]:
-    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    return set(range(first - 1, node.end_lineno))
+#: A string constant that names code: perfbench patches entry points by
+#: their dotted path.
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
-def _words(text: str) -> set[str]:
-    return set(re.findall(r"\w+", text))
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` for every name the code in ``tree`` refers to.
+
+    A reference is a ``Name``, an ``Attribute``, a ``from ... import``
+    name or a part of a dotted identifier in a string constant.
+    Docstrings and ``__all__`` are not code; comments never reach the AST.
+    """
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and ast.get_docstring(node, clean=False) is not None:
+            skip.add(id(node.body[0].value))
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            skip.update(id(child) for child in ast.walk(node))
+    refs = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _DOTTED.fullmatch(node.value):
+                refs += [(part, node.lineno) for part in node.value.split(".")]
+    return refs
+
+
+def _definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each top-level function and class and
+    of each method of a top-level class, dunder methods (which Python
+    calls) left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _orphans() -> set[str]:
+    """Definitions no code outside ``tests/`` refers to, by name.
+
+    Callers are ``src/`` modules other than package ``__init__``s and
+    every module under :data:`CALLER_DIRS`; a reference inside the
+    definition itself does not count.  Matching by name can only err
+    toward keeping code.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    callers = [path for path in trees if path.name != "__init__.py"]
+    for directory in CALLER_DIRS:
+        callers += sorted((REPO / directory).rglob("*.py"))
+    where: dict[str, list[tuple[Path, int]]] = {}
+    for path in callers:
+        tree = trees.get(path) or ast.parse(path.read_text())
+        for name, line in _references(tree):
+            where.setdefault(name, []).append((path, line))
+    orphans = set()
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for qualname, node in _definitions(tree):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not any(
+                other != path or not first <= line <= node.end_lineno
+                for other, line in where.get(node.name, ())
+            ):
+                orphans.add(f"{module}:{qualname}")
+    return orphans
+
+
+def test_references_skip_docstrings_comments_and_all():
+    tree = ast.parse(
+        '"""Module docstring naming gone_a."""\n'
+        "__all__ = ['gone_b']\n"
+        "def f():\n"
+        "    'gone_c'\n"
+        "    return x.meth('pkg.mod.target', 'two words')  # gone_d\n"
+        "from m import imported\n"
+    )
+    names = {name for name, _ in _references(tree)}
+    assert {"x", "meth", "pkg", "mod", "target", "imported"} <= names
+    assert not names & {"gone_a", "gone_b", "gone_c", "gone_d", "two", "words"}
 
 
 def test_every_src_definition_has_a_non_test_caller():
     """Tripwire: code that only tests reach does not creep back into src/.
 
-    Each top-level function or class must appear as a whole word in its
-    own module outside its definition and ``__all__``, in another
-    ``src/`` module that is not a package ``__init__``, or under
-    :data:`CALLER_DIRS`.  :data:`TEST_ONLY_KEEP` names the exceptions.
+    :data:`TEST_ONLY_KEEP` names the exceptions, and each of them must
+    still be one.
     """
-    sources = {path: path.read_text() for path in sorted(SRC.rglob("*.py"))}
-    callers = {
-        path: _words(text)
-        for path, text in sources.items()
-        if path.name != "__init__.py"
-    }
-    for directory in CALLER_DIRS:
-        for path in sorted((REPO / directory).rglob("*.py")):
-            callers[path] = _words(path.read_text())
-    orphans = []
-    for path, text in sources.items():
-        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
-        module = module.removesuffix(".__init__")
-        tree = ast.parse(text)
-        lines = text.splitlines()
-        exports = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exports |= set(range(node.lineno - 1, node.end_lineno))
-        for node in tree.body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            skip = exports | _definition_lines(node)
-            rest = "\n".join(line for i, line in enumerate(lines) if i not in skip)
-            if node.name in _words(rest) or any(
-                node.name in words
-                for other, words in callers.items()
-                if other != path
-            ):
-                continue
-            if f"{module}:{node.name}" not in TEST_ONLY_KEEP:
-                orphans.append(f"{module}:{node.name}")
-    assert not orphans, f"src/ definitions with no caller outside tests: {orphans}"
+    orphans = _orphans()
+    keep = set(TEST_ONLY_KEEP)
+    assert not orphans - keep, (
+        f"src/ definitions with no caller outside tests: {sorted(orphans - keep)}"
+    )
+    assert not keep - orphans, (
+        f"keep-list entries that are gone or have a caller: {sorted(keep - orphans)}"
+    )

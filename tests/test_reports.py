@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.reports.profiles import PROFILES, active_profile
-from repro.reports.tables import render_markdown_table, render_table
+from repro.reports.tables import render_table
 
 
 class TestTables:
@@ -25,16 +25,6 @@ class TestTables:
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
-
-    def test_markdown(self):
-        text = render_markdown_table(["a", "b"], [[1, "x"]])
-        assert text.splitlines()[0] == "| a | b |"
-        assert text.splitlines()[1] == "|---|---|"
-        assert text.splitlines()[2] == "| 1 | x |"
-
-    def test_markdown_row_width_checked(self):
-        with pytest.raises(ValueError):
-            render_markdown_table(["a"], [[1, 2]])
 
 
 class TestProfiles:

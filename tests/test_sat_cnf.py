@@ -10,7 +10,6 @@ class TestCnf:
         cnf = Cnf()
         assert cnf.new_var() == 1
         assert cnf.new_var() == 2
-        assert cnf.new_vars(3) == [3, 4, 5]
 
     def test_add_clause_extends_var_count(self):
         cnf = Cnf()

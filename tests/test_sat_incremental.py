@@ -218,7 +218,7 @@ class TestModelAccess:
 class TestAbsorb:
     def test_absorb_streams_only_the_suffix(self):
         cnf = Cnf()
-        a, b = cnf.new_vars(2)
+        a, b = cnf.new_var(), cnf.new_var()
         cnf.add_clause([a, b])
         session = IncrementalSolver()
         synced = session.absorb(cnf)

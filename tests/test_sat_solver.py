@@ -161,7 +161,8 @@ def multiplier_miter(bits: int) -> Cnf:
             acc[j + bits] = carry
         return acc
 
-    x, y = cnf.new_vars(bits), cnf.new_vars(bits)
+    x = [cnf.new_var() for _ in range(bits)]
+    y = [cnf.new_var() for _ in range(bits)]
     cnf.add_clause([xor_gate(a, b) for a, b in zip(multiply(x, y), multiply(y, x))])
     return cnf
 
@@ -176,7 +177,7 @@ class TestHardInstances:
         """x1^x2=1, x2^x3=1, ..., closing the cycle inconsistently."""
         cnf = Cnf()
         n = 10
-        vars_ = cnf.new_vars(n)
+        vars_ = [cnf.new_var() for _ in range(n)]
         for i in range(n):
             a, b = vars_[i], vars_[(i + 1) % n]
             parity = 1 if i < n - 1 else 0  # odd cycle sum -> UNSAT
@@ -410,7 +411,7 @@ class _Alarm(Exception):
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 class TestInterruptible:
     def test_sigalrm_interrupts_a_long_solve(self):
-        # The runner's job timeout is a SIGALRM handler that raises; it
+        # A signal handler that raises (C-c, or SIGTERM through the CLI)
         # can only run when the search returns to the interpreter.
         def raise_alarm(signum, frame):
             raise _Alarm

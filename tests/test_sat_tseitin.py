@@ -149,16 +149,17 @@ class TestSharing:
             rng = random.Random(seed)
             template = encoding_for(random_netlist(rng, rng.randint(2, 20)))
             encoder = CircuitEncoder()
-            encoder.cnf.new_vars(3)
+            for _ in range(3):
+                encoder.cnf.new_var()
             for prefix in ("", "A::", "B::", "A::", "A1::"):
                 for net in rng.sample(sorted(template.net_local), 4):
-                    if not encoder.has_net(prefix + net):
+                    if prefix + net not in encoder._net_vars:
                         var = rng.randint(1, encoder.cnf.n_vars)
                         encoder.alias(prefix + net, var)
                 bound = {
                     local: encoder.var_for(prefix + net)
                     for net, local in template.net_local.items()
-                    if encoder.has_net(prefix + net)
+                    if prefix + net in encoder._net_vars
                 }
                 before, next_var = encoder.cnf.n_clauses, encoder.cnf.n_vars
                 lut = [bound.get(local, 0) for local in range(template.n_locals + 1)]

@@ -208,26 +208,6 @@ def random_assignment(netlist: Netlist, rng: random.Random):
     return inputs, state
 
 
-def redriven(netlist: Netlist, forced: dict[str, int]) -> Netlist:
-    """A copy whose ``forced`` nets are driven by constant gates."""
-    const = {0: GateType.CONST0, 1: GateType.CONST1}
-    copy = Netlist(netlist.name)
-    for net in netlist.inputs:
-        if net in forced:
-            copy.add_gate(net, const[forced[net]], [])
-        else:
-            copy.add_input(net)
-    for gate in netlist.gates.values():
-        if gate.output in forced:
-            copy.add_gate(gate.output, const[forced[gate.output]], [])
-        else:
-            copy.add_gate(gate.output, gate.gtype, gate.inputs)
-    for dff in netlist.dffs.values():
-        copy.add_dff(dff.q, dff.d)
-    copy.set_outputs(netlist.outputs)
-    return copy
-
-
 def packed_assignment(netlist: Netlist, rng: random.Random, n_lanes: int):
     """Random packed words for every free net, plus each lane's scalars."""
     free = list(netlist.inputs) + list(netlist.dffs)
@@ -272,10 +252,10 @@ class TestGateProgramMatchesEvaluate:
             sim = SequentialSimulator(netlist)
             for _ in range(6):
                 inputs = {net: rng.randrange(2) for net in netlist.inputs}
-                before = sim.get_state()
+                before = dict(sim.state)
                 expected = evaluate(netlist, inputs, before)
                 assert sim.step(inputs) == expected
-                assert sim.get_state() == {
+                assert sim.state == {
                     q: expected[dff.d] for q, dff in netlist.dffs.items()
                 }
 
@@ -309,46 +289,6 @@ class TestGateProgramMatchesEvaluate:
         for p, (inputs, state) in enumerate(assignments):
             for net, bit in evaluate(netlist, inputs, state).items():
                 assert int(values[net][p]) == bit, (p, net)
-
-
-class TestGateProgramForce:
-    """``force=`` overrides a net after its driver, like a stuck-at fault."""
-
-    N_LANES = 64
-
-    def check_force(self, netlist, forced):
-        rng = random.Random(len(forced))
-        mask = (1 << self.N_LANES) - 1
-        words, lanes = packed_assignment(netlist, rng, self.N_LANES)
-        sim = BitParallelSimulator(netlist)
-        force = {net: mask if bit else 0 for net, bit in forced.items()}
-        values = sim.run_packed(words, self.N_LANES, force=force)
-        outputs = sim.run_packed_outputs(words, self.N_LANES, force=force)
-        assert outputs == [values[net] for net in netlist.outputs]
-        copy = redriven(netlist, forced)
-        for j, (inputs, state) in enumerate(lanes):
-            inputs = {k: v for k, v in inputs.items() if k not in forced}
-            reference = evaluate(copy, inputs, state)
-            for net in values:
-                assert (values[net] >> j) & 1 == reference[net], (forced, j, net)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_force_primary_input(self, seed):
-        self.check_force(random_netlist(seed), {"i0": 1})
-        self.check_force(random_netlist(seed), {"i1": 0})
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_force_multi_instruction_gates(self, seed):
-        netlist = random_netlist(seed)
-        for bit in (0, 1):
-            self.check_force(netlist, {"nand3": bit})
-            self.check_force(netlist, {"mux": bit})
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_force_two_nets_at_once(self, seed):
-        netlist = random_netlist(seed)
-        self.check_force(netlist, {"mux": 1, "nand3": 0})
-        self.check_force(netlist, {"g7": 0, "i2": 1})
 
 
 class TestGateProgramFollowsMutation:

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.runner.stores`, the one-file-per-cell JSON store.
 
 Pins the on-disk contract with a literal golden entry, then the
-conformance cases -- get/put/invalidate, code-version and profile
+conformance cases -- get/put, code-version and profile
 misses, corruption, truncation and tampering degrading to a miss,
 foreign-version pruning, read-only probes conjuring nothing -- the LRU
 garbage-collection policy units, hypothesis property tests (round-trip
@@ -121,13 +121,6 @@ class TestConformance:
         assert other.get(spec_of()) is None
         assert len(other) == 0
 
-    def test_invalidate(self, store):
-        spec = spec_of()
-        store.put(spec, {"value": 1})
-        assert store.invalidate(spec)
-        assert store.get(spec) is None
-        assert not store.invalidate(spec)
-
     def test_corrupt_storage_degrades_to_miss(self, store):
         spec = spec_of()
         store.put(spec, {"value": 1})
@@ -181,12 +174,6 @@ class TestConformance:
         assert store.prune() >= 1
         assert store.get(spec_of()) == {"value": 2}
         assert JsonFileStore(store.root, version="a" * 20).get(spec_of()) is None
-
-    def test_never_stored_invalidate_conjures_nothing(self, tmp_path):
-        root = tmp_path / "never"
-        store = JsonFileStore(root, version=VERSION)
-        assert store.invalidate(spec_of()) is False
-        assert not root.exists()
 
     def test_read_only_probes_conjure_nothing(self, tmp_path):
         root = tmp_path / "never"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.bitvec import (
-    bits_from_str,
     bits_to_str,
     parity,
     random_bits,
@@ -14,22 +13,12 @@ from repro.util.bitvec import (
 
 
 class TestBitStrings:
-    def test_parse(self):
-        assert bits_from_str("0110") == [0, 1, 1, 0]
-
-    def test_parse_with_underscores(self):
-        assert bits_from_str("10_10") == [1, 0, 1, 0]
-
-    def test_parse_rejects_other_chars(self):
-        with pytest.raises(ValueError):
-            bits_from_str("01x0")
-
     def test_render(self):
         assert bits_to_str([1, 0, 1]) == "101"
 
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=64))
     def test_roundtrip(self, bits):
-        assert bits_from_str(bits_to_str(bits)) == bits
+        assert [int(ch) for ch in bits_to_str(bits)] == bits
 
 
 class TestParity:

@@ -1,6 +1,6 @@
 """Unit tests for repro.util.rng."""
 
-from repro.util.rng import DeterministicRng, hash_label
+from repro.util.rng import hash_label
 
 
 class TestHashLabel:
@@ -17,43 +17,8 @@ class TestHashLabel:
         assert 0 <= hash_label(2**62, "x" * 100) < 2**64
 
 
-class TestDeterministicRng:
-    def test_same_label_same_stream(self):
-        a = DeterministicRng(7).stream("x").random()
-        b = DeterministicRng(7).stream("x").random()
-        assert a == b
-
-    def test_different_labels_diverge(self):
-        rng = DeterministicRng(7)
-        assert rng.stream("x").random() != rng.stream("y").random()
-
-    def test_stream_is_cached(self):
-        rng = DeterministicRng(7)
-        assert rng.stream("x") is rng.stream("x")
-
-    def test_label_isolation(self):
-        """Draws from one stream do not perturb another."""
-        rng1 = DeterministicRng(7)
-        rng1.stream("noise").random()
-        value1 = rng1.stream("signal").random()
-
-        rng2 = DeterministicRng(7)
-        value2 = rng2.stream("signal").random()
-        assert value1 == value2
-
-    def test_fork_is_deterministic(self):
-        a = DeterministicRng(7).fork("child").stream("s").random()
-        b = DeterministicRng(7).fork("child").stream("s").random()
-        assert a == b
-
-    def test_fork_differs_from_parent(self):
-        parent = DeterministicRng(7)
-        child = parent.fork("child")
-        assert parent.stream("s").random() != child.stream("s").random()
-
-
 # ----------------------------------------------------------------------
-# hypothesis property suites: stability and stream independence
+# hypothesis property suite: stability
 # ----------------------------------------------------------------------
 from hypothesis import given, strategies as st  # noqa: E402
 
@@ -81,45 +46,3 @@ class TestHashLabelProperties:
     @given(label)
     def test_seed_changes_the_hash(self, text):
         assert hash_label(1, text) != hash_label(2, text)
-
-
-class TestStreamIndependenceProperties:
-    @given(seed, label, label, st.integers(min_value=0, max_value=8))
-    def test_draws_elsewhere_never_perturb_a_stream(
-        self, s, wanted, noise, n_noise_draws
-    ):
-        """The sequence of stream ``wanted`` is a function of (seed,
-        label) alone, regardless of interleaved traffic on any other
-        label -- the property every cell's determinism rests on."""
-        if wanted == noise:
-            return
-        quiet = DeterministicRng(s)
-        reference = [quiet.stream(wanted).random() for _ in range(3)]
-
-        busy = DeterministicRng(s)
-        busy.stream(noise).random()
-        observed = []
-        for i in range(3):
-            observed.append(busy.stream(wanted).random())
-            for _ in range(n_noise_draws):
-                busy.stream(noise).random()
-        assert observed == reference
-
-    @given(seed, label)
-    def test_fork_equals_rerooting_at_the_derived_seed(self, s, text):
-        forked = DeterministicRng(s).fork(text).stream("x").random()
-        rerooted = (
-            DeterministicRng(hash_label(s, text)).stream("x").random()
-        )
-        assert forked == rerooted
-
-    @given(seed, label)
-    def test_stream_creation_order_is_irrelevant(self, s, text):
-        other = text + "'"
-        ab = DeterministicRng(s)
-        ab.stream(text)
-        ab.stream(other)
-        ba = DeterministicRng(s)
-        ba.stream(other)
-        ba.stream(text)
-        assert ab.stream(text).random() == ba.stream(text).random()

@@ -22,7 +22,6 @@ class TestValidate:
         report = validate_netlist(valid_netlist())
         assert report["gates"] == 2
         assert report["dffs"] == 1
-        assert report["undriven"] == 0
 
     def test_undriven_gate_input(self):
         netlist = Netlist("u")
@@ -43,13 +42,6 @@ class TestValidate:
         netlist.add_output("nowhere")
         with pytest.raises(NetlistError, match="undriven"):
             validate_netlist(netlist)
-
-    def test_allow_dangling(self):
-        netlist = Netlist("u")
-        netlist.add_gate("y", GateType.NOT, ["ghost"])
-        netlist.add_output("y")
-        report = validate_netlist(netlist, allow_dangling=True)
-        assert report["undriven"] == 1
 
     def test_cycle_detected(self):
         netlist = Netlist("c")
