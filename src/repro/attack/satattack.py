@@ -13,7 +13,8 @@ iterates:
    it spares the solver from proving that by search -- once the DIP
    constraints force ``K_A = K_B``, unit propagation refutes the miter;
 2. query the oracle with the DIP and constrain both key copies to
-   reproduce the observed response (two fresh circuit copies per DIP);
+   reproduce the observed response (one more circuit copy per key side
+   and DIP);
 3. repeat until the miter is unsatisfiable or only one key remains:
    every key still satisfying the accumulated constraints is
    functionally correct on all inputs distinguished so far, and no
@@ -30,10 +31,16 @@ The whole loop runs in **one** :class:`repro.sat.IncrementalSolver`
 session: the miter CNF is built once from the cached Tseitin template of
 the locked netlist, each DIP stamps two more template copies plus unit
 constraints into the same solver, and learned clauses/variable
-activities persist across iterations.  The miter clause carries an
-activation literal so the same session can afterwards enumerate the
-surviving key assignments with the miter switched off (the paper's
-"seed candidates" when driven by DynUnlock).
+activities persist across iterations.  The template is compiled with the
+key inputs, so its key-only logic (:mod:`repro.sat.tseitin`) is encoded
+once per key side, in that side's miter copy: a DIP copy shares those
+variables and stamps only the rest of the circuit.  That is sound
+because a key-only net is a function of its side's key alone (undriven
+nets are rejected), so every copy on that side computes the same value
+for it.  The miter clause carries an activation literal so the same
+session can afterwards enumerate the surviving key assignments with the
+miter switched off (the paper's "seed candidates" when driven by
+DynUnlock).
 """
 
 from __future__ import annotations
@@ -186,7 +193,7 @@ class SatAttack:
         # Compile the locked circuit's Tseitin template once; every miter
         # copy and every per-DIP constraint copy stamps from it.
         with obs.phase("encode"):
-            self._template = encoding_for(locked)
+            self._template = encoding_for(locked, key_set)
             self.encoder = CircuitEncoder()
             self.solver = IncrementalSolver()
             self._copy_count = 0
@@ -202,22 +209,16 @@ class SatAttack:
             self._sync_solver()
 
     # ------------------------------------------------------------------
-    def _encode_copy(self, prefix: str, share_keys_with: str | None) -> dict[str, int]:
-        """Stamp one circuit copy; key vars shared with a previous copy."""
-        if share_keys_with is not None:
-            for net in self.key_inputs:
-                shared_var = self.encoder.var_for(f"{share_keys_with}{net}")
-                self.encoder.alias(f"{prefix}{net}", shared_var)
-        return self.encoder.stamp(self._template, prefix=prefix)
-
     def _build_miter(self) -> None:
         # Shared X variables across the two miter copies.
         for net in self.x_inputs:
             var = self.encoder.var_for(f"X::{net}")
             self.encoder.alias(f"A::{net}", var)
             self.encoder.alias(f"B::{net}", var)
-        map_a = self._encode_copy("A::", share_keys_with=None)
-        map_b = self._encode_copy("B::", share_keys_with=None)
+        map_a, table_a = self.encoder.stamp(self._template, prefix="A::")
+        map_b, table_b = self.encoder.stamp(self._template, prefix="B::")
+        # Each side's local -> variable table: DIP copies stamp over it.
+        self._sides = (("A", table_a), ("B", table_b))
 
         cnf = self.encoder.cnf
         self.act_var = cnf.new_var()
@@ -260,16 +261,17 @@ class SatAttack:
     def add_dip_constraint(self, dip: list[int], response: list[int]) -> None:
         """Both key copies must reproduce the oracle response on this DIP.
 
-        Stamps one fresh template copy per key side (keys shared with the
-        miter copies, everything else fresh) and pins its X inputs and
-        outputs to the observed pattern, then streams the new clauses
-        into the incremental session.
+        Stamps one template copy per key side over that side's miter
+        copy (key inputs and key-only logic shared, everything else
+        fresh) and pins its X inputs and outputs to the observed
+        pattern, then streams the new clauses into the incremental
+        session.
         """
         cnf = self.encoder.cnf
-        for side in ("A", "B"):
+        for side, table in self._sides:
             self._copy_count += 1
             prefix = f"{side}{self._copy_count}::"
-            mapping = self._encode_copy(prefix, share_keys_with=f"{side}::")
+            mapping, _ = self.encoder.stamp(self._template, prefix, over=table)
             for net, bit in zip(self.x_inputs, dip):
                 var = mapping[net]
                 cnf.add_clause([var if bit else -var])

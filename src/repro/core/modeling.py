@@ -190,8 +190,13 @@ def build_combinational_model(
       shared nets;
     * ``"dense"`` (default) pre-reduces every overlay term to its GF(2)
       expression over the seed bits, producing shallow independent XOR
-      trees that propagate better in the SAT solver.  The two encodings
-      are logically equivalent (asserted by the test suite).
+      trees.
+
+    The two encodings are logically equivalent (asserted by the test
+    suite), and neither searches less everywhere: quick-profile Table II
+    takes fewer conflicts under ``dense``, while paper-scale s5378 at 32
+    and 40 key bits breaks in seconds under ``unrolled`` and times out
+    under ``dense``.
     """
     if spec.n_flops != netlist.n_dffs:
         raise ValueError("chain spec does not match the netlist flop count")

@@ -88,7 +88,6 @@ def dynunlock_multichain(
     taps: Sequence[int],
     key_bits: int,
     oracle: MultiChainScanOracle,
-    candidate_limit: int = 256,
     timeout_s: float | None = None,
 ) -> AttackResult:
     """Run DynUnlock against a multi-chain oracle.
@@ -101,7 +100,7 @@ def dynunlock_multichain(
         model,
         lambda scan_in, pi: model.observe(oracle.query(scan_in, pi)),
         watch,
-        candidate_limit=candidate_limit,
+        candidate_limit=256,
         timeout_s=timeout_s,
         opt_level=None,
         verify_patterns=24,

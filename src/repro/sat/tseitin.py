@@ -18,13 +18,25 @@ Two layers:
   gather applies to the template's flat literal buffer, appended to the
   :class:`Cnf` as one block.  That is what makes per-DIP miter extension
   cheap.
+
+A template compiled with key inputs puts its *key-only prefix* first:
+every gate whose operands are all key inputs or key-only nets, and, for
+each XOR/XNOR gate with two or more key-only operands, one local holding
+the XOR of just those (the gate then reads its other operands plus that
+local).  A key-only net is a function of the key alone, so every copy
+that shares a key computes the same value for it.  The SAT attack stamps
+each key side once in full and every per-DIP copy *over* that side's
+copy: it takes that copy's variables for the key inputs and the prefix
+and appends only the clauses after the prefix, so a DIP copy costs the
+same at every key width.  Without key-only logic (an RLL lock, or no key
+inputs) the prefix is empty and the template is the plain one.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -149,6 +161,11 @@ class NetlistEncoding:
     outputs, gate operand nets and primary outputs) to its local
     variable; the remaining locals are Tseitin auxiliaries.  Templates
     are shared between all stamped copies.
+
+    ``shared`` lists, as bytes of C ints, the locals a copy stamped over
+    another copy of the same key side takes from it: the key inputs and
+    the key-only prefix (module docstring).  The prefix's clauses are
+    the first ``prefix_clauses``.
     """
 
     name: str
@@ -156,6 +173,8 @@ class NetlistEncoding:
     lits: bytes
     lengths: bytes
     net_local: Mapping[str, int]
+    shared: bytes
+    prefix_clauses: int
 
     @property
     def n_clauses(self) -> int:
@@ -192,14 +211,22 @@ class _FlatClauses:
         self.lengths.append(len(clause))
 
 
-#: netlist -> (the ``Netlist.version`` it was compiled at, template).
-_TEMPLATE_CACHE: "WeakKeyDictionary[Netlist, tuple[int, NetlistEncoding]]" = (
-    WeakKeyDictionary()
-)
+#: netlist -> (the ``Netlist.version`` and key set it was compiled at,
+#: template).
+_TEMPLATE_CACHE: (
+    "WeakKeyDictionary[Netlist, tuple[int, frozenset[str], NetlistEncoding]]"
+) = WeakKeyDictionary()
 
 
-def compile_encoding(netlist: Netlist) -> NetlistEncoding:
-    """Compile a netlist into a fresh :class:`NetlistEncoding` (no cache)."""
+def compile_encoding(
+    netlist: Netlist, key_inputs: Collection[str] = ()
+) -> NetlistEncoding:
+    """Compile a netlist into a fresh :class:`NetlistEncoding` (no cache).
+
+    Inputs take locals ``1..`` in input order.  With ``key_inputs``, the
+    key-only prefix (module docstring) follows them; every other gate
+    comes after it in topological order.
+    """
     if netlist.dffs:
         raise ValueError(
             "cannot Tseitin-encode a sequential netlist; "
@@ -217,9 +244,33 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
 
     for net in netlist.inputs:
         var_for(net)
+    first_prefix_local = cnf.n_vars + 1
+    key_only = set(key_inputs)
+    shared = [net_local[net] for net in netlist.inputs if net in key_only]
+    # (gate, operands, local of its key-only operands' XOR or 0)
+    rest: list[tuple[Gate, Sequence[str], int]] = []
     for gate in netlist.topological_gates():
+        keyed = [net for net in gate.inputs if net in key_only]
+        if gate.inputs and len(keyed) == len(gate.inputs):
+            key_only.add(gate.output)
+            out = var_for(gate.output)
+            encode_gate_clauses(cnf, gate, out, [net_local[n] for n in keyed])
+        elif len(keyed) > 1 and gate.gtype in (GateType.XOR, GateType.XNOR):
+            partial = cnf.new_var()
+            _encode_xor_chain(
+                cnf, partial, [net_local[n] for n in keyed], invert=False
+            )
+            others = [net for net in gate.inputs if net not in key_only]
+            rest.append((gate, others, partial))
+        else:
+            rest.append((gate, gate.inputs, 0))
+    shared += range(first_prefix_local, cnf.n_vars + 1)
+    prefix_clauses = len(cnf.lengths)
+    for gate, operands, partial in rest:
         out = var_for(gate.output)
-        ins = [var_for(n) for n in gate.inputs]
+        ins = [var_for(n) for n in operands]
+        if partial:
+            ins.append(partial)
         encode_gate_clauses(cnf, gate, out, ins)
     for net in netlist.outputs:
         var_for(net)
@@ -229,21 +280,27 @@ def compile_encoding(netlist: Netlist) -> NetlistEncoding:
         lits=array("i", cnf.lits).tobytes(),
         lengths=array("i", cnf.lengths).tobytes(),
         net_local=net_local,
+        shared=array("i", shared).tobytes(),
+        prefix_clauses=prefix_clauses,
     )
 
 
-def encoding_for(netlist: Netlist) -> NetlistEncoding:
+def encoding_for(
+    netlist: Netlist, key_inputs: Collection[str] = ()
+) -> NetlistEncoding:
     """Cached :func:`compile_encoding`.
 
-    Keyed on the netlist object and its mutation counter
-    (:attr:`~repro.netlist.netlist.Netlist.version`): every mutator bumps
-    it, so a netlist edited after being encoded is always recompiled.
+    Keyed on the netlist object, its mutation counter
+    (:attr:`~repro.netlist.netlist.Netlist.version`) and the key set:
+    every mutator bumps the counter, so a netlist edited after being
+    encoded is always recompiled.
     """
+    keys = frozenset(key_inputs)
     cached = _TEMPLATE_CACHE.get(netlist)
-    if cached is not None and cached[0] == netlist.version:
-        return cached[1]
-    template = compile_encoding(netlist)
-    _TEMPLATE_CACHE[netlist] = (netlist.version, template)
+    if cached is not None and cached[:2] == (netlist.version, keys):
+        return cached[2]
+    template = compile_encoding(netlist, keys)
+    _TEMPLATE_CACHE[netlist] = (netlist.version, keys, template)
     return template
 
 
@@ -254,8 +311,8 @@ class CircuitEncoder:
     miter (two copies of the locked circuit) can share key variables while
     keeping internal nets separate.  Copies are stamped from the cached
     :class:`NetlistEncoding` template, so encoding the same netlist many
-    times (the SAT attack adds two copies per DIP) costs integer
-    translation only.
+    times (the SAT attack adds two copies per DIP, each over its key
+    side's miter copy) costs integer translation only.
     """
 
     def __init__(self, cnf: Cnf | None = None):
@@ -288,10 +345,22 @@ class CircuitEncoder:
         fresh contiguous variable block.  Returns the net -> variable map
         for this instance (unprefixed net names as keys).
         """
-        return self.stamp(encoding_for(netlist), prefix=prefix)
+        return self.stamp(encoding_for(netlist), prefix=prefix)[0]
 
-    def stamp(self, template: NetlistEncoding, prefix: str = "") -> dict[str, int]:
-        """Instantiate a compiled template under ``prefix``."""
+    def stamp(
+        self,
+        template: NetlistEncoding,
+        prefix: str = "",
+        over: np.ndarray | None = None,
+    ) -> tuple[dict[str, int], np.ndarray]:
+        """Instantiate a compiled template under ``prefix``.
+
+        Returns the copy's net -> variable map and its local -> variable
+        table.  ``over`` is the table of an earlier copy of the same
+        template: this copy then takes that copy's variables for the
+        template's ``shared`` locals (key inputs and key-only prefix)
+        and appends only the clauses after the prefix.
+        """
         cnf = self.cnf
         net_vars = self._net_vars
         nets = template.net_local
@@ -302,6 +371,13 @@ class CircuitEncoder:
         # variable in local order.
         lut = np.zeros(template.n_locals + 1, dtype=np.intc)
         lut[locals_] = [net_vars.get(key, 0) for key in keys]
+        literals = np.frombuffer(template.lits, dtype=np.intc)
+        lengths = np.frombuffer(template.lengths, dtype=np.intc)
+        if over is not None:
+            shared = np.frombuffer(template.shared, dtype=np.intc)
+            lut[shared] = over[shared]
+            literals = literals[lengths[: template.prefix_clauses].sum() :]
+            lengths = lengths[template.prefix_clauses :]
         fresh = np.flatnonzero(lut == 0)[1:]
         lut[fresh] = np.arange(cnf.n_vars + 1, cnf.n_vars + 1 + fresh.size)
         cnf.n_vars += fresh.size
@@ -313,6 +389,5 @@ class CircuitEncoder:
         # Signed table: the negated entries appended in reverse, so
         # negative indexing maps literal -l to -lut[l].
         signed = np.concatenate((lut, -lut[:0:-1]))
-        literals = np.frombuffer(template.lits, dtype=np.intc)
-        cnf.append_block(signed.take(literals), template.lengths)
-        return mapping
+        cnf.append_block(signed.take(literals), lengths)
+        return mapping, lut

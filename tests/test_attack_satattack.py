@@ -18,6 +18,7 @@ from repro.observability import begin_job_span, end_job_span
 from repro.reports.cells import build_table2_lock
 from repro.sat.enumerate import enumerate_models
 from repro.sat.solver import CdclSolver, SolveResult
+from repro.sat.tseitin import encoding_for
 from repro.sim.logicsim import CombinationalSimulator
 
 
@@ -260,6 +261,34 @@ class TestKeyDifferenceLemma:
             model.netlist, model.key_inputs, lock.seed
         )
         assert conflicts == 0
+
+
+class TestDipCopies:
+    @pytest.mark.parametrize("encoding", ["dense", "unrolled"])
+    def test_per_dip_clauses_do_not_grow_with_key_width(self, encoding):
+        # Every seed row and LFSR net is key-only logic, which a DIP copy
+        # shares with its side's miter copy instead of encoding again.
+        profile = resolve_profile("quick")
+        added = []
+        for key_bits in (16, 20, 24):
+            netlist, lock, _ = build_table2_lock(profile, "b17", 0, key_bits)
+            view = lock.public_view()
+            model = build_combinational_model(
+                netlist, view.spec, view.lfsr_taps, view.lfsr_width,
+                encoding=encoding,
+            )
+            attack = SatAttack(model.netlist, model.key_inputs, lambda x: [])
+            template = encoding_for(attack.locked, attack.key_inputs)
+            assert template.prefix_clauses > 0
+            units = len(attack.x_inputs) + len(attack.locked.outputs)
+            residual = template.n_clauses - template.prefix_clauses
+            before = attack.encoder.cnf.n_clauses
+            attack.add_dip_constraint(
+                [0] * len(attack.x_inputs), [0] * len(attack.locked.outputs)
+            )
+            added.append(attack.encoder.cnf.n_clauses - before)
+            assert added[-1] == 2 * (residual + units)
+        assert len(set(added)) == 1
 
 
 def dynunlock_case(benchmark: str, lie_on_first_query: bool = False) -> SatAttack:

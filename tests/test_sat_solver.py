@@ -275,7 +275,7 @@ class TestEnumeration:
 
 
 class TestSearchIdentity:
-    """Exact search counters of four pinned instances.
+    """Exact search counters of five pinned instances.
 
     Every decision depends on watch-list order, clause literal order,
     VSIDS float arithmetic and the lazy heap's stale entries, so a
@@ -339,14 +339,33 @@ class TestSearchIdentity:
         result = self.table2_cell("s5378")
         assert result.n_seed_candidates == 64
         stats = result.sat_result.solver_stats
-        assert self.counters(stats) == (867, 8626, 76757, 847, 0, 4)
+        assert self.counters(stats) == (572, 7068, 55227, 552, 0, 3)
 
     def test_table2_b21_cell(self):
         # The uniqueness check proves a single key left.
         result = self.table2_cell("b21")
         assert result.n_seed_candidates == 1
         stats = result.sat_result.solver_stats
-        assert self.counters(stats) == (947, 1331, 201834, 944, 0, 5)
+        assert self.counters(stats) == (713, 1039, 87212, 712, 0, 4)
+
+    def test_sarlock_dip_copies_over_key_only_logic(self):
+        # SARLock's key comparator is key-only logic, and every wrong
+        # key costs one DIP, so 31 DIP copies per side stamp over it.
+        from repro.attack.satattack import SatAttack
+        from repro.bench_suite.generator import GeneratorConfig, generate_circuit
+        from repro.locking.sarlock import lock_with_sarlock
+        from repro.sat.tseitin import encoding_for
+
+        rng = random.Random(1)
+        config = GeneratorConfig(n_flops=12, n_inputs=4, n_outputs=3)
+        netlist = generate_circuit(config, rng, name="sar")
+        lock = lock_with_sarlock(netlist, key_bits=5, rng=rng)
+        attack = SatAttack(lock.locked, lock.key_inputs, lock.make_oracle().query)
+        assert encoding_for(attack.locked, lock.key_inputs).prefix_clauses > 0
+        result = attack.run()
+        assert result.iterations == 31
+        assert result.key_candidates == [list(lock.secret_key)]
+        assert self.counters(result.solver_stats) == (451, 1700, 37207, 443, 0, 0)
 
 
 class TestSearchIdentityOnReference(TestSearchIdentity):

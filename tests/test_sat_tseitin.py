@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench_suite.generator import GeneratorConfig, generate_circuit
+from repro.locking.rll import lock_combinational_rll
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.netlist.transform import extract_combinational_core
@@ -51,6 +52,36 @@ def random_netlist(rng: random.Random, n_gates: int) -> Netlist:
     for net in rng.sample(nets[4:], 3):
         netlist.add_output(net)
     return netlist
+
+
+def keyed_netlist(rng: random.Random) -> tuple[Netlist, list[str]]:
+    """:func:`random_netlist` plus key-only logic over some of its inputs.
+
+    Adds key-only AND, MUX, XNOR and NOT gates, XOR/XNOR gates that
+    read two or more key-only nets (most of them next to other
+    operands), and key-only outputs.  The constant gates of
+    :func:`random_netlist` have no operands, so they stay out of the
+    key-only prefix.
+    """
+    netlist = random_netlist(rng, rng.randint(2, 12))
+    keys = rng.sample(netlist.inputs, rng.randint(2, 3))
+    others = [net for net in netlist.inputs if net not in keys] + list(netlist.gates)
+    key_only = list(keys)
+    key_gates = (GateType.AND, GateType.MUX, GateType.XNOR, GateType.NOT)
+    for k, gtype in enumerate(key_gates):
+        low, high = ARITY.get(gtype, (2, 4))
+        operands = [rng.choice(key_only) for _ in range(rng.randint(low, high))]
+        netlist.add_gate(f"k{k}", gtype, operands)
+        key_only.append(f"k{k}")
+    for k, gtype in enumerate((GateType.XOR, GateType.XNOR, GateType.XOR)):
+        operands = rng.sample(key_only, rng.randint(2, 3))
+        operands += [rng.choice(others) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(operands)
+        netlist.add_gate(f"s{k}", gtype, operands)
+        others.append(f"s{k}")
+    for net in rng.sample(key_only[len(keys):], 2) + ["s0", "s1"]:
+        netlist.add_output(net)
+    return netlist, keys
 
 
 GATE_CASES = [
@@ -171,9 +202,10 @@ class TestSharing:
                     tuple(lut[l] if l > 0 else -lut[-l] for l in clause)
                     for clause in template.clauses
                 ]
-                mapping = encoder.stamp(template, prefix=prefix)
+                mapping, table = encoder.stamp(template, prefix=prefix)
                 assert encoder.cnf.clauses[before:] == expected
                 assert encoder.cnf.n_vars == next_var
+                assert table.tolist() == lut
                 assert mapping == {
                     net: lut[local] for net, local in template.net_local.items()
                 }
@@ -189,6 +221,60 @@ class TestSharing:
         with pytest.raises(ValueError):
             encoder.alias("a", w)
         encoder.alias("a", v)  # idempotent alias is fine
+
+
+class TestKeyOnlyPrefix:
+    def test_copy_over_a_full_copy_matches_simulation(self):
+        # The full copy runs on the complement of the X bits, so any
+        # X-dependent net wrongly placed in the prefix would clash.
+        for seed in range(30):
+            rng = random.Random(seed)
+            netlist, keys = keyed_netlist(rng)
+            x_inputs = [net for net in netlist.inputs if net not in keys]
+            template = compile_encoding(netlist, keys)
+            assert 0 < template.prefix_clauses < template.n_clauses
+            encoder = CircuitEncoder()
+            full, table = encoder.stamp(template, prefix="A::")
+            before = encoder.cnf.n_clauses
+            copy, _ = encoder.stamp(template, prefix="D::", over=table)
+            assert encoder.cnf.n_clauses - before == (
+                template.n_clauses - template.prefix_clauses
+            )
+            assert [copy[net] for net in keys] == [full[net] for net in keys]
+            solver = CdclSolver(encoder.cnf)
+            for bits in itertools.product([0, 1], repeat=len(netlist.inputs)):
+                values = dict(zip(netlist.inputs, bits))
+                assumptions = [full[k] if values[k] else -full[k] for k in keys]
+                for net in x_inputs:
+                    assumptions += [
+                        copy[net] if values[net] else -copy[net],
+                        -full[net] if values[net] else full[net],
+                    ]
+                result = solver.solve(assumptions=assumptions)
+                assert result.satisfiable is True
+                expected = evaluate(netlist, values)
+                assert {net: result.model[copy[net]] for net in expected} == expected
+
+    def test_template_without_key_only_logic_is_the_plain_one(self):
+        # RLL's key gates each read one key input and one circuit net.
+        for seed in range(5):
+            rng = random.Random(seed)
+            config = GeneratorConfig(n_flops=5, n_inputs=5, n_outputs=4)
+            core, _, _ = extract_combinational_core(
+                generate_circuit(config, rng, name=f"rll{seed}")
+            )
+            lock = lock_combinational_rll(core, key_bits=6, rng=rng)
+            keyed = compile_encoding(lock.locked, lock.key_inputs)
+            plain = compile_encoding(lock.locked)
+            assert (keyed.lits, keyed.lengths) == (plain.lits, plain.lengths)
+            assert keyed.prefix_clauses == 0
+
+    def test_cache_is_keyed_on_the_key_set(self):
+        netlist, keys = keyed_netlist(random.Random(0))
+        keyed = encoding_for(netlist, keys)
+        assert encoding_for(netlist, reversed(keys)) is keyed
+        assert encoding_for(netlist) == compile_encoding(netlist)
+        assert encoding_for(netlist, keys) == keyed != encoding_for(netlist)
 
 
 class TestTemplateCache:
